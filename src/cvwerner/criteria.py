@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError
+from .errors import CutoffTooSmallError, NumericalConsistencyError
 from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
 from .numerics import hermitian_eigenvalues
 from .states import WernerParams, werner_state
@@ -437,43 +437,64 @@ def published_squeezing_threshold_lambda_form(lam: float) -> float:
     return 1.0 / (1.0 + 2.0 * lam * (1.0 - lam * lam) / ((1.0 + lam) * (1.0 + 3.0 * lam * lam)))
 
 
+# At the ceiling the banded vectors of squeezing_variance_direct take a few
+# tens of MB.
+MOMENT_TAIL_BOUND = 1e-9
+MOMENT_LEVELS_FLOOR = 16
+MOMENT_LEVELS_CEILING = 2 ** 20
+
+
+def _moment_tail(lam: float, n: int) -> float:
+    """Sum over k >= n of (1 - lam^2) lam^(2k) (2k + 1), in closed form."""
+    return lam ** (2 * n) * ((2 * n + 1) + 2.0 * lam * lam / (1.0 - lam * lam))
+
+
 def _moment_cutoff(params: WernerParams) -> int:
-    """Cutoff large enough that photon-number-weighted tails are < 1e-9."""
+    """Smallest power of two (>= 16) whose second-moment tail is <= 1e-9.
+
+    Raises CutoffTooSmallError, carrying the level count that would be
+    needed, when that exceeds MOMENT_LEVELS_CEILING.
+    """
     lam = max(params.lambda1, params.lambda2)
-    if lam == 0.0:
-        return 16
-    n = 16
-    while (2 * n + 1) * lam ** (2 * n) > 1e-9 and n < 2048:
+    if lam >= 1.0:
+        raise CutoffTooSmallError(
+            f"squeezing moments of (r={params.r}, s={params.s}) have no finite "
+            "cutoff: tanh saturates to 1", minimal_n_max=None)
+    n = MOMENT_LEVELS_FLOOR
+    while _moment_tail(lam, n) > MOMENT_TAIL_BOUND:
         n *= 2
+    if n > MOMENT_LEVELS_CEILING:
+        raise CutoffTooSmallError(
+            f"squeezing moments of (r={params.r}, s={params.s}) need {n} Fock "
+            f"levels for a tail <= {MOMENT_TAIL_BOUND:g}, above the ceiling of "
+            f"{MOMENT_LEVELS_CEILING}", minimal_n_max=n)
     return n
 
 
 def squeezing_variance_direct(params: WernerParams, n_max: int | None = None) -> float:
     """Var(x_A - x_B) from truncated matrix algebra, component by component.
 
-    The squeezed-vacuum part is evaluated as ||X |psi>||^2 on the
-    truncated state vector and the thermal part from single-mode matrix
-    traces; this reaches cutoffs far beyond what a dense two-mode matrix
-    allows, which the slow geometric tails at large s require.
+    On n_max levels x = (a + a^dag) / sqrt(2) is tridiagonal with
+    off-diagonal e_i = sqrt((i + 1) / 2), and the squeezed vacuum is
+    diagonal in the two-mode basis, psi = diag(c), c_k = sqrt(1 - l1^2) l1^k.
+    So (x_A - x_B)|psi> lives on the two off-diagonals, with entries
+    +-e_i (c_{i+1} - c_i), and has mean zero; the thermal part needs only
+    diag(x^2)_k = e_{k-1}^2 + e_k^2, whose last entry is cut at the
+    truncation edge, since diag(x) = 0. Every sum is O(n_max) on vectors.
     """
     n = n_max if n_max is not None else _moment_cutoff(params)
-    x = quadrature_x(n)
+    levels = np.arange(n, dtype=np.float64)
     l1 = params.lambda1
-    amps = math.sqrt(1.0 - l1 * l1) * l1 ** np.arange(n)
-    psi = np.diag(amps).astype(np.complex128)
-    applied = x @ psi - psi @ x.T  # (x_A - x_B) |psi>, reshaped
-    var_nopa = float((np.abs(applied) ** 2).sum())
-    mean_nopa = np.einsum("mn,mn->", psi.conj(), applied).real
+    amps = math.sqrt(1.0 - l1 * l1) * l1 ** levels
+    # 2 e_i^2 (c_{i+1} - c_i)^2 with c_{i+1} - c_i = -(1 - l1) c_i.
+    var_nopa = float(((1.0 - l1) ** 2 * (levels[1:] * amps[:-1] ** 2)).sum())
 
     l2 = params.lambda2
-    probs = (1.0 - l2 * l2) * l2 ** (2 * np.arange(n))
-    x2 = (x @ x).real
-    mom2 = float(probs @ np.diagonal(x2))
-    mom1 = float(probs @ np.diagonal(x).real)
-    var_thermal = 2.0 * mom2 - 2.0 * mom1 * mom1
+    probs = (1.0 - l2 * l2) * l2 ** (2.0 * levels)
+    # 2 diag(x^2): 2k + 1 below the edge, n - 1 on the last level.
+    var_thermal = float((probs * (2.0 * levels + 1.0)).sum()) - n * float(probs[-1])
 
-    mean = params.p * mean_nopa
-    return params.p * var_nopa + (1.0 - params.p) * var_thermal - mean * mean
+    return params.p * var_nopa + (1.0 - params.p) * var_thermal
 
 
 def squeezing_variance_dense(rho: TwoModeDensityMatrix) -> float:

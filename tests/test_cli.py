@@ -182,6 +182,31 @@ class TestEval:
         assert "entangled_ppt_direct: false" in out
         assert "fidelity_w: closed_form=0.5 " in out
 
+    def test_vacuum_is_not_squeezed(self, capsys):
+        assert main(["eval", "p=1", "r=0", "s=0"]) == 0
+        assert "squeezed: false threshold_p=1 margin=0 method=both" in capsys.readouterr().out
+
+    def test_large_squeezing_cross_check_passes(self, capsys):
+        assert main(["eval", "p=0.5", "r=3", "s=2"]) == 0
+        assert "squeezed: false" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            (("p=0.5", "r=nan", "s=1"), "must be finite"),
+            (("p=0.5", "r=inf", "s=1"), "must be finite"),
+            (("p=0.5", "r=20", "s=20"), "tanh saturates"),
+            (("p=0.5", "r=9", "s=1"), "above the ceiling"),
+        ],
+    )
+    def test_out_of_range_point_exits_2(self, capsys, point, message):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", *point])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_invalid_parameter_rejected(self):
         with pytest.raises(SystemExit):
             main(["eval", "p=1.5", "r=1", "s=1"])

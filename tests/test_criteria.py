@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cvwerner.criteria import (
+    MOMENT_LEVELS_CEILING,
+    MOMENT_TAIL_BOUND,
     SQUEEZING_CONSISTENCY_TOL,
     SeparabilityCells,
     bisect_direct_threshold,
@@ -21,6 +23,7 @@ from cvwerner.criteria import (
     published_squeezing_threshold,
     published_squeezing_threshold_lambda_form,
     q_tilde_one_bound,
+    quadrature_x,
     reconstruct_from_cells,
     separability_sufficient,
     squeezing_criterion,
@@ -29,6 +32,8 @@ from cvwerner.criteria import (
     squeezing_variance_dense,
     squeezing_variance_direct,
 )
+from cvwerner import criteria
+from cvwerner.errors import CutoffTooSmallError
 from cvwerner.fock_core import FockCutoff, partial_transpose_A
 from cvwerner.states import WernerParams, werner_state
 
@@ -183,6 +188,7 @@ class TestSqueezing:
             WernerParams(p=0.5, r=0.5, s=0.5),
             WernerParams(p=0.9, r=2.0, s=2.0),
             WernerParams(p=0.0, r=0.0, s=1.0),
+            WernerParams(p=0.5, r=3.0, s=2.0),  # 4096 levels
         ],
     )
     def test_direct_matches_analytic(self, params):
@@ -232,3 +238,67 @@ class TestSqueezing:
         assert squeezed.method == "both"
         noisy = squeezing_criterion(WernerParams(p=0.2, r=1.0, s=1.0))
         assert not noisy.decision
+
+
+def dense_squeezing_variance(params, n):
+    """Var(x_A - x_B) by dense n x n quadrature algebra: the O(n^3) reference."""
+    x = quadrature_x(n)
+    l1 = params.lambda1
+    amps = math.sqrt(1.0 - l1 * l1) * l1 ** np.arange(n)
+    psi = np.diag(amps).astype(np.complex128)
+    applied = x @ psi - psi @ x.T  # (x_A - x_B) |psi>, reshaped
+    var_nopa = float((np.abs(applied) ** 2).sum())
+    mean_nopa = np.einsum("mn,mn->", psi.conj(), applied).real
+
+    l2 = params.lambda2
+    probs = (1.0 - l2 * l2) * l2 ** (2 * np.arange(n))
+    x2 = (x @ x).real
+    mom2 = float(probs @ np.diagonal(x2))
+    mom1 = float(probs @ np.diagonal(x).real)
+    var_thermal = 2.0 * mom2 - 2.0 * mom1 * mom1
+
+    mean = params.p * mean_nopa
+    return params.p * var_nopa + (1.0 - params.p) * var_thermal - mean * mean
+
+
+class TestBandedSqueezing:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            WernerParams(p=0.5, r=0.0, s=1.0),
+            WernerParams(p=0.3, r=1.0, s=0.0),
+            WernerParams(p=1.0, r=0.0, s=0.0),
+            WernerParams(p=0.7, r=1.2, s=1.2),
+            WernerParams(p=0.9, r=2.0, s=0.4),
+            WernerParams(p=0.2, r=0.5, s=2.0),
+        ],
+    )
+    def test_matches_dense_reference(self, params, n):
+        banded = squeezing_variance_direct(params, n_max=n)
+        assert abs(banded - dense_squeezing_variance(params, n)) <= 1e-12
+
+    def test_vacuum_variance_is_exactly_one(self):
+        assert squeezing_variance_direct(WernerParams(p=1.0, r=0.0, s=0.0)) == 1.0
+        assert squeezing_variance_direct(WernerParams(p=0.0, r=0.0, s=0.0)) == 1.0
+
+    @pytest.mark.parametrize("r, s", [(0.0, 0.0), (1.0, 0.3), (2.4, 1.0), (3.0, 2.0)])
+    def test_cutoff_is_smallest_power_of_two_within_tail(self, r, s):
+        params = WernerParams(p=0.5, r=r, s=s)
+        n = criteria._moment_cutoff(params)
+        lam = max(params.lambda1, params.lambda2)
+        assert n >= 16 and n & (n - 1) == 0
+        assert criteria._moment_tail(lam, n) <= MOMENT_TAIL_BOUND
+        if n > 16:
+            assert criteria._moment_tail(lam, n // 2) > MOMENT_TAIL_BOUND
+
+    def test_moment_tail_is_exact(self):
+        lam, n = 0.8, 40
+        k = np.arange(n, 4000)
+        summed = float(((1 - lam * lam) * lam ** (2 * k) * (2 * k + 1)).sum())
+        assert criteria._moment_tail(lam, n) == pytest.approx(summed, rel=1e-12)
+
+    def test_past_ceiling_raises_typed_error(self):
+        with pytest.raises(CutoffTooSmallError) as info:
+            squeezing_criterion(WernerParams(p=0.5, r=9.0, s=1.0))
+        assert info.value.minimal_n_max > MOMENT_LEVELS_CEILING

@@ -37,6 +37,19 @@ class TestWernerParams:
         with pytest.raises(ValueError):
             WernerParams(p=0.5, r=-0.1, s=1.0)
 
+    @pytest.mark.parametrize(
+        "p, r, s",
+        [(math.nan, 1.0, 1.0), (0.5, math.nan, 1.0), (0.5, 1.0, math.inf),
+         (0.5, math.inf, 1.0), (0.5, 20.0, 1.0), (0.5, 1.0, 19.5)],
+    )
+    def test_non_finite_and_saturating_rejected(self, p, r, s):
+        with pytest.raises(ParameterRangeError):
+            WernerParams(p=p, r=r, s=s)
+
+    def test_largest_unsaturated_point_accepted(self):
+        params = WernerParams(p=0.5, r=18.0, s=18.0)
+        assert params.lambda1 < 1.0
+
 
 class TestNopaState:
     def test_entries(self):

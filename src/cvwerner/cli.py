@@ -256,8 +256,7 @@ def _validation_grid(grid_density: int):
     return p_values, rs_values
 
 
-def run_validation(grid_density: int, tail_bound: float = tol.DEFAULT_TAIL_BOUND,
-                   closed_form_fn=None) -> tuple[list[CheckResult], bool]:
+def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckResult], bool]:
     """Run every cross-module consistency check on a grid_density^3 grid.
 
     ``closed_form_fn`` replaces the closed-form 4x4 used in the qubit-map
@@ -497,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "validate":
             start = time.time()
-            results, ok = run_validation(args.grid_density, tail_bound)
+            results, ok = run_validation(args.grid_density)
             lines = [result.line() for result in results]
             lines.append(f"elapsed: {time.time() - start:.1f} s")
             lines.append("validation: " + ("PASS" if ok else "FAIL"))

@@ -2,9 +2,11 @@
 
 Two pieces: a cyclic Jacobi eigensolver for complex Hermitian matrices
 (2x2 unitary rotations annihilating off-diagonal pairs) and trapezoidal
-integration on uniform phase-space grids. Both avoid any external
-linear-algebra backend so every eigenvalue and integral produced by this
-library is reproducible from first principles.
+integration on uniform 1-D grids, which rejects a grid whose integrand
+has not decayed at its ends. Multi-dimensional integrals in this library
+are separable and are built from products of these 1-D integrals. Both
+pieces avoid any external linear-algebra backend so every eigenvalue and
+integral produced by this library is reproducible from first principles.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def hermitian_eigenvalues(a: np.ndarray, max_sweeps: int = tol.JACOBI_MAX_SWEEPS
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Uniform grid over [-half_width, +half_width] per axis, origin included."""
+    """Uniform 1-D grid over [-half_width, +half_width], origin included."""
 
     half_width: float
     points_per_axis: int
@@ -114,13 +116,11 @@ class PhaseSpaceGrid:
             raise ValueError("half_width must be positive")
         if self.points_per_axis % 2 == 0 or self.points_per_axis < 3:
             raise ValueError("points_per_axis must be odd and >= 3")
-        if any(s != self.points_per_axis for s in self.values.shape):
+        if self.values.shape != (self.points_per_axis,):
             raise ValueError(
-                f"values shape {self.values.shape} inconsistent with "
+                f"values shape {self.values.shape} is not the 1-D grid of "
                 f"points_per_axis={self.points_per_axis}"
             )
-        if self.values.ndim not in (1, 2, 4):
-            raise ValueError("only 1D, 2D and 4D grids are supported")
 
     @property
     def axis(self) -> np.ndarray:
@@ -131,44 +131,21 @@ class PhaseSpaceGrid:
         return 2.0 * self.half_width / (self.points_per_axis - 1)
 
 
-def _boundary_max(values: np.ndarray) -> float:
-    worst = 0.0
-    for ax in range(values.ndim):
-        edge = np.abs(values.take([0, -1], axis=ax)).max()
-        worst = max(worst, float(edge))
-    return worst
-
-
 def integrate_grid(grid: PhaseSpaceGrid) -> float:
-    """Trapezoidal integral of the sampled function over the full grid.
+    """Trapezoidal integral of the sampled function over the grid.
 
     Raises DomainTooSmallError when the integrand carries non-negligible
-    magnitude at the grid boundary, which signals that half_width must be
-    enlarged before the result can be trusted.
+    magnitude at either end of the grid, which signals that half_width
+    must be enlarged before the result can be trusted.
     """
     values = grid.values
     peak = float(np.abs(values).max())
     if peak == 0.0:
         return 0.0
-    edge = _boundary_max(values)
+    edge = max(abs(float(values[0])), abs(float(values[-1])))
     if edge > tol.BOUNDARY_MASS_RATIO * peak:
         raise DomainTooSmallError(
             f"integrand magnitude at the boundary is {edge / peak:.3e} of its peak; "
             f"enlarge half_width beyond {grid.half_width}"
         )
-    out = values
-    for _ in range(values.ndim):
-        out = np.trapezoid(out, dx=grid.spacing, axis=-1)
-    return float(out)
-
-
-def trapezoid_uniform(values: np.ndarray, spacing: float) -> float:
-    """Plain trapezoidal integral over every axis, no boundary policing.
-
-    Internal helper for integrands whose support is known analytically;
-    public entry points should go through integrate_grid.
-    """
-    out = np.asarray(values)
-    for _ in range(out.ndim):
-        out = np.trapezoid(out, dx=spacing, axis=-1)
-    return float(out)
+    return float(np.trapezoid(values, dx=grid.spacing))

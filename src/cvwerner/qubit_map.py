@@ -242,13 +242,16 @@ def bell_max_closed_form(params: WernerParams) -> float:
 def nonlocality_threshold(r: float, s: float) -> float:
     """Probability above which the mapped state violates a CHSH inequality.
 
-    Values >= 1 mean no mixing probability yields nonlocality. For s = 0
-    the thermal component is vacuum and any p > 0 is nonlocal (r > 0).
+    Values >= 1 mean no mixing probability yields nonlocality; r = 0
+    removes the coherence entirely and returns exactly 1.0, the same "no p
+    in [0, 1]" convention as mapped_entanglement_threshold, so the margin
+    p - threshold stays finite. For s = 0 the thermal component is vacuum
+    and any p > 0 is nonlocal (r > 0).
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     if r == 0.0:
-        return math.inf
+        return 1.0
     a = math.tanh(2.0 * s) ** 2
     b = math.tanh(2.0 * r)
     if a == 0.0:

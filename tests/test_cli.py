@@ -1,5 +1,8 @@
 """Tests for the command-line front end: eval, sweep, validate, config."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,21 @@ class TestEval:
     def test_large_squeezing_cross_check_passes(self, capsys):
         assert main(["eval", "p=0.5", "r=3", "s=2"]) == 0
         assert "squeezed: false" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rs", ["3", "5"])
+    def test_numeric_fidelity_matches_closed_form_at_large_squeezing(self, capsys, rs):
+        assert main(["eval", "p=0.5", f"r={rs}", f"s={rs}", "--criteria", "fidelity_w"]) == 0
+        match = re.search(r"fidelity_w: closed_form=(\S+) numeric=(\S+) ", capsys.readouterr().out)
+        closed, numeric = float(match.group(1)), float(match.group(2))
+        assert abs(numeric - closed) <= 1e-9
+
+    def test_vacuum_verdicts_are_finite(self, capsys):
+        assert main(["eval", "p=1", "r=0", "s=0"]) == 0
+        verdicts = re.findall(r"^\w+: (?:true|false) threshold_p=(\S+) margin=(\S+) ",
+                              capsys.readouterr().out, flags=re.MULTILINE)
+        assert len(verdicts) == 5
+        for threshold, margin in verdicts:
+            assert math.isfinite(float(threshold)) and math.isfinite(float(margin))
 
     @pytest.mark.parametrize(
         "point, message",

@@ -1,4 +1,4 @@
-"""Tests for the Jacobi eigensolver and the grid integrator.
+"""Tests for the Jacobi eigensolver and the 1-D grid integrator.
 
 numpy.linalg.eigvalsh serves as an independent oracle for the in-house
 solver; the library itself never calls it.
@@ -14,7 +14,6 @@ from cvwerner.numerics import (
     PhaseSpaceGrid,
     hermitian_eigenvalues,
     integrate_grid,
-    trapezoid_uniform,
 )
 
 
@@ -104,12 +103,6 @@ class TestIntegrateGrid:
         grid = PhaseSpaceGrid(half_width=10.0, points_per_axis=401, values=values)
         assert integrate_grid(grid) == pytest.approx(1.0, abs=1e-12)
 
-    def test_normalized_gaussian_2d(self):
-        ax = np.linspace(-9, 9, 201)
-        values = np.exp(-np.add.outer(ax ** 2, ax ** 2)) / math.pi
-        grid = PhaseSpaceGrid(half_width=9.0, points_per_axis=201, values=values)
-        assert integrate_grid(grid) == pytest.approx(1.0, abs=1e-10)
-
     def test_rejects_boundary_mass(self):
         ax = np.linspace(-1, 1, 51)
         values = np.exp(-ax ** 2)  # far from decayed at |x| = 1
@@ -120,7 +113,3 @@ class TestIntegrateGrid:
     def test_zero_integrand(self):
         grid = PhaseSpaceGrid(half_width=1.0, points_per_axis=5, values=np.zeros(5))
         assert integrate_grid(grid) == 0.0
-
-    def test_trapezoid_uniform_matches_polynomial(self):
-        x = np.linspace(0, 1, 100001)
-        assert trapezoid_uniform(x ** 2, x[1] - x[0]) == pytest.approx(1 / 3, abs=1e-9)

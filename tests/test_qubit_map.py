@@ -138,7 +138,7 @@ class TestNonlocality:
         assert nonlocality_threshold(5.0, 5.0) == pytest.approx(1 / math.sqrt(2), abs=1e-3)
 
     def test_no_violation_without_squeezing(self):
-        assert nonlocality_threshold(0.0, 1.0) == math.inf
+        assert nonlocality_threshold(0.0, 1.0) == 1.0
 
     def test_bell_straddles_two_at_threshold(self):
         for r in (1.0, 2.0):

@@ -1,4 +1,4 @@
-"""Tests for the teleportation-fidelity closed forms and the grid oracle."""
+"""Tests for the teleportation-fidelity closed forms and the quadrature oracle."""
 
 import math
 
@@ -9,6 +9,7 @@ from cvwerner.numerics import PhaseSpaceGrid, integrate_grid
 from cvwerner.states import WernerParams
 from cvwerner.teleport import (
     WignerChannel,
+    _input_autocorrelation,
     fidelity_nopa,
     fidelity_numeric_oracle,
     fidelity_report,
@@ -61,16 +62,57 @@ class TestWignerChannel:
         assert comp.var_pplus == pytest.approx(math.exp(-2.0))
 
     def test_wigner_normalization(self):
-        # In the doubled +- variables the Wigner function integrates to 4.
+        # In the doubled +- variables each component integrates to 4: its
+        # norm times the four 1-D integrals of its Gaussian factors.
         channel = WignerChannel.from_params(WernerParams(p=0.5, r=0.5, s=0.5))
         half_width = 12.0
-        points = 41
+        points = 121
         axis = np.linspace(-half_width, half_width, points)
-        values = channel.sample_4d(axis)
-        total = integrate_grid(
-            PhaseSpaceGrid(half_width=half_width, points_per_axis=points, values=values)
-        )
-        assert total == pytest.approx(4.0, abs=1e-6)
+        totals = []
+        for comp in channel.components:
+            total = comp.norm
+            for variance in (comp.var_xminus, comp.var_xplus, comp.var_pminus, comp.var_pplus):
+                total *= integrate_grid(PhaseSpaceGrid(
+                    half_width=half_width, points_per_axis=points,
+                    values=comp.factor(axis, variance)))
+            totals.append(total)
+        assert totals == pytest.approx([4.0, 4.0], abs=1e-6)
+
+
+def closed_form_fidelity(p, r, s):
+    """General (r, s) fidelity, Braunstein & Kimble, PRL 80, 869 (1998)."""
+    return p / (1.0 + math.exp(-2.0 * r)) + (1.0 - p) / (2.0 * math.cosh(s) ** 2)
+
+
+def dense_oracle_reference(params):
+    """The 2-D quadrature the separable oracle replaced.
+
+    One grid shared by every factor, sized from the widest and narrowest
+    of them; the kernel K(x_-, p_+) as a sum of outer products, each
+    scaled by its (x_+, p_-) integral; then a 2-D trapezoid over the
+    kernel times the outer product of the input autocorrelations, for an
+    input coherent state at the origin.
+    """
+    channel = WignerChannel.from_params(params)
+    stds = [math.sqrt(v) for c in channel.components
+            for v in (c.var_xminus, c.var_xplus, c.var_pminus, c.var_pplus)]
+    half_width = 6.0 + 6.2 * max(stds)
+    points = (int(math.ceil(2.0 * half_width / (min(min(stds), 1.0) / 3.0))) + 1) | 1
+    axis = np.linspace(-half_width, half_width, points)
+    dx = axis[1] - axis[0]
+
+    def trapezoid_2d(values):
+        return np.trapezoid(np.trapezoid(values, dx=dx, axis=-1), dx=dx)
+
+    kernel = np.zeros((points, points))
+    for c in channel.components:
+        inner = trapezoid_2d(np.outer(c.factor(axis, c.var_xplus), c.factor(axis, c.var_pminus)))
+        fx = c.factor(-axis, c.var_xminus)
+        fp = c.factor(axis, c.var_pplus)
+        kernel += c.weight * c.norm * inner * np.outer(fx, fp)
+    a = _input_autocorrelation(axis, 0.0)
+    autocorrelation = np.outer(a, a)
+    return 0.5 * math.pi * trapezoid_2d(kernel * autocorrelation)
 
 
 class TestNumericOracle:
@@ -98,6 +140,23 @@ class TestNumericOracle:
         assert report.fidelity_numeric == pytest.approx(
             report.fidelity_closed_form, abs=1e-6
         )
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 1.65])
+    def test_matches_dense_2d_reference(self, r):
+        # At these r the shared grid stays below 2001 points an axis, so
+        # the dense reference resolves every factor.
+        params = WernerParams(p=0.5, r=r, s=r)
+        assert abs(fidelity_numeric_oracle(params) - dense_oracle_reference(params)) <= 1e-10
+
+    @pytest.mark.parametrize("p, r, s", [(0.5, 1.0, 0.3), (0.2, 0.5, 2.0), (0.9, 2.0, 0.5)])
+    def test_matches_general_closed_form_off_diagonal(self, p, r, s):
+        value = fidelity_numeric_oracle(WernerParams(p=p, r=r, s=s))
+        assert abs(value - closed_form_fidelity(p, r, s)) <= 1e-9
+
+    def test_finite_at_tanh_saturation_edge(self):
+        value = fidelity_numeric_oracle(WernerParams(p=0.7, r=19.0, s=19.0))
+        assert math.isfinite(value)
+        assert abs(value - closed_form_fidelity(0.7, 19.0, 19.0)) <= 1e-9
 
     def test_report_requires_equal_parameters(self):
         with pytest.raises(ValueError):

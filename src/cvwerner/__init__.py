@@ -13,18 +13,14 @@ from .criteria import (
     PptSpectrum,
     SeparabilityCells,
     bisect_direct_threshold,
-    direct_entanglement_criterion,
     direct_entanglement_threshold,
     enumerate_ppt_spectrum,
     enumerated_entanglement_threshold,
     largest_separable_p,
-    mapped_entanglement_criterion,
     mapped_vs_direct_gap,
-    nonlocality_criterion,
     ppt_spectrum_analytic,
     ppt_spectrum_bruteforce,
     reconstruct_from_cells,
-    separability_sufficient,
     squeezing_criterion,
     squeezing_threshold,
     squeezing_variance_analytic,

@@ -18,6 +18,7 @@ import math
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,41 +32,77 @@ from .fock_core import FockCutoff
 from .states import WernerParams, select_cutoff, werner_state
 
 AXES = ("p", "r", "s")
-OUTPUT_NAMES = (
-    "p_min_entangled_direct",
-    "p_min_entangled_mapped",
-    "p_max_separable",
-    "p_min_nonlocal",
-    "p_min_squeezed",
-    "fidelity_w",
-)
-
 R_EQUALS_S = "r_equals_s"
 
 # Cutoffs used by the validation suite's dense-matrix checks; small enough
-# to keep validate well under its time budget, large enough that truncation
-# effects stay below the stated tolerances (the qubit-map comparison is
-# tolerant of the trace deficit by construction).
+# to keep validate well under its time budget. Each check compares with the
+# closed form of the same truncated state, so no truncation slack enters
+# its tolerance.
 VALIDATE_SPECTRUM_N_MAX = 12
 VALIDATE_MAP_N_MAX = 16
 
 
-def _output_value(name: str, params: WernerParams) -> float:
-    if name == "p_min_entangled_direct":
-        return cr.direct_entanglement_threshold(params.r, params.s).threshold
-    if name == "p_min_entangled_mapped":
-        return qm.mapped_entanglement_threshold(params.r, params.s)
-    if name == "p_max_separable":
-        return cr.largest_separable_p(params.r, params.s)
-    if name == "p_min_nonlocal":
-        return qm.nonlocality_threshold(params.r, params.s)
-    if name == "p_min_squeezed":
-        return cr.squeezing_threshold(params.r, params.s)
-    if name == "fidelity_w":
-        if params.r != params.s:
-            raise ParameterRangeError("fidelity_w requires r = s")
-        return tp.fidelity_werner(params.p, params.r).fidelity_closed_form
-    raise ValueError(f"unknown output {name!r}")
+# ---------------------------------------------------------------------------
+# Criterion table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Criterion:
+    """One criterion: its eval name, its sweep column and what each prints."""
+
+    name: str
+    column: str
+    value: Callable[[WernerParams], float]  # the sweep column's number
+    line: Callable[[WernerParams], str]  # the eval report line
+
+
+def _verdict_line(verdict: cr.CriterionVerdict) -> str:
+    return (f"{verdict.criterion}: {str(verdict.decision).lower()} "
+            f"threshold_p={verdict.threshold_p:.12g} "
+            f"margin={verdict.margin:.12g} method={verdict.method}")
+
+
+def _threshold_criterion(name: str, column: str,
+                         value: Callable[[WernerParams], float]) -> Criterion:
+    def line(params: WernerParams) -> str:
+        return _verdict_line(cr.threshold_verdict(name, params, value(params)))
+
+    return Criterion(name, column, value, line)
+
+
+def _fidelity_value(params: WernerParams) -> float:
+    if params.r != params.s:
+        raise ParameterRangeError("fidelity_w requires r = s")
+    return tp.fidelity_werner(params.p, params.r).fidelity_closed_form
+
+
+def _fidelity_line(params: WernerParams) -> str:
+    if params.r != params.s:
+        return "fidelity_w: requires r = s, skipped"
+    report = tp.fidelity_report(params)
+    return (f"fidelity_w: closed_form={report.fidelity_closed_form:.12g} "
+            f"numeric={report.fidelity_numeric:.12g} "
+            f"agreement={report.method_agreement:.3e}")
+
+
+# In eval report order. The threshold functions are looked up on their
+# modules at call time, so rebinding a module attribute (as perfbench's
+# tracer does) reaches the table.
+CRITERIA = {criterion.name: criterion for criterion in (
+    _threshold_criterion(cr.ENTANGLED_PPT_DIRECT, "p_min_entangled_direct",
+                         lambda w: cr.direct_entanglement_threshold(w.r, w.s).threshold),
+    _threshold_criterion(cr.ENTANGLED_PPT_MAPPED, "p_min_entangled_mapped",
+                         lambda w: qm.mapped_entanglement_threshold(w.r, w.s)),
+    _threshold_criterion(cr.SEPARABLE_SUFFICIENT, "p_max_separable",
+                         lambda w: cr.largest_separable_p(w.r, w.s)),
+    _threshold_criterion(cr.NONLOCAL, "p_min_nonlocal",
+                         lambda w: qm.nonlocality_threshold(w.r, w.s)),
+    Criterion(cr.SQUEEZED, "p_min_squeezed",
+              lambda w: cr.squeezing_threshold(w.r, w.s),
+              lambda w: _verdict_line(cr.squeezing_criterion(w))),
+    Criterion("fidelity_w", "fidelity_w", _fidelity_value, _fidelity_line),
+)}
+COLUMNS = {criterion.column: criterion for criterion in CRITERIA.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +149,8 @@ class SweepSpec:
         if not self.outputs:
             raise ValueError("at least one output column is required")
         for name in self.outputs:
-            if name not in OUTPUT_NAMES:
-                raise ValueError(f"unknown output {name!r}; choose from {OUTPUT_NAMES}")
+            if name not in COLUMNS:
+                raise ValueError(f"unknown output {name!r}; choose from {tuple(COLUMNS)}")
         rest = self.remaining_axis()
         if self.fixed == R_EQUALS_S:
             if rest == "p":
@@ -153,11 +190,13 @@ def run_sweep(spec: SweepSpec) -> str:
         f"# outputs={','.join(spec.outputs)}",
         ",".join([spec.axis1.name, spec.axis2.name, *spec.outputs]),
     ]
+    columns = [COLUMNS[name].value for name in spec.outputs]
     for v1 in spec.axis1.values():
+        text1 = f"{float(v1):.12g}"
         for v2 in spec.axis2.values():
             params = spec.point(v1, v2)
-            row = [f"{float(v1):.12g}", f"{float(v2):.12g}"]
-            row += [f"{_output_value(name, params):.12g}" for name in spec.outputs]
+            row = [text1, f"{float(v2):.12g}"]
+            row += [f"{value(params):.12g}" for value in columns]
             lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if spec.output_path != "-":
@@ -169,16 +208,6 @@ def run_sweep(spec: SweepSpec) -> str:
 # ---------------------------------------------------------------------------
 # Point evaluation
 # ---------------------------------------------------------------------------
-
-EVAL_CRITERIA = (
-    cr.ENTANGLED_PPT_DIRECT,
-    cr.ENTANGLED_PPT_MAPPED,
-    cr.SEPARABLE_SUFFICIENT,
-    cr.NONLOCAL,
-    cr.SQUEEZED,
-    "fidelity_w",
-)
-
 
 def run_eval(params: WernerParams, names: tuple[str, ...], tail_bound: float,
              n_max: int | None) -> str:
@@ -197,34 +226,9 @@ def run_eval(params: WernerParams, names: tuple[str, ...], tail_bound: float,
         lines.append("n_max: dense truncation out of range for this tail bound; "
                      "analytic paths only")
     for name in names:
-        if name == "fidelity_w":
-            if params.r != params.s:
-                lines.append("fidelity_w: requires r = s, skipped")
-                continue
-            report = tp.fidelity_report(params)
-            lines.append(
-                f"fidelity_w: closed_form={report.fidelity_closed_form:.12g} "
-                f"numeric={report.fidelity_numeric:.12g} "
-                f"agreement={report.method_agreement:.3e}"
-            )
-            continue
-        if name == cr.ENTANGLED_PPT_DIRECT:
-            verdict = cr.direct_entanglement_criterion(params)
-        elif name == cr.ENTANGLED_PPT_MAPPED:
-            verdict = cr.mapped_entanglement_criterion(params)
-        elif name == cr.SEPARABLE_SUFFICIENT:
-            verdict = cr.separability_sufficient(params)
-        elif name == cr.NONLOCAL:
-            verdict = cr.nonlocality_criterion(params)
-        elif name == cr.SQUEEZED:
-            verdict = cr.squeezing_criterion(params)
-        else:
+        if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")
-        lines.append(
-            f"{verdict.criterion}: {str(verdict.decision).lower()} "
-            f"threshold_p={verdict.threshold_p:.12g} "
-            f"margin={verdict.margin:.12g} method={verdict.method}"
-        )
+        lines.append(CRITERIA[name].line(params))
     return "\n".join(lines) + "\n"
 
 
@@ -304,14 +308,11 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
     def map_dev(params):
         rho = werner_state(params, map_cutoff)
         mapped = qm.map_to_qubits(rho)  # chi vs moments checked internally
-        return float(np.abs(mapped.rho4 - closed_form_fn(params)).max())
-
-    def map_tol(params):
-        rho = werner_state(params, map_cutoff)
-        return tol.MAP_CONSISTENCY_TOL + rho.trace_deficit
+        truncated = closed_form_fn(params, n_max=VALIDATE_MAP_N_MAX)
+        return float(np.abs(mapped.rho4 - truncated).max())
 
     run_check("qubit_map consistency (contraction vs closed form)", grid3,
-              map_dev, map_tol)
+              map_dev, lambda _: tol.MAP_CONSISTENCY_TOL)
 
     def fidelity_dev(params):
         report = tp.fidelity_report(params)
@@ -321,9 +322,8 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
               fidelity_dev, lambda _: 1e-3)
 
     def ordering_dev(params):
-        direct = cr.direct_entanglement_threshold(params.r, params.s).threshold
-        mapped = qm.mapped_entanglement_threshold(params.r, params.s)
-        nonloc = qm.nonlocality_threshold(params.r, params.s)
+        direct, mapped, nonloc = (CRITERIA[name].value(params) for name in
+                                  (cr.ENTANGLED_PPT_DIRECT, cr.ENTANGLED_PPT_MAPPED, cr.NONLOCAL))
         return max(direct - mapped, mapped - nonloc)
 
     run_check("threshold ordering (direct <= mapped <= nonlocal)", grid_rs,
@@ -337,15 +337,18 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
     run_check("mapped threshold (closed form vs bisection)", grid_rs,
               mapped_bisect_dev, lambda _: 1e-6)
 
-    def direct_bisect_dev(params):
+    def direct_dev(params):
         # Bisection explores the same finite eigenvalue horizon, so it is
-        # compared against the enumerated threshold, not the analytic limit.
-        closed = cr.enumerated_entanglement_threshold(params.r, params.s)
+        # compared against the enumerated threshold; the closed form is
+        # compared against that enumeration closed by its regime's limit.
+        enumerated = cr.enumerated_entanglement_threshold(params.r, params.s)
         brute = cr.bisect_direct_threshold(params.r, params.s)
-        return abs(closed - brute)
+        closed = cr.direct_entanglement_threshold(params.r, params.s)
+        limit = {"q>1": 0.0, "q=1": (1.0 - params.lambda1) / 2.0}.get(closed.regime, 1.0)
+        return max(abs(enumerated - brute), abs(closed.threshold - min(enumerated, limit)))
 
-    run_check("direct threshold (enumeration vs bisection)", grid_rs,
-              direct_bisect_dev, lambda _: 1e-6)
+    run_check("direct threshold (closed form vs enumeration vs bisection)", grid_rs,
+              direct_dev, lambda _: 1e-6)
 
     def squeezing_dev(params):
         analytic = cr.squeezing_variance_analytic(params)
@@ -468,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
                 r=float(pairs.get("r", 0.0)),
                 s=float(pairs.get("s", 0.0)),
             )
-            names = EVAL_CRITERIA if args.criteria == "all" else tuple(
+            names = tuple(CRITERIA) if args.criteria == "all" else tuple(
                 args.criteria.split(","))
             text = run_eval(params, names, tail_bound, n_max)
             _emit(text, output)

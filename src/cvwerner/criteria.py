@@ -21,11 +21,12 @@ import numpy as np
 
 from .errors import CutoffTooSmallError, NumericalConsistencyError
 from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
-from .numerics import hermitian_eigenvalues
+from .numerics import _bisect_threshold, hermitian_eigenvalues
 from .states import WernerParams, werner_state
 
-# Enumeration horizon for per-(m,n) bounds; limits at m+n -> infinity are
-# handled analytically on top of this.
+# Enumeration horizon of the validate partners of the direct threshold (the
+# enumerated threshold, its bisection and the analytic spectrum's infimum).
+# The production thresholds are closed forms and read no horizon.
 DEFAULT_HORIZON = 200
 
 # Criterion identifiers used in verdicts and CLI output.
@@ -123,31 +124,27 @@ class DirectThreshold:
     q: float
 
 
-def direct_entanglement_threshold(r: float, s: float, horizon: int = DEFAULT_HORIZON) -> DirectThreshold:
-    """Infimum over m+n >= 1 of the pair-block negativity thresholds.
+def direct_entanglement_threshold(r: float, s: float) -> DirectThreshold:
+    """Infimum over m+n = k >= 1 of the pair-block negativity thresholds.
 
-    The trichotomy ratio is q = lambda1 / lambda2^2: for q > 1 the
-    infimum is 0 (entangled for every p > 0, which covers the whole
-    r = s family), for q = 1 it is (1 - lambda1) / 2 and for q < 1 it is
-    attained at m+n = 1.
+    The NOPA/thermal weight ratio of block k goes as q^k, with
+    q = lambda1 / lambda2^2, so the infimum is a closed form: 0 for q > 1
+    (entangled for every p > 0, which covers the whole r = s family),
+    min(p_1, (1 - lambda1) / 2) for q = 1 and p_1, the k = 1 block, for
+    q < 1.
     """
     l1, l2 = math.tanh(r), math.tanh(s)
     if l1 == 0.0:
         return DirectThreshold(threshold=1.0, regime="never", q=0.0)
-    if l2 == 0.0:
+    if l2 * l2 == 0.0:
         return DirectThreshold(threshold=0.0, regime="q>1", q=math.inf)
     q = l1 / (l2 * l2)
-    enum = min(_entanglement_p_k(l1, l2, k) for k in range(1, horizon + 1))
     if q > 1.0:
-        limit = 0.0
-        regime = "q>1"
-    elif q == 1.0:
-        limit = (1.0 - l1) / 2.0
-        regime = "q=1"
-    else:
-        limit = 1.0
-        regime = "q<1"
-    return DirectThreshold(threshold=min(enum, limit), regime=regime, q=q)
+        return DirectThreshold(threshold=0.0, regime="q>1", q=q)
+    p_1 = _entanglement_p_k(l1, l2, 1)
+    if q == 1.0:
+        return DirectThreshold(threshold=min(p_1, (1.0 - l1) / 2.0), regime="q=1", q=q)
+    return DirectThreshold(threshold=p_1, regime="q<1", q=q)
 
 
 def enumerated_entanglement_threshold(r: float, s: float,
@@ -169,60 +166,21 @@ def enumerated_entanglement_threshold(r: float, s: float,
 def bisect_direct_threshold(r: float, s: float, tol_p: float = 1e-9,
                             horizon: int = DEFAULT_HORIZON) -> float:
     """Brute-force direct threshold: bisect p on the spectrum's infimum sign."""
-    def min_eig(p):
-        return ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s), horizon).min_eigenvalue_estimate
-
-    lo, hi = 0.0, 1.0
-    if min_eig(hi) >= 0.0:
-        return 1.0
-    while hi - lo > tol_p:
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect_threshold(
+        lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s), horizon).min_eigenvalue_estimate,
+        tol_p)
 
 
-def direct_entanglement_criterion(params: WernerParams,
-                                  horizon: int = DEFAULT_HORIZON) -> CriterionVerdict:
-    """Entanglement verdict from the full partial-transpose spectrum."""
-    dt = direct_entanglement_threshold(params.r, params.s, horizon)
-    return CriterionVerdict(
-        criterion=ENTANGLED_PPT_DIRECT,
-        decision=params.p > dt.threshold,
-        threshold_p=dt.threshold,
-        margin=params.p - dt.threshold,
-        method="analytic",
-    )
-
-
-def mapped_entanglement_criterion(params: WernerParams) -> CriterionVerdict:
-    """Entanglement verdict for the qubit image of the state."""
-    from .qubit_map import mapped_entanglement_threshold
-
-    thr = mapped_entanglement_threshold(params.r, params.s)
-    return CriterionVerdict(
-        criterion=ENTANGLED_PPT_MAPPED,
-        decision=params.p > thr,
-        threshold_p=thr,
-        margin=params.p - thr,
-        method="analytic",
-    )
-
-
-def nonlocality_criterion(params: WernerParams) -> CriterionVerdict:
-    """CHSH-violation verdict for the qubit image of the state."""
-    from .qubit_map import nonlocality_threshold
-
-    thr = nonlocality_threshold(params.r, params.s)
-    return CriterionVerdict(
-        criterion=NONLOCAL,
-        decision=params.p > thr,
-        threshold_p=thr,
-        margin=params.p - thr,
-        method="analytic",
-    )
+def threshold_verdict(criterion: str, params: WernerParams, threshold: float) -> CriterionVerdict:
+    """Verdict of a threshold in p: p > threshold, or p <= threshold for the
+    separability bound, with the margin signed so that it is positive on
+    the side the verdict asserts."""
+    if criterion == SEPARABLE_SUFFICIENT:
+        decision, margin = params.p <= threshold, threshold - params.p
+    else:
+        decision, margin = params.p > threshold, params.p - threshold
+    return CriterionVerdict(criterion=criterion, decision=decision, threshold_p=threshold,
+                            margin=margin, method="analytic")
 
 
 @dataclass(frozen=True)
@@ -294,25 +252,30 @@ class SeparabilityCells:
         return (1 - p) * (1 - l2 * l2) ** 2 * l2 ** (2 * (m + n))
 
 
-def reconstruct_from_cells(params: WernerParams, cutoff: FockCutoff,
-                           tail_horizon: int = 2000) -> np.ndarray:
+def reconstruct_from_cells(params: WernerParams, cutoff: FockCutoff) -> np.ndarray:
     """Rebuild the truncated Werner matrix from its cell decomposition.
 
     Diagonal entries |m,m> accumulate alpha contributions from every
-    partner n, including partners beyond the cutoff, so the partner sum
-    runs to ``tail_horizon`` where the geometric terms are negligible.
+    partner n != m, including partners beyond the cutoff. Since
+    alpha(m, n) = A l1^(2(m+n)) + B l2^(4(m+n)) with A = p (1 - l1^2)^2
+    and B = (1 - p)(1 - l2^2)^2 (1 - l2^4), that sum is two geometric
+    series over all n minus the n = m term:
+    A l1^(2m) / (1 - l1^2) + B l2^(4m) / (1 - l2^4) - alpha(m, m).
     """
     cells = SeparabilityCells(params)
     n_max = cutoff.n_max
     data = np.zeros((n_max * n_max, n_max * n_max), dtype=np.complex128)
+    p, l1, l2 = params.p, params.lambda1, params.lambda2
+    a_weight = p * (1 - l1 * l1) ** 2
+    b_weight = (1 - p) * (1 - l2 * l2) ** 2 * (1 - l2 ** 4)
 
     def flat(m, n):
         return m * n_max + n
 
     for m in range(n_max):
-        diag = cells.P(m)
-        diag += sum(cells.alpha(m, n) for n in range(tail_horizon + 1) if n != m)
-        data[flat(m, m), flat(m, m)] = diag
+        partners = (a_weight * l1 ** (2 * m) / (1 - l1 * l1)
+                    + b_weight * l2 ** (4 * m) / (1 - l2 ** 4) - cells.alpha(m, m))
+        data[flat(m, m), flat(m, m)] = cells.P(m) + partners
     for m in range(n_max):
         for n in range(n_max):
             if m == n:
@@ -339,32 +302,39 @@ def _positivity_p_k(l1: float, l2: float, k: int) -> float:
     return 1.0 / (1.0 + nopa * (1.0 - nopa) / therm)
 
 
-def largest_separable_p(r: float, s: float, horizon: int = DEFAULT_HORIZON) -> float:
+def largest_separable_p(r: float, s: float) -> float:
     """Largest p for which the cell decomposition certifies separability.
 
-    Minimizes, over m+n, the per-cell positivity bound (alpha >= beta)
-    and PPT bound (gamma >= beta), and closes with the analytic
-    m+n -> infinity limits governed by q = lambda1 / lambda2^2 and
-    q_tilde = lambda1 / lambda2^4.
+    The bound is the infimum over k = m+n >= 1 of the per-cell PPT bound
+    (gamma >= beta) and positivity bound (alpha >= beta), closed with the
+    k -> infinity limits governed by q = lambda1 / lambda2^2 and
+    q_tilde = lambda1 / lambda2^4. Both infima are closed forms. The PPT
+    bound is the direct threshold's, least at k = 1 when q < 1. The
+    positivity bound is least where f(k) = q_tilde^k - c (q_tilde lambda1)^k,
+    c = 1 - lambda1^2, is greatest; for q_tilde < 1, f rises to its one
+    stationary point
+    k* = ln(ln q_tilde / (c ln(q_tilde lambda1))) / ln lambda1
+    and falls after it, so over k >= 1 the least bound lies at k = 1,
+    floor(k*) or ceil(k*).
     """
     l1, l2 = math.tanh(r), math.tanh(s)
     if l1 == 0.0:
         return 1.0  # diagonal mixture of products for every p
-    if l2 == 0.0:
-        return 0.0
-    best = min(
-        min(_entanglement_p_k(l1, l2, k), _positivity_p_k(l1, l2, k))
-        for k in range(1, horizon + 1)
-    )
+    if l2 ** 4 == 0.0:
+        return 0.0  # q_tilde is infinite
     q = l1 / l2 ** 2
-    if q > 1.0:
-        best = 0.0
-    elif q == 1.0:
-        best = min(best, (1.0 - l1) / 2.0)
     q_tilde = l1 / l2 ** 4
-    if q_tilde > 1.0:
-        best = 0.0
-    elif q_tilde == 1.0:
+    if q > 1.0 or q_tilde > 1.0:
+        return 0.0
+    ks = {1}
+    if q_tilde < 1.0:
+        log_qt, log_l1 = math.log(q_tilde), math.log(l1)
+        k_star = math.log(log_qt / ((1.0 - l1 * l1) * (log_qt + log_l1))) / log_l1
+        ks.update(k for k in (math.floor(k_star), math.ceil(k_star)) if k >= 1)
+    best = min(_entanglement_p_k(l1, l2, 1), *(_positivity_p_k(l1, l2, k) for k in ks))
+    if q == 1.0:
+        best = min(best, (1.0 - l1) / 2.0)
+    if q_tilde == 1.0:
         limit = 1.0 / (1.0 + (1 - l1 * l1) / ((1 - l2 * l2) ** 2 * (1 - l2 ** 4)))
         best = min(best, limit)
     return best
@@ -374,18 +344,6 @@ def q_tilde_one_bound(s: float) -> float:
     """Separability bound on the q_tilde = 1 surface, in closed form."""
     l2 = math.tanh(s)
     return (1 - l2 * l2) ** 2 / (2.0 * (1 - l2 * l2 + l2 ** 4))
-
-
-def separability_sufficient(params: WernerParams, horizon: int = DEFAULT_HORIZON) -> CriterionVerdict:
-    """Sufficient separability verdict from the cell decomposition."""
-    bound = largest_separable_p(params.r, params.s, horizon)
-    return CriterionVerdict(
-        criterion=SEPARABLE_SUFFICIENT,
-        decision=params.p <= bound,
-        threshold_p=bound,
-        margin=bound - params.p,
-        method="analytic",
-    )
 
 
 # ---------------------------------------------------------------------------

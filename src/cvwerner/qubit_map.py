@@ -19,7 +19,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import NumericalConsistencyError
 from .fock_core import TwoModeDensityMatrix, expectation, tensor_product
-from .numerics import hermitian_eigenvalues
+from .numerics import _bisect_threshold, hermitian_eigenvalues
 from .states import WernerParams
 
 PAULI = (
@@ -151,12 +151,21 @@ def map_to_qubits(rho: TwoModeDensityMatrix) -> QubitPairState:
     )
 
 
-def closed_form_two_qubit(params: WernerParams) -> np.ndarray:
-    """Exact 4x4 image of the Werner state under the qubit map."""
+def closed_form_two_qubit(params: WernerParams, n_max: int | None = None) -> np.ndarray:
+    """Exact 4x4 image of the Werner state under the qubit map.
+
+    With an even ``n_max`` it is the image of the state truncated to
+    n_max levels per mode, which is what ``map_to_qubits`` sees: the kept
+    squeezed-vacuum weight scales w1 by 1 - lambda1^(2 n_max) and the kept
+    thermal weight scales w2 by (1 - lambda2^(2 n_max))^2.
+    """
     l1, l2 = params.lambda1, params.lambda2
     p = params.p
     w1 = p / (1.0 + l1 * l1)
     w2 = (1.0 - p) / (1.0 + l2 * l2) ** 2
+    if n_max is not None:
+        w1 *= 1.0 - l1 ** (2 * n_max)
+        w2 *= (1.0 - l2 ** (2 * n_max)) ** 2
     m = np.zeros((4, 4), dtype=np.complex128)
     m[0, 0] = w1 + w2
     m[1, 1] = m[2, 2] = l2 * l2 * w2
@@ -188,34 +197,25 @@ def min_eigenvalue_ppt(rho4: np.ndarray) -> float:
 def mapped_entanglement_threshold(r: float, s: float) -> float:
     """Probability above which the mapped two-qubit state is entangled.
 
-    Degenerate limits are coded explicitly: s = 0 makes the thermal side
-    of the inequality vanish (any p > 0 entangles for r > 0) and r = 0
-    removes the coherence entirely (no p entangles).
+    Degenerate limits are coded explicitly: s = 0, or an s so small that
+    tanh^2 2s underflows, makes the thermal side of the inequality vanish
+    (any p > 0 entangles for r > 0) and r = 0 removes the coherence
+    entirely (no p entangles).
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     if r == 0.0:
         return 1.0
-    if s == 0.0:
+    noise = math.tanh(2.0 * s) ** 2
+    if noise == 0.0:
         return 0.0
-    return 1.0 / (1.0 + 2.0 * math.tanh(2.0 * r) / math.tanh(2.0 * s) ** 2)
+    return 1.0 / (1.0 + 2.0 * math.tanh(2.0 * r) / noise)
 
 
 def mapped_threshold_bisection(r: float, s: float, tol_p: float = 1e-9) -> float:
     """Brute-force mapped threshold: bisect p on the 4x4 PPT minimum eigenvalue."""
-    def min_eig(p):
-        return min_eigenvalue_ppt(closed_form_two_qubit(WernerParams(p=p, r=r, s=s)))
-
-    lo, hi = 0.0, 1.0
-    if min_eig(hi) >= 0.0:
-        return 1.0
-    while hi - lo > tol_p:
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect_threshold(
+        lambda p: min_eigenvalue_ppt(closed_form_two_qubit(WernerParams(p=p, r=r, s=s))), tol_p)
 
 
 def bell_analysis(q: QubitPairState) -> BellAnalysis:

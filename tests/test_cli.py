@@ -225,6 +225,16 @@ class TestEval:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("s", ["1e-100", "1e-200"])
+    def test_vanishing_noise_gives_finite_verdicts(self, capsys, s):
+        # tanh(s)^4, then tanh(s)^2 and tanh(2s)^2, underflow to 0 here.
+        assert main(["eval", "p=0.5", "r=1", f"s={s}"]) == 0
+        verdicts = re.findall(r"^\w+: (?:true|false) threshold_p=(\S+) margin=(\S+) ",
+                              capsys.readouterr().out, flags=re.MULTILINE)
+        assert len(verdicts) == 5
+        for threshold, margin in verdicts:
+            assert math.isfinite(float(threshold)) and math.isfinite(float(margin))
+
     def test_invalid_parameter_rejected(self):
         with pytest.raises(SystemExit):
             main(["eval", "p=1.5", "r=1", "s=1"])
@@ -265,6 +275,21 @@ class TestConfig:
         assert "# tail_bound=1e-06" in out.read_text(encoding="utf-8")
 
 
+def corrupted_closed_form(fault, where=lambda params: True):
+    """closed_form_two_qubit with ``fault`` moved from |00><00| to |01><01|
+    at the points ``where`` accepts."""
+    def corrupted(params, n_max=None):
+        from cvwerner.qubit_map import closed_form_two_qubit
+
+        m = closed_form_two_qubit(params, n_max=n_max).copy()
+        if where(params):
+            m[0, 0] += fault
+            m[1, 1] -= fault
+        return m
+
+    return corrupted
+
+
 class TestValidate:
     def test_passes_on_clean_build(self, capsys):
         code = main(["validate", "2"])
@@ -273,18 +298,20 @@ class TestValidate:
         assert "validation: PASS" in out
 
     def test_fault_injection_is_detected(self):
-        def corrupted(params):
-            from cvwerner.qubit_map import closed_form_two_qubit
-
-            m = closed_form_two_qubit(params).copy()
-            m[0, 0] += 0.05
-            m[1, 1] -= 0.05
-            return m
-
-        results, ok = run_validation(2, closed_form_fn=corrupted)
+        results, ok = run_validation(2, closed_form_fn=corrupted_closed_form(0.05))
         assert not ok
         failing = [r for r in results if not r.passed]
         assert any("qubit_map" in r.name for r in failing)
+
+    def test_small_fault_is_detected_where_truncation_is_largest(self):
+        # At r = s = 2 the 16-level state misses a third of its trace; the
+        # check compares with the truncated closed form, so no slack of
+        # that size is left to hide the fault.
+        fault = corrupted_closed_form(1e-9, where=lambda w: w.r == w.s == 2.0)
+        results, ok = run_validation(2, closed_form_fn=fault)
+        assert not ok
+        failing = [r.name for r in results if not r.passed]
+        assert failing == ["qubit_map consistency (contraction vs closed form)"]
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

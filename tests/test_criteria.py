@@ -1,6 +1,7 @@
 """Tests for the direct PPT spectrum, separability cells and squeezing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from cvwerner.criteria import (
     SQUEEZING_CONSISTENCY_TOL,
     SeparabilityCells,
     bisect_direct_threshold,
-    direct_entanglement_criterion,
     direct_entanglement_threshold,
     enumerate_ppt_spectrum,
     enumerated_entanglement_threshold,
     largest_separable_p,
     mapped_vs_direct_gap,
-    nonlocality_criterion,
     ppt_spectrum_analytic,
     ppt_spectrum_bruteforce,
     published_squeezing_threshold,
@@ -25,7 +24,6 @@ from cvwerner.criteria import (
     q_tilde_one_bound,
     quadrature_x,
     reconstruct_from_cells,
-    separability_sufficient,
     squeezing_criterion,
     squeezing_threshold,
     squeezing_variance_analytic,
@@ -33,11 +31,19 @@ from cvwerner.criteria import (
     squeezing_variance_direct,
 )
 from cvwerner import criteria
+from cvwerner.cli import CRITERIA
 from cvwerner.errors import CutoffTooSmallError
 from cvwerner.fock_core import FockCutoff, partial_transpose_A
 from cvwerner.states import WernerParams, werner_state
 
 CUTOFF = FockCutoff(n_max=10, tail_bound=0.999)
+
+
+def table_verdict(name, params):
+    """(decision, threshold_p, margin) from the criterion table's eval line."""
+    match = re.fullmatch(rf"{name}: (true|false) threshold_p=(\S+) margin=(\S+) method=\w+",
+                         CRITERIA[name].line(params))
+    return match[1] == "true", float(match[2]), float(match[3])
 
 
 class TestPptSpectrum:
@@ -110,10 +116,99 @@ class TestDirectThreshold:
             assert bisect_direct_threshold(r, s) == pytest.approx(enumerated, abs=1e-6)
 
     def test_verdict(self):
-        verdict = direct_entanglement_criterion(WernerParams(p=0.5, r=0.5, s=1.0))
-        assert verdict.decision
-        assert verdict.margin == pytest.approx(0.5 - verdict.threshold_p)
-        assert not direct_entanglement_criterion(WernerParams(p=0.1, r=0.5, s=1.0)).decision
+        decision, threshold, margin = table_verdict("entangled_ppt_direct",
+                                                    WernerParams(p=0.5, r=0.5, s=1.0))
+        assert decision
+        assert margin == pytest.approx(0.5 - threshold)
+        assert not table_verdict("entangled_ppt_direct", WernerParams(p=0.1, r=0.5, s=1.0))[0]
+
+
+def enumerated_direct_reference(r, s, horizon=200):
+    """The 200-term enumeration that direct_entanglement_threshold replaced."""
+    l1, l2 = math.tanh(r), math.tanh(s)
+    if l1 == 0.0:
+        return 1.0
+    if l2 == 0.0:
+        return 0.0
+    q = l1 / (l2 * l2)
+    enum = min(criteria._entanglement_p_k(l1, l2, k) for k in range(1, horizon + 1))
+    if q > 1.0:
+        limit = 0.0
+    elif q == 1.0:
+        limit = (1.0 - l1) / 2.0
+    else:
+        limit = 1.0
+    return min(enum, limit)
+
+
+def enumerated_separable_reference(r, s, horizon=200):
+    """The 200-term enumeration that largest_separable_p replaced."""
+    l1, l2 = math.tanh(r), math.tanh(s)
+    if l1 == 0.0:
+        return 1.0
+    if l2 == 0.0:
+        return 0.0
+    best = min(
+        min(criteria._entanglement_p_k(l1, l2, k), criteria._positivity_p_k(l1, l2, k))
+        for k in range(1, horizon + 1)
+    )
+    q = l1 / l2 ** 2
+    if q > 1.0:
+        best = 0.0
+    elif q == 1.0:
+        best = min(best, (1.0 - l1) / 2.0)
+    q_tilde = l1 / l2 ** 4
+    if q_tilde > 1.0:
+        best = 0.0
+    elif q_tilde == 1.0:
+        limit = 1.0 / (1.0 + (1 - l1 * l1) / ((1 - l2 * l2) ** 2 * (1 - l2 ** 4)))
+        best = min(best, limit)
+    return best
+
+
+class TestClosedFormThresholds:
+    def test_equal_to_enumeration_on_grid(self):
+        grid = [float(v) for v in np.linspace(0.01, 3.0, 120)]
+        interior = 0
+        for r in grid:
+            for s in grid:
+                direct = direct_entanglement_threshold(r, s).threshold
+                separable = largest_separable_p(r, s)
+                assert direct == enumerated_direct_reference(r, s), (r, s)
+                assert separable == enumerated_separable_reference(r, s), (r, s)
+                l1, l2 = math.tanh(r), math.tanh(s)
+                interior += separable < min(criteria._entanglement_p_k(l1, l2, 1),
+                                            criteria._positivity_p_k(l1, l2, 1))
+        # The grid exercises the stationary point, not only the k = 1 cell.
+        assert interior > 0
+
+    def test_separable_bound_past_the_horizon(self):
+        # q_tilde = 0.99999 at r = 3 puts the least positive cell near
+        # k = 321, past the 200-term horizon the enumeration stopped at.
+        r = 3.0
+        l1 = math.tanh(r)
+        s = math.atanh((l1 / 0.99999) ** 0.25)
+        reference = enumerated_separable_reference(r, s, horizon=4999)
+        assert largest_separable_p(r, s) == pytest.approx(reference, rel=1e-12)
+        assert largest_separable_p(r, s) < enumerated_separable_reference(r, s)
+
+    def test_never_above_enumeration_near_q_tilde_one(self):
+        # Near q_tilde = 1 the least positive cell sits deep in k; wherever
+        # it lies inside the horizon the two agree bit for bit.
+        rng = np.random.default_rng(11)
+        for r, q_tilde in zip(rng.uniform(0.01, 3.0, 300), rng.uniform(0.95, 1.0, 300)):
+            r, l2 = float(r), (math.tanh(r) / q_tilde) ** 0.25
+            if l2 >= 1.0:
+                continue  # no s reaches this q_tilde at this r
+            s = math.atanh(l2)
+            closed, reference = largest_separable_p(r, s), enumerated_separable_reference(r, s)
+            assert closed <= reference, (r, s)
+            l1 = math.tanh(r)
+            log_qt = math.log(l1 / math.tanh(s) ** 4)
+            if log_qt < 0.0:
+                k_star = math.log(log_qt / ((1 - l1 * l1) * (log_qt + math.log(l1)))) / math.log(l1)
+                if k_star < 199:
+                    assert closed == reference, (r, s)
 
 
 class TestGapInterval:
@@ -164,15 +259,17 @@ class TestSeparabilityCells:
         assert q_tilde_one_bound(1.2) == pytest.approx(expected, rel=1e-14)
 
     def test_verdict(self):
-        verdict = separability_sufficient(WernerParams(p=0.02, r=0.3, s=1.5))
-        assert verdict.decision
-        assert not separability_sufficient(WernerParams(p=0.9, r=0.3, s=1.5)).decision
+        decision, threshold, margin = table_verdict("separable_sufficient",
+                                                    WernerParams(p=0.02, r=0.3, s=1.5))
+        assert decision
+        assert margin == pytest.approx(threshold - 0.02)
+        assert not table_verdict("separable_sufficient", WernerParams(p=0.9, r=0.3, s=1.5))[0]
 
 
 class TestNonlocalityVerdict:
     def test_verdict(self):
-        assert nonlocality_criterion(WernerParams(p=0.9, r=2.0, s=2.0)).decision
-        assert not nonlocality_criterion(WernerParams(p=0.5, r=2.0, s=2.0)).decision
+        assert table_verdict("nonlocal", WernerParams(p=0.9, r=2.0, s=2.0))[0]
+        assert not table_verdict("nonlocal", WernerParams(p=0.5, r=2.0, s=2.0))[0]
 
 
 class TestSqueezing:

@@ -69,6 +69,13 @@ class TestMapToQubits:
         dev = np.abs(q.rho4 - closed_form_two_qubit(params)).max()
         assert dev <= 1e-10 + rho.trace_deficit
 
+    @pytest.mark.parametrize("p, r, s", [(0.5, 1.0, 1.0), (0.9, 2.0, 2.0), (0.2, 0.5, 2.0)])
+    def test_matches_truncated_closed_form(self, p, r, s):
+        params = WernerParams(p=p, r=r, s=s)
+        q = map_to_qubits(werner_state(params, CUTOFF))
+        truncated = closed_form_two_qubit(params, n_max=CUTOFF.n_max)
+        assert np.abs(q.rho4 - truncated).max() <= 1e-14
+
     def test_closed_form_trace_is_one(self):
         for p in (0.0, 0.4, 1.0):
             m = closed_form_two_qubit(WernerParams(p=p, r=0.8, s=1.3))

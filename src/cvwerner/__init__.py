@@ -27,12 +27,9 @@ from .criteria import (
     squeezing_variance_direct,
 )
 from .fock_core import (
-    CompositeIndex,
     FockCutoff,
     TwoModeDensityMatrix,
     expectation,
-    partial_trace_A,
-    partial_trace_B,
     partial_transpose_A,
     tensor_product,
 )
@@ -54,8 +51,6 @@ from .qubit_map import (
 from .states import (
     WernerParams,
     nopa_state,
-    select_cutoff,
-    symmetric_params,
     thermal_product_state,
     werner_state,
 )

@@ -29,7 +29,7 @@ from . import teleport as tp
 from . import tolerances as tol
 from .errors import CvWernerError, ParameterRangeError
 from .fock_core import FockCutoff
-from .states import WernerParams, select_cutoff, werner_state
+from .states import WernerParams, werner_state
 
 AXES = ("p", "r", "s")
 R_EQUALS_S = "r_equals_s"
@@ -40,6 +40,9 @@ R_EQUALS_S = "r_equals_s"
 # its tolerance.
 VALIDATE_SPECTRUM_N_MAX = 12
 VALIDATE_MAP_N_MAX = 16
+
+# The only key a --config file may set.
+CONFIG_KEYS = ("output",)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +143,6 @@ class SweepSpec:
     axis2: AxisSpec
     fixed: float | str  # value of the remaining parameter, or "r_equals_s"
     outputs: tuple[str, ...]
-    tail_bound: float
     output_path: str
 
     def __post_init__(self):
@@ -186,7 +188,6 @@ def run_sweep(spec: SweepSpec) -> str:
         f"{spec.axis2.maximum:.12g},{spec.axis2.steps}]",
         f"# fixed={spec.remaining_axis()}="
         + (spec.fixed if spec.fixed == R_EQUALS_S else f"{float(spec.fixed):.12g}"),
-        f"# tail_bound={spec.tail_bound:.12g}",
         f"# outputs={','.join(spec.outputs)}",
         ",".join([spec.axis1.name, spec.axis2.name, *spec.outputs]),
     ]
@@ -209,22 +210,10 @@ def run_sweep(spec: SweepSpec) -> str:
 # Point evaluation
 # ---------------------------------------------------------------------------
 
-def run_eval(params: WernerParams, names: tuple[str, ...], tail_bound: float,
-             n_max: int | None) -> str:
-    """Textual report with one verdict line per requested criterion."""
-    if n_max is not None:
-        cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
-    else:
-        try:
-            cutoff = select_cutoff(params, tail_bound)
-        except ParameterRangeError:
-            cutoff = None
-    lines = [f"point: p={params.p:.12g} r={params.r:.12g} s={params.s:.12g}"]
-    if cutoff is not None:
-        lines.append(f"n_max: {cutoff.n_max} (tail_bound {cutoff.tail_bound:.3g})")
-    else:
-        lines.append("n_max: dense truncation out of range for this tail bound; "
-                     "analytic paths only")
+def run_eval(params: WernerParams, names: tuple[str, ...]) -> str:
+    """Textual report: two header lines, then one line per requested criterion."""
+    lines = [f"point: p={params.p:.12g} r={params.r:.12g} s={params.s:.12g}",
+             "thresholds: closed forms in (p, r, s), no Fock truncation"]
     for name in names:
         if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")
@@ -375,7 +364,10 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
 # ---------------------------------------------------------------------------
 
 def parse_config(path: str) -> dict[str, str]:
-    """Plain key=value config file; '#' starts a comment, blank lines ignored."""
+    """Plain key=value config file; '#' starts a comment, blank lines ignored.
+
+    Every key must be one of CONFIG_KEYS.
+    """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -385,7 +377,11 @@ def parse_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; "
+                                 f"expected one of {CONFIG_KEYS}")
+            values[key] = value.strip()
     return values
 
 
@@ -414,12 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cvwerner",
         description="Continuous-variable Werner state analysis",
     )
-    parser.add_argument("--tail-bound", type=float, default=None,
-                        help="truncation tail bound (default 1e-10)")
-    parser.add_argument("--n-max", type=int, default=None,
-                        help="override the automatic Fock cutoff")
     parser.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
+                        help="key=value config file; its one key is output, "
+                             "which --output overrides")
     parser.add_argument("--output", default=None,
                         help="output path (CSV for sweep, report otherwise); '-' for stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -452,12 +445,6 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
-    tail_bound = args.tail_bound
-    if tail_bound is None:
-        tail_bound = float(config.get("tail_bound", tol.DEFAULT_TAIL_BOUND))
-    n_max = args.n_max
-    if n_max is None and "n_max" in config:
-        n_max = int(config["n_max"])
     output = args.output or config.get("output")
 
     try:
@@ -473,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             names = tuple(CRITERIA) if args.criteria == "all" else tuple(
                 args.criteria.split(","))
-            text = run_eval(params, names, tail_bound, n_max)
+            text = run_eval(params, names)
             _emit(text, output)
             return 0
 
@@ -489,7 +476,6 @@ def main(argv: list[str] | None = None) -> int:
                 axis2=_parse_axis(pairs["axis2"]),
                 fixed=fixed if fixed == R_EQUALS_S else float(fixed),
                 outputs=tuple(pairs["outputs"].split(",")),
-                tail_bound=tail_bound,
                 output_path=output or "-",
             )
             text = run_sweep(spec)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError, NumericalConsistencyError
-from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
+from .fock_core import FockCutoff, partial_transpose_A
 from .numerics import _bisect_threshold, hermitian_eigenvalues
 from .states import WernerParams, werner_state
 
@@ -51,34 +51,35 @@ class PptSpectrum:
     """Analytic eigenvalue families of the partially transposed Werner state."""
 
     params: WernerParams
-    horizon: int
     min_eigenvalue_estimate: float
 
     def x_diag(self, l: int) -> float:
         p, l1, l2 = self.params.p, self.params.lambda1, self.params.lambda2
         return p * (1 - l1 * l1) * l1 ** (2 * l) + (1 - p) * (1 - l2 * l2) ** 2 * l2 ** (4 * l)
 
-    def _pair(self, m: int, n: int):
-        p, l1, l2 = self.params.p, self.params.lambda1, self.params.lambda2
-        base = (1 - p) * (1 - l2 * l2) ** 2 * l2 ** (2 * (m + n))
-        off = p * (1 - l1 * l1) * l1 ** (m + n)
-        return base, off
-
     def x_pair_plus(self, m: int, n: int) -> float:
-        base, off = self._pair(m, n)
+        base, off = _pair_terms(self.params, m + n)
         return base + off
 
     def x_pair_minus(self, m: int, n: int) -> float:
-        base, off = self._pair(m, n)
+        base, off = _pair_terms(self.params, m + n)
         return base - off
 
 
+def _pair_terms(params: WernerParams, k: int):
+    """Thermal diagonal and NOPA coherence of the pair blocks with m+n = k."""
+    p, l1, l2 = params.p, params.lambda1, params.lambda2
+    base = (1 - p) * (1 - l2 * l2) ** 2 * l2 ** (2 * k)
+    off = p * (1 - l1 * l1) * l1 ** k
+    return base, off
+
+
 def ppt_spectrum_analytic(params: WernerParams, horizon: int = DEFAULT_HORIZON) -> PptSpectrum:
-    """Closed-form partial-transpose spectrum, with its enumerated infimum."""
-    spec = PptSpectrum(params=params, horizon=horizon, min_eigenvalue_estimate=0.0)
-    lows = [spec.x_pair_minus(0, k) for k in range(1, horizon + 1)]
-    object.__setattr__(spec, "min_eigenvalue_estimate", min(lows))
-    return spec
+    """Closed-form partial-transpose spectrum, with its infimum over the
+    pair blocks m+n = 1 .. horizon."""
+    low = min(base - off for base, off in
+              (_pair_terms(params, k) for k in range(1, horizon + 1)))
+    return PptSpectrum(params=params, min_eigenvalue_estimate=low)
 
 
 def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
@@ -356,12 +357,6 @@ def q_tilde_one_bound(s: float) -> float:
 SQUEEZING_CONSISTENCY_TOL = 1e-6
 
 
-def quadrature_x(n_max: int) -> np.ndarray:
-    """Position quadrature matrix on a truncated single mode."""
-    a = np.diag(np.sqrt(np.arange(1, n_max)), 1).astype(np.complex128)
-    return (a + a.conj().T) / math.sqrt(2.0)
-
-
 def squeezing_variance_analytic(params: WernerParams) -> float:
     """Var(x_A - x_B) of the mixture: p e^{-2r} + (1-p) cosh(2s)."""
     return params.p * math.exp(-2.0 * params.r) + (1.0 - params.p) * math.cosh(2.0 * params.s)
@@ -376,8 +371,10 @@ def squeezing_threshold(r: float, s: float) -> float:
     """
     if r == 0.0:
         return 1.0
-    c = math.cosh(2.0 * s)
-    return (c - 1.0) / (c - math.exp(-2.0 * r))
+    # (cosh 2s - 1) / (cosh 2s - e^{-2r}) without cancellation: both
+    # differences round to 0 when r and s are tiny.
+    a = 2.0 * math.sinh(s) ** 2
+    return a / (a - math.expm1(-2.0 * r))
 
 
 def published_squeezing_threshold(r: float, n_thermal: float) -> float:
@@ -453,19 +450,6 @@ def squeezing_variance_direct(params: WernerParams, n_max: int | None = None) ->
     var_thermal = float((probs * (2.0 * levels + 1.0)).sum()) - n * float(probs[-1])
 
     return params.p * var_nopa + (1.0 - params.p) * var_thermal
-
-
-def squeezing_variance_dense(rho: TwoModeDensityMatrix) -> float:
-    """Var(x_A - x_B) straight from a dense two-mode matrix (small cutoffs)."""
-    from .fock_core import expectation, tensor_product
-
-    n = rho.n_max
-    x = quadrature_x(n)
-    eye = np.eye(n, dtype=np.complex128)
-    big_x = tensor_product(x, eye) - tensor_product(eye, x)
-    mean = expectation(rho, big_x)
-    second = expectation(rho, big_x @ big_x)
-    return second - mean * mean
 
 
 def squeezing_criterion(params: WernerParams) -> CriterionVerdict:

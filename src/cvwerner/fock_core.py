@@ -40,27 +40,6 @@ class FockCutoff:
 
 
 @dataclass(frozen=True)
-class CompositeIndex:
-    """Photon numbers (m, n) of modes A and B and their flat index."""
-
-    m: int
-    n: int
-    flat: int
-
-    @staticmethod
-    def from_modes(m: int, n: int, n_max: int) -> "CompositeIndex":
-        if not (0 <= m < n_max and 0 <= n < n_max):
-            raise ValueError(f"mode indices ({m}, {n}) out of range for n_max={n_max}")
-        return CompositeIndex(m=m, n=n, flat=m * n_max + n)
-
-    @staticmethod
-    def from_flat(flat: int, n_max: int) -> "CompositeIndex":
-        if not 0 <= flat < n_max * n_max:
-            raise ValueError(f"flat index {flat} out of range for n_max={n_max}")
-        return CompositeIndex(m=flat // n_max, n=flat % n_max, flat=flat)
-
-
-@dataclass(frozen=True)
 class TwoModeDensityMatrix:
     """Dense Hermitian matrix on the truncated two-mode Fock space."""
 
@@ -119,16 +98,6 @@ def partial_transpose_A(rho: TwoModeDensityMatrix) -> np.ndarray:
     """Transpose the mode-A indices: result[(m,n),(m',n')] = rho[(m',n),(m,n')]."""
     n = rho.n_max
     return rho.as_tensor().transpose(2, 1, 0, 3).reshape(n * n, n * n)
-
-
-def partial_trace_B(rho: TwoModeDensityMatrix) -> np.ndarray:
-    """Reduced mode-A matrix: result[m, m'] = sum_n rho[(m,n),(m',n)]."""
-    return np.einsum("mnpn->mp", rho.as_tensor())
-
-
-def partial_trace_A(rho: TwoModeDensityMatrix) -> np.ndarray:
-    """Reduced mode-B matrix: result[n, n'] = sum_m rho[(m,n),(m,n')]."""
-    return np.einsum("mnmp->np", rho.as_tensor())
 
 
 def expectation(rho: TwoModeDensityMatrix, obs: np.ndarray) -> float:

@@ -7,8 +7,11 @@ Three states on the truncated two-mode Fock space:
 * the product of two equal thermal states, with lambda2 = tanh s,
 * their convex mixture, the CV Werner state, weighted by p.
 
-Truncation cutoffs are chosen from the exact geometric tails of both
-components, and the lost trace mass is carried on the returned state.
+The caller chooses the cutoff; no cutoff is selected here. Each
+constructor holds the exact geometric tail it truncates to the cutoff's
+tail_bound and raises CutoffTooSmallError past it; the two component
+constructors also report the least n_max that fits. The lost trace mass
+is carried on the returned state as trace_deficit.
 """
 
 from __future__ import annotations
@@ -18,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import CutoffTooSmallError, ParameterRangeError
 from .fock_core import FockCutoff, TwoModeDensityMatrix
 
-# Cutoff clamp range: the floor keeps tiny states usable by the qubit map,
-# the ceiling keeps dense two-mode matrices at desk scale (4096 x 4096).
+# Least level count suggested by CutoffTooSmallError: it keeps tiny states
+# usable by the qubit map.
 N_MAX_FLOOR = 4
-N_MAX_CEILING = 64
 
 
 @dataclass(frozen=True)
@@ -63,23 +64,27 @@ class WernerParams:
     def lambda2(self) -> float:
         return math.tanh(self.s)
 
-    @property
-    def mean_thermal_photons(self) -> float:
-        return math.sinh(self.s) ** 2
-
-
-def symmetric_params(p: float, r: float) -> WernerParams:
-    """The one-squeezing-parameter family with equal r and s."""
-    return WernerParams(p=p, r=r, s=r)
-
 
 def _nopa_deficit(lam1: float, n_max: int) -> float:
     return lam1 ** (2 * n_max)
 
 
 def _thermal_deficit(lam2: float, n_max: int) -> float:
-    kept = 1.0 - lam2 ** (2 * n_max)
-    return 1.0 - kept * kept
+    # 1 - (1 - x)^2 with x = lam2^(2 n_max), without cancellation at small x
+    x = lam2 ** (2 * n_max)
+    return x * (2.0 - x)
+
+
+def _nopa_data(lam1: float, n_max: int) -> np.ndarray:
+    amps = math.sqrt(1.0 - lam1 * lam1) * lam1 ** np.arange(n_max)
+    vec = np.zeros(n_max * n_max, dtype=np.complex128)
+    vec[np.arange(n_max) * n_max + np.arange(n_max)] = amps
+    return np.outer(vec, vec.conj())
+
+
+def _thermal_data(s: float, n_max: int) -> np.ndarray:
+    single = thermal_single_mode(s, n_max)
+    return np.kron(single, single)
 
 
 def nopa_state(r: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
@@ -95,11 +100,7 @@ def nopa_state(r: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
             f"at n_max={n}",
             minimal_n_max=_minimal_n_max_nopa(lam, cutoff.tail_bound),
         )
-    amps = math.sqrt(1.0 - lam * lam) * lam ** np.arange(n)
-    vec = np.zeros(n * n, dtype=np.complex128)
-    vec[np.arange(n) * n + np.arange(n)] = amps
-    data = np.outer(vec, vec.conj())
-    return TwoModeDensityMatrix(cutoff=cutoff, data=data, trace_deficit=deficit)
+    return TwoModeDensityMatrix(cutoff=cutoff, data=_nopa_data(lam, n), trace_deficit=deficit)
 
 
 def thermal_single_mode(s: float, n_max: int) -> np.ndarray:
@@ -122,29 +123,28 @@ def thermal_product_state(s: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
             f"at n_max={n}",
             minimal_n_max=_minimal_n_max_thermal(lam, cutoff.tail_bound),
         )
-    single = thermal_single_mode(s, n)
-    data = np.kron(single, single)
-    return TwoModeDensityMatrix(cutoff=cutoff, data=data, trace_deficit=deficit)
+    return TwoModeDensityMatrix(cutoff=cutoff, data=_thermal_data(s, n), trace_deficit=deficit)
 
 
 def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatrix:
     """Convex mixture p * NOPA(r) + (1 - p) * thermal(s) x thermal(s).
 
-    The component tail checks are applied against twice the cutoff's
-    tail_bound weighted by the mixture, so the mixture itself respects
-    the bound even when one pure component alone would not.
+    Only the mixture's trace deficit, the p-weighted sum of the component
+    tails, is held to the cutoff's tail_bound, so one component alone may
+    exceed it.
     """
-    relaxed = FockCutoff(n_max=cutoff.n_max, tail_bound=1.0 - 1e-15)
-    nopa = nopa_state(params.r, relaxed)
-    thermal = thermal_product_state(params.s, relaxed)
-    deficit = params.p * nopa.trace_deficit + (1.0 - params.p) * thermal.trace_deficit
+    n, p = cutoff.n_max, params.p
+    deficit = (p * _nopa_deficit(params.lambda1, n)
+               + (1.0 - p) * _thermal_deficit(params.lambda2, n))
     if deficit > cutoff.tail_bound:
         raise CutoffTooSmallError(
             f"Werner tail {deficit:.3e} exceeds tail_bound {cutoff.tail_bound:.3e} "
-            f"at n_max={cutoff.n_max}",
+            f"at n_max={n}",
             minimal_n_max=None,
         )
-    data = params.p * nopa.data + (1.0 - params.p) * thermal.data
+    nopa = _nopa_data(params.lambda1, n)
+    thermal = _thermal_data(params.s, n)
+    data = p * nopa + (1.0 - p) * thermal
     return TwoModeDensityMatrix(cutoff=cutoff, data=data, trace_deficit=deficit)
 
 
@@ -158,38 +158,6 @@ def _minimal_n_max_nopa(lam1: float, bound: float) -> int:
 def _minimal_n_max_thermal(lam2: float, bound: float) -> int:
     if lam2 == 0.0:
         return N_MAX_FLOOR
-    n = N_MAX_FLOOR
-    while _thermal_deficit(lam2, n) > bound and n <= 10 * N_MAX_CEILING:
-        n += 1
-    return n
-
-
-def select_cutoff(params: WernerParams, tail_bound: float = tol.DEFAULT_TAIL_BOUND) -> FockCutoff:
-    """Smallest even n_max whose weighted component tails fit the bound.
-
-    Each component tail must stay below tail_bound / 2 after weighting by
-    its mixture probability. The result is clamped to [N_MAX_FLOOR,
-    N_MAX_CEILING] and rounded up to even so the pseudo-spin pairing of
-    the qubit map closes within the truncation.
-    """
-    if not 0.0 < tail_bound < 1.0:
-        raise ValueError(f"tail_bound must lie in (0, 1), got {tail_bound}")
-    half = tail_bound / 2.0
-    lam1, lam2 = params.lambda1, params.lambda2
-    n = N_MAX_FLOOR
-    while True:
-        ok_nopa = params.p * _nopa_deficit(lam1, n) <= half
-        ok_thermal = (1.0 - params.p) * _thermal_deficit(lam2, n) <= half
-        if ok_nopa and ok_thermal:
-            break
-        n += 1
-        if n > N_MAX_CEILING:
-            raise ParameterRangeError(
-                f"parameters (p={params.p}, r={params.r}, s={params.s}) need "
-                f"n_max > {N_MAX_CEILING} for tail_bound {tail_bound:.3e}; "
-                "reduce squeezing/noise or relax the tail bound"
-            )
-    if n % 2:
-        n += 1
-    n = min(max(n, N_MAX_FLOOR), N_MAX_CEILING)
-    return FockCutoff(n_max=n, tail_bound=tail_bound)
+    # 1 - (1 - x)^2 <= bound with x = lam2^(2n), i.e. x <= 1 - sqrt(1 - bound)
+    x = bound / (1.0 + math.sqrt(1.0 - bound))
+    return max(N_MAX_FLOOR, math.ceil(math.log(x) / (2.0 * math.log(lam2))))

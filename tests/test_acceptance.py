@@ -218,7 +218,6 @@ def test_criterion_10_end_to_end():
         fixed=0.5,
         outputs=("p_min_entangled_direct", "p_min_entangled_mapped",
                  "p_max_separable", "p_min_nonlocal", "p_min_squeezed"),
-        tail_bound=1e-10,
         output_path="-",
     )
     assert run_sweep(spec).encode("utf-8") == run_sweep(spec).encode("utf-8")

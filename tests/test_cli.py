@@ -38,7 +38,6 @@ class TestSweepSpec:
             axis2=AxisSpec(name="s", minimum=0.1, maximum=2.0, steps=3),
             fixed=0.5,
             outputs=("p_min_entangled_direct",),
-            tail_bound=1e-10,
             output_path="-",
         )
         kwargs.update(overrides)
@@ -81,14 +80,14 @@ class TestRunSweep:
             fixed=0.5,
             outputs=("p_min_entangled_direct", "p_min_entangled_mapped",
                      "p_min_nonlocal"),
-            tail_bound=1e-10,
             output_path=str(out),
         )
         text = run_sweep(spec)
         assert out.read_text(encoding="utf-8") == text
         lines = text.split("\n")
         comments = [l for l in lines if l.startswith("#")]
-        assert any("tail_bound=1e-10" in c for c in comments)
+        assert [c.split("=")[0] for c in comments] == [
+            "# command", "# axis1", "# axis2", "# fixed", "# outputs"]
         header = next(l for l in lines if l and not l.startswith("#"))
         assert header == "r,s,p_min_entangled_direct,p_min_entangled_mapped,p_min_nonlocal"
         rows = [l for l in lines if l and not l.startswith("#")][1:]
@@ -101,7 +100,6 @@ class TestRunSweep:
             fixed=0.5,
             outputs=("p_min_entangled_direct", "p_min_entangled_mapped",
                      "p_min_nonlocal"),
-            tail_bound=1e-10,
             output_path="-",
         )
         rows = [l for l in run_sweep(spec).split("\n") if l and not l.startswith("#")][1:]
@@ -116,7 +114,6 @@ class TestRunSweep:
             axis2=AxisSpec(name="s", minimum=0.5, maximum=4.0, steps=6),
             fixed=0.5,
             outputs=("p_min_nonlocal",),
-            tail_bound=1e-10,
             output_path="-",
         )
         rows = [l for l in run_sweep(spec).split("\n") if l and not l.startswith("#")][1:]
@@ -129,7 +126,6 @@ class TestRunSweep:
             axis2=AxisSpec(name="r", minimum=0.0, maximum=6.0, steps=4),
             fixed="r_equals_s",
             outputs=("fidelity_w",),
-            tail_bound=1e-10,
             output_path="-",
         )
         rows = [l for l in run_sweep(spec).split("\n") if l and not l.startswith("#")][1:]
@@ -152,7 +148,6 @@ class TestRunSweep:
             axis2=AxisSpec(name="s", minimum=0.1, maximum=1.0, steps=3),
             fixed=0.5,
             outputs=("fidelity_w",),
-            tail_bound=1e-10,
             output_path="-",
         )
         with pytest.raises(Exception):
@@ -169,7 +164,7 @@ class TestEval:
         assert "nonlocal: false" in out
         assert "squeezed: false" in out
         assert "fidelity_w: closed_form=0.545392" in out
-        assert "n_max: 44" in out
+        assert out.splitlines()[1] == "thresholds: closed forms in (p, r, s), no Fock truncation"
 
     def test_product_state_point(self, capsys):
         main(["eval", "p=0", "r=1", "s=1"])
@@ -199,6 +194,18 @@ class TestEval:
         match = re.search(r"fidelity_w: closed_form=(\S+) numeric=(\S+) ", capsys.readouterr().out)
         closed, numeric = float(match.group(1)), float(match.group(2))
         assert abs(numeric - closed) <= 1e-9
+
+    @pytest.mark.parametrize("r, s, expected", [
+        ("1e-100", "1e-100", 1e-100),
+        ("1e-17", "1e-9", 0.0909090909090909091),
+        ("1e-15", "1e-9", 0.000999000999000999001),
+    ])
+    def test_squeezing_threshold_at_tiny_parameters(self, capsys, r, s, expected):
+        # 50-digit values of (cosh 2s - 1) / (cosh 2s - e^{-2r}); the naive
+        # double-precision form divides 0 by 0 or returns 0 here.
+        assert main(["eval", "p=0.5", f"r={r}", f"s={s}", "--criteria", "squeezed"]) == 0
+        threshold = re.search(r"squeezed: \w+ threshold_p=(\S+) ", capsys.readouterr().out)
+        assert float(threshold.group(1)) == pytest.approx(expected, rel=1e-11)
 
     def test_vacuum_verdicts_are_finite(self, capsys):
         assert main(["eval", "p=1", "r=0", "s=0"]) == 0
@@ -243,11 +250,14 @@ class TestEval:
 
 
 class TestConfig:
+    SWEEP = ["sweep", "axis1=r[0.5,1,2]", "axis2=s[0.5,1,2]",
+             "outputs=p_min_squeezed", "fixed=0.5"]
+
     def test_parse_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\ntail_bound = 1e-8\nn_max=12 # inline\n\n")
+        cfg.write_text("# comment\noutput = a.csv # inline\n\n")
         values = parse_config(str(cfg))
-        assert values == {"tail_bound": "1e-8", "n_max": "12"}
+        assert values == {"output": "a.csv"}
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -255,24 +265,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config(str(cfg))
 
-    def test_flags_take_precedence(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["tail_bound", "n_max", "outputs"])
+    def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tail_bound=1e-6\n")
-        out = tmp_path / "o.csv"
-        main(["--config", str(cfg), "--tail-bound", "1e-9", "--output", str(out),
-              "sweep", "axis1=r[0.5,1,2]", "axis2=s[0.5,1,2]",
-              "outputs=p_min_squeezed", "fixed=0.5"])
-        text = out.read_text(encoding="utf-8")
-        assert "# tail_bound=1e-09" in text or "# tail_bound=1e-9" in text
+        cfg.write_text(f"{key}=1e-6\n")
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(cfg), "eval", "p=0.5", "r=1", "s=1"])
+        assert info.value.code == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
-    def test_config_supplies_tail_bound(self, tmp_path):
+    def test_flags_take_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tail_bound=1e-6\n")
+        cfg.write_text(f"output={tmp_path / 'from_config.csv'}\n")
         out = tmp_path / "o.csv"
-        main(["--config", str(cfg), "--output", str(out),
-              "sweep", "axis1=r[0.5,1,2]", "axis2=s[0.5,1,2]",
-              "outputs=p_min_squeezed", "fixed=0.5"])
-        assert "# tail_bound=1e-06" in out.read_text(encoding="utf-8")
+        main(["--config", str(cfg), "--output", str(out), *self.SWEEP])
+        assert out.read_text(encoding="utf-8").startswith("# command=sweep")
+        assert not (tmp_path / "from_config.csv").exists()
+
+    def test_config_supplies_output(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o.csv"
+        cfg.write_text(f"output={out}\n")
+        main(["--config", str(cfg), *self.SWEEP])
+        assert out.read_text(encoding="utf-8").startswith("# command=sweep")
+
+    @pytest.mark.parametrize("flag", [["--tail-bound", "1e-9"], ["--n-max", "6"]])
+    def test_removed_cutoff_flags_exit_2(self, flag):
+        with pytest.raises(SystemExit) as info:
+            main([*flag, "eval", "p=0.5", "r=1", "s=1"])
+        assert info.value.code == 2
 
 
 def corrupted_closed_form(fault, where=lambda params: True):

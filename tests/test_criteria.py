@@ -22,12 +22,10 @@ from cvwerner.criteria import (
     published_squeezing_threshold,
     published_squeezing_threshold_lambda_form,
     q_tilde_one_bound,
-    quadrature_x,
     reconstruct_from_cells,
     squeezing_criterion,
     squeezing_threshold,
     squeezing_variance_analytic,
-    squeezing_variance_dense,
     squeezing_variance_direct,
 )
 from cvwerner import criteria
@@ -294,9 +292,9 @@ class TestSqueezing:
         assert abs(analytic - direct) < SQUEEZING_CONSISTENCY_TOL
 
     def test_dense_route_matches_analytic(self):
+        # Anchors the dense reference of TestBandedSqueezing to the closed form.
         params = WernerParams(p=0.5, r=0.4, s=0.3)
-        rho = werner_state(params, FockCutoff(n_max=30, tail_bound=0.999))
-        dense = squeezing_variance_dense(rho)
+        dense = dense_squeezing_variance(params, 30)
         assert dense == pytest.approx(squeezing_variance_analytic(params), abs=1e-8)
 
     def test_threshold_reduces_to_tanh_on_diagonal(self):
@@ -312,6 +310,14 @@ class TestSqueezing:
     def test_degenerate_limits(self):
         assert squeezing_threshold(0.0, 1.0) == 1.0
         assert squeezing_threshold(1.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("r, s", [(1e-100, 1e-100), (1e-17, 1e-9), (1e-15, 1e-9),
+                                      (1e-8, 3.0), (0.3, 1e-5), (1.0, 0.7), (5.0, 5.0)])
+    def test_threshold_matches_high_precision(self, r, s):
+        # cosh 2s - 1 and cosh 2s - e^{-2r} both cancel in double precision
+        # when r and s are tiny; the 50-digit value is the reference.
+        assert squeezing_threshold(r, s) == pytest.approx(
+            mpmath_squeezing_threshold(r, s), rel=1e-14)
 
     def test_published_threshold_disagrees_below_saturation(self):
         # The reference closed form replaces cosh(2s) - 1 = 4 sinh^2(s) ... / 2
@@ -335,6 +341,25 @@ class TestSqueezing:
         assert squeezed.method == "both"
         noisy = squeezing_criterion(WernerParams(p=0.2, r=1.0, s=1.0))
         assert not noisy.decision
+
+
+def mpmath_squeezing_threshold(r, s):
+    """(cosh 2s - 1) / (cosh 2s - e^{-2r}), correct to 50 significant digits.
+
+    Both differences cancel about 2 log10(1/s) and log10(1/r) digits, at
+    most 200 here, so 500 working digits leave more than 50.
+    """
+    import mpmath
+
+    with mpmath.workdps(500):
+        c = mpmath.cosh(2 * mpmath.mpf(s))
+        return float((c - 1) / (c - mpmath.exp(-2 * mpmath.mpf(r))))
+
+
+def quadrature_x(n_max):
+    """Position quadrature matrix on a truncated single mode."""
+    a = np.diag(np.sqrt(np.arange(1, n_max)), 1).astype(np.complex128)
+    return (a + a.conj().T) / math.sqrt(2.0)
 
 
 def dense_squeezing_variance(params, n):

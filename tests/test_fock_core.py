@@ -11,12 +11,9 @@ from cvwerner.errors import (
     NumericalConsistencyError,
 )
 from cvwerner.fock_core import (
-    CompositeIndex,
     FockCutoff,
     TwoModeDensityMatrix,
     expectation,
-    partial_trace_A,
-    partial_trace_B,
     partial_transpose_A,
     tensor_product,
 )
@@ -32,26 +29,6 @@ def random_density(n_max, seed):
     return TwoModeDensityMatrix(
         cutoff=FockCutoff(n_max=n_max, tail_bound=0.5), data=rho, trace_deficit=0.0
     )
-
-
-class TestCompositeIndex:
-    def test_round_trip(self):
-        n_max = 7
-        for m in range(n_max):
-            for n in range(n_max):
-                idx = CompositeIndex.from_modes(m, n, n_max)
-                assert idx.flat == m * n_max + n
-                back = CompositeIndex.from_flat(idx.flat, n_max)
-                assert (back.m, back.n) == (m, n)
-
-    def test_mode_a_is_slow_index(self):
-        assert CompositeIndex.from_modes(2, 3, 5).flat == 13
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            CompositeIndex.from_modes(5, 0, 5)
-        with pytest.raises(ValueError):
-            CompositeIndex.from_flat(25, 5)
 
 
 class TestFockCutoff:
@@ -139,21 +116,6 @@ class TestPartialOperations:
         once = partial_transpose_A(rho)
         twice = once.reshape(4, 4, 4, 4).transpose(2, 1, 0, 3).reshape(16, 16)
         assert np.abs(twice - rho.data).max() == 0.0
-
-    def test_partial_traces_of_product(self):
-        a = thermal_single_mode(0.9, 5)
-        b = thermal_single_mode(0.3, 5)
-        data = tensor_product(a, b)
-        deficit = 1.0 - np.trace(data).real
-        rho = TwoModeDensityMatrix(
-            cutoff=FockCutoff(n_max=5, tail_bound=0.9), data=data, trace_deficit=deficit
-        )
-        assert np.abs(partial_trace_B(rho) - a * np.trace(b).real).max() < 1e-14
-        assert np.abs(partial_trace_A(rho) - b * np.trace(a).real).max() < 1e-14
-
-    def test_trace_of_partial_trace(self):
-        rho = random_density(4, seed=5)
-        assert np.trace(partial_trace_B(rho)).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectation:

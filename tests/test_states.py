@@ -1,17 +1,16 @@
-"""Tests for the Werner-family state constructors and cutoff selection."""
+"""Tests for the Werner-family state constructors and their cutoff checks."""
 
 import math
 
 import numpy as np
 import pytest
 
+from cvwerner import states
 from cvwerner.errors import CutoffTooSmallError, ParameterRangeError
-from cvwerner.fock_core import CompositeIndex, FockCutoff
+from cvwerner.fock_core import FockCutoff
 from cvwerner.states import (
     WernerParams,
     nopa_state,
-    select_cutoff,
-    symmetric_params,
     thermal_product_state,
     thermal_single_mode,
     werner_state,
@@ -25,11 +24,6 @@ class TestWernerParams:
         params = WernerParams(p=0.5, r=1.0, s=0.5)
         assert params.lambda1 == pytest.approx(math.tanh(1.0))
         assert params.lambda2 == pytest.approx(math.tanh(0.5))
-        assert params.mean_thermal_photons == pytest.approx(math.sinh(0.5) ** 2)
-
-    def test_symmetric(self):
-        params = symmetric_params(0.3, 1.2)
-        assert params.r == params.s == 1.2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,8 +50,8 @@ class TestNopaState:
         # <m,m| rho |n,n> = (1 - lam^2) lam^(m+n) with lam = tanh r.
         rho = nopa_state(1.0, LOOSE)
         lam = math.tanh(1.0)
-        i12 = CompositeIndex.from_modes(1, 1, 12).flat
-        j12 = CompositeIndex.from_modes(2, 2, 12).flat
+        i12 = 1 * 12 + 1
+        j12 = 2 * 12 + 2
         assert rho.data[i12, j12].real == pytest.approx((1 - lam ** 2) * lam ** 3)
         assert rho.data[i12, j12].real == pytest.approx(0.18552, abs=1e-5)
 
@@ -68,9 +62,7 @@ class TestNopaState:
         for flat_i in range(LOOSE.dim):
             for flat_j in range(LOOSE.dim):
                 if mask[flat_i, flat_j]:
-                    i = CompositeIndex.from_flat(flat_i, 12)
-                    j = CompositeIndex.from_flat(flat_j, 12)
-                    assert i.m == i.n and j.m == j.n
+                    assert flat_i // 12 == flat_i % 12 and flat_j // 12 == flat_j % 12
 
     def test_trace_deficit_is_geometric_tail(self):
         rho = nopa_state(1.0, LOOSE)
@@ -100,12 +92,12 @@ class TestThermalStates:
         # diagonal (m, n) entry is (1 - lam^2)^2 lam^(2(m+n)).
         s = math.atanh(0.5)
         rho = thermal_product_state(s, LOOSE)
-        i11 = CompositeIndex.from_modes(1, 1, 12).flat
+        i11 = 1 * 12 + 1
         assert rho.data[i11, i11].real == pytest.approx(0.03515625)
 
     def test_product_entry_at_s_one(self):
         rho = thermal_product_state(1.0, LOOSE)
-        i01 = CompositeIndex.from_modes(0, 1, 12).flat
+        i01 = 0 * 12 + 1
         assert rho.data[i01, i01].real == pytest.approx(0.102304, abs=1e-6)
 
     def test_is_diagonal(self):
@@ -124,9 +116,7 @@ class TestWernerState:
         params = WernerParams(p=0.5, r=1.0, s=1.0)
         rho = werner_state(params, LOOSE)
         lam = math.tanh(1.0)
-        i00 = CompositeIndex.from_modes(0, 0, 12).flat
-        i11 = CompositeIndex.from_modes(1, 1, 12).flat
-        i01 = CompositeIndex.from_modes(0, 1, 12).flat
+        i00, i11, i01 = 0 * 12 + 0, 1 * 12 + 1, 0 * 12 + 1
         assert rho.data[i00, i11].real == pytest.approx(0.5 * (1 - lam ** 2) * lam)
         assert rho.data[i00, i11].real == pytest.approx(0.15993, abs=1e-5)
         assert rho.data[i01, i01].real == pytest.approx(0.051152, abs=1e-6)
@@ -152,27 +142,28 @@ class TestWernerState:
                          FockCutoff(n_max=6, tail_bound=1e-10))
 
 
-class TestSelectCutoff:
-    def test_reference_point(self):
-        # r = s = 1 at tail_bound 1e-10 needs tanh(1)^(2 n) <= 5e-11.
-        cutoff = select_cutoff(WernerParams(p=1.0, r=1.0, s=1.0), 1e-10)
-        assert cutoff.n_max == 44
+class TestMinimalCutoff:
+    """The level count CutoffTooSmallError suggests is the least that fits."""
 
-    def test_result_is_even(self):
-        for r in (0.3, 0.7, 1.1):
-            cutoff = select_cutoff(WernerParams(p=0.5, r=r, s=r), 1e-8)
-            assert cutoff.n_max % 2 == 0
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.0, 3.5, 5.0, 8.0])
+    @pytest.mark.parametrize("bound", [1e-3, 1e-10, 1e-14])
+    def test_thermal_is_least_within_bound(self, s, bound):
+        lam = math.tanh(s)
+        n = states._minimal_n_max_thermal(lam, bound)
+        assert states._thermal_deficit(lam, n) <= bound
+        if n > states.N_MAX_FLOOR:
+            assert states._thermal_deficit(lam, n - 1) > bound
 
-    def test_selected_cutoff_admits_the_state(self):
-        params = WernerParams(p=0.5, r=1.0, s=1.2)
-        cutoff = select_cutoff(params, 1e-9)
-        rho = werner_state(params, cutoff)
-        assert rho.trace_deficit <= 1e-9
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0, 5.0])
+    def test_nopa_is_least_within_bound(self, r):
+        lam = math.tanh(r)
+        n = states._minimal_n_max_nopa(lam, 1e-10)
+        assert states._nopa_deficit(lam, n) <= 1e-10 < states._nopa_deficit(lam, n - 1)
 
-    def test_out_of_range(self):
-        with pytest.raises(ParameterRangeError):
-            select_cutoff(WernerParams(p=0.5, r=5.0, s=5.0), 1e-10)
-
-    def test_invalid_tail_bound(self):
-        with pytest.raises(ValueError):
-            select_cutoff(WernerParams(p=0.5, r=1.0, s=1.0), 0.0)
+    def test_error_reports_least_thermal_cutoff(self):
+        # s = 5 needs about 1.3e5 levels for a 1e-10 tail.
+        with pytest.raises(CutoffTooSmallError) as err:
+            thermal_product_state(5.0, FockCutoff(n_max=64, tail_bound=1e-10))
+        n = err.value.minimal_n_max
+        assert states._thermal_deficit(math.tanh(5.0), n) <= 1e-10
+        assert states._thermal_deficit(math.tanh(5.0), n - 1) > 1e-10

@@ -25,14 +25,6 @@ class ParameterRangeError(CvWernerError):
     """State parameters are outside the supported desk-scale range."""
 
 
-class ConvergenceError(CvWernerError):
-    """An iterative numerical routine failed to converge."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NumericalConsistencyError(CvWernerError):
     """Two computations that must agree disagreed beyond tolerance."""
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatchError, HermiticityError, NumericalConsistencyError
+from .numerics import _nonzero_pattern
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class TwoModeDensityMatrix:
             raise DimensionMismatchError(
                 f"expected {(d, d)} matrix for n_max={self.cutoff.n_max}, got {self.data.shape}"
             )
-        herm = np.abs(self.data - self.data.conj().T).max()
+        *_, herm = _nonzero_pattern(self.data)
         if herm >= tol.HERMITICITY_TOL:
             raise HermiticityError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         diag = np.diagonal(self.data)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import NumericalConsistencyError
-from .fock_core import TwoModeDensityMatrix, expectation, tensor_product
+from .fock_core import TwoModeDensityMatrix
 from .numerics import _bisect_threshold, hermitian_eigenvalues
 from .states import WernerParams
 
@@ -106,17 +106,22 @@ def _map_via_chi(rho: TwoModeDensityMatrix) -> np.ndarray:
 
 
 def _map_via_moments(rho: TwoModeDensityMatrix):
+    """Pauli-moment route: <f_i (x) f_j> for f in (1, s1, s2, s3) on each mode.
+
+    Each moment Tr(rho (f_i (x) f_j)) is a contraction of the state tensor
+    with the two n x n factors; no n^2 x n^2 observable is formed.
+    """
     n = rho.n_max
-    spins = build_spin_operators(n)
-    eye = np.eye(n, dtype=np.complex128)
-    bloch_A = np.array([expectation(rho, tensor_product(s, eye)) for s in spins.as_tuple()])
-    bloch_B = np.array([expectation(rho, tensor_product(eye, s)) for s in spins.as_tuple()])
-    corr = np.array(
-        [
-            [expectation(rho, tensor_product(si, sj)) for sj in spins.as_tuple()]
-            for si in spins.as_tuple()
-        ]
-    )
+    factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n).as_tuple()])
+    half = np.einsum("abcd,ica->ibd", rho.as_tensor(), factors)
+    moments = np.einsum("ibd,jdb->ij", half, factors)
+    imag = np.abs(moments.imag).max()
+    if imag > tol.TRACE_IMAG_TOL:
+        raise NumericalConsistencyError(
+            f"Pauli moment has imaginary part {imag:.3e} beyond tolerance"
+        )
+    moments = moments.real
+    bloch_A, bloch_B, corr = moments[1:, 0], moments[0, 1:], moments[1:, 1:]
     rho4 = (1.0 - rho.trace_deficit) * np.eye(4, dtype=np.complex128)
     for i in range(3):
         rho4 += bloch_A[i] * np.kron(PAULI[i], np.eye(2))

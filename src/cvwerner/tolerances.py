@@ -23,12 +23,6 @@ POSITIVITY_TOL = 1e-10
 # Default admissible probability mass lost to Fock-space truncation.
 DEFAULT_TAIL_BOUND = 1e-10
 
-# Relative off-diagonal norm at which the Jacobi eigensolver stops.
-JACOBI_OFFDIAG_TOL = 1e-12
-
-# Hard cap on Jacobi sweeps before declaring non-convergence.
-JACOBI_MAX_SWEEPS = 100
-
 # Integrand magnitude at the grid boundary must fall below this fraction
 # of its peak for a quadrature domain to be accepted.
 BOUNDARY_MASS_RATIO = 1e-8

@@ -33,6 +33,7 @@ from cvwerner.cli import CRITERIA
 from cvwerner.errors import CutoffTooSmallError
 from cvwerner.fock_core import FockCutoff, partial_transpose_A
 from cvwerner.states import WernerParams, werner_state
+from cvwerner.tolerances import ORACLE_TOL
 
 CUTOFF = FockCutoff(n_max=10, tail_bound=0.999)
 
@@ -62,6 +63,13 @@ class TestPptSpectrum:
         analytic = enumerate_ppt_spectrum(params, CUTOFF.n_max)
         assert brute.size == analytic.size == CUTOFF.dim
         assert np.abs(brute - analytic).max() < 1e-12
+
+    def test_bruteforce_at_large_cutoff(self):
+        params = WernerParams(p=0.6, r=1.2, s=0.9)
+        brute = ppt_spectrum_bruteforce(params, FockCutoff(n_max=32, tail_bound=0.999))
+        analytic = enumerate_ppt_spectrum(params, 32)
+        assert brute.size == analytic.size == 32 * 32
+        assert np.abs(brute - analytic).max() < ORACLE_TOL
 
     def test_matches_numpy_oracle(self):
         params = WernerParams(p=0.7, r=0.8, s=1.2)

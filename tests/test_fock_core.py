@@ -54,6 +54,12 @@ class TestTwoModeDensityMatrix:
         with pytest.raises(HermiticityError):
             TwoModeDensityMatrix(cutoff=FockCutoff(n_max=2), data=data, trace_deficit=0.0)
 
+    def test_rejects_non_finite_off_diagonal(self):
+        data = np.eye(4, dtype=np.complex128) / 4.0
+        data[1, 2] = data[2, 1] = np.nan
+        with pytest.raises(HermiticityError, match="not finite"):
+            TwoModeDensityMatrix(cutoff=FockCutoff(n_max=2), data=data, trace_deficit=0.0)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatchError):
             TwoModeDensityMatrix(

@@ -1,7 +1,9 @@
-"""Tests for the Jacobi eigensolver and the 1-D grid integrator.
+"""Tests for the block-split eigensolver and the 1-D grid integrator.
 
-numpy.linalg.eigvalsh serves as an independent oracle for the in-house
-solver; the library itself never calls it.
+The eigensolver splits a matrix into the connected blocks of its nonzero
+pattern, solves 1x1 and 2x2 blocks in closed form and larger ones by
+Householder tridiagonalisation and Sturm bisection. numpy.linalg.eigvalsh
+serves as an independent oracle for it; the library itself never calls it.
 """
 
 import math
@@ -75,6 +77,58 @@ class TestHermitianEigenvalues:
     def test_zero_matrix(self):
         result = hermitian_eigenvalues(np.zeros((4, 4)))
         assert np.all(result.eigenvalues == 0.0)
+
+    def test_empty_and_one_by_one(self):
+        empty = hermitian_eigenvalues(np.zeros((0, 0)))
+        assert empty.eigenvalues.shape == (0,)
+        assert empty.max_residual == 0.0
+        single = hermitian_eigenvalues(np.array([[-2.5 + 0j]]))
+        assert single.eigenvalues.tolist() == [-2.5]
+        assert single.max_residual == 0.0
+
+    def test_two_by_two_with_equal_diagonals(self):
+        a = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        result = hermitian_eigenvalues(a)
+        mag = abs(0.2 - 0.1j)
+        assert np.abs(result.eigenvalues - [0.3 - mag, 0.3 + mag]).max() < 1e-15
+        assert result.max_residual == 0.0
+
+    def test_permuted_block_diagonal(self):
+        sizes = (1, 2, 3, 7, 2, 1)
+        dim = sum(sizes)
+        a = np.zeros((dim, dim), dtype=np.complex128)
+        start = 0
+        for k, size in enumerate(sizes):
+            a[start:start + size, start:start + size] = random_hermitian(size, seed=10 + k)
+            start += size
+        perm = np.random.default_rng(11).permutation(dim)
+        a = a[np.ix_(perm, perm)]
+        result = hermitian_eigenvalues(a)
+        oracle = np.linalg.eigvalsh(a)
+        assert np.abs(result.eigenvalues - oracle).max() < 1e-13
+        assert 0.0 < result.max_residual < 1e-12 * math.sqrt(float((np.abs(a) ** 2).sum()))
+
+    def test_tiny_coupling_merges_blocks(self):
+        pair = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+        a = np.zeros((4, 4), dtype=np.complex128)
+        a[:2, :2] = pair
+        a[2:, 2:] = pair
+        split = hermitian_eigenvalues(a)
+        assert split.max_residual == 0.0
+        a[1, 2] = a[2, 1] = 1e-300
+        merged = hermitian_eigenvalues(a)
+        assert merged.max_residual > 0.0
+        assert np.abs(merged.eigenvalues - split.eigenvalues).max() < 1e-15
+        assert np.abs(merged.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-15
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+    def test_rejects_non_finite(self, value, where):
+        a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=np.complex128)
+        a[where] = value
+        a[where[::-1]] = value
+        with pytest.raises(HermiticityError, match=rf"entry \({where[0]}, {where[1]}\) is not finite"):
+            hermitian_eigenvalues(a)
 
 
 class TestPhaseSpaceGrid:

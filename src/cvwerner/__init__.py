@@ -26,13 +26,7 @@ from .criteria import (
     squeezing_variance_analytic,
     squeezing_variance_direct,
 )
-from .fock_core import (
-    FockCutoff,
-    TwoModeDensityMatrix,
-    expectation,
-    partial_transpose_A,
-    tensor_product,
-)
+from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
 from .numerics import EigenResult, PhaseSpaceGrid, hermitian_eigenvalues, integrate_grid
 from .qubit_map import (
     BellAnalysis,

@@ -295,10 +295,13 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
     map_cutoff = FockCutoff(n_max=VALIDATE_MAP_N_MAX, tail_bound=1.0 - 1e-15)
 
     def map_dev(params):
+        # The pair-index trace against the truncated closed form and against
+        # the pseudo-spin moment route.
         rho = werner_state(params, map_cutoff)
-        mapped = qm.map_to_qubits(rho)  # chi vs moments checked internally
+        rho4 = qm.map_to_qubits(rho).rho4
         truncated = closed_form_fn(params, n_max=VALIDATE_MAP_N_MAX)
-        return float(np.abs(mapped.rho4 - truncated).max())
+        return float(max(np.abs(rho4 - truncated).max(),
+                         np.abs(rho4 - qm._map_via_moments(rho)).max()))
 
     run_check("qubit_map consistency (contraction vs closed form)", grid3,
               map_dev, lambda _: tol.MAP_CONSISTENCY_TOL)

@@ -81,37 +81,7 @@ class TwoModeDensityMatrix:
         return self.data.reshape(n, n, n, n)
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product under the fixed composite-index convention.
-
-    result[(m, n), (m', n')] = a[m, m'] * b[n, n'].
-    """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"first factor must be square, got {a.shape}")
-    if b.shape != a.shape:
-        raise DimensionMismatchError(
-            f"factors must have equal shapes, got {a.shape} and {b.shape}"
-        )
-    return np.kron(a, b)
-
-
 def partial_transpose_A(rho: TwoModeDensityMatrix) -> np.ndarray:
     """Transpose the mode-A indices: result[(m,n),(m',n')] = rho[(m',n),(m,n')]."""
     n = rho.n_max
     return rho.as_tensor().transpose(2, 1, 0, 3).reshape(n * n, n * n)
-
-
-def expectation(rho: TwoModeDensityMatrix, obs: np.ndarray) -> float:
-    """Re Tr(rho * obs) for Hermitian obs; asserts the trace is real."""
-    if obs.shape != rho.data.shape:
-        raise DimensionMismatchError(
-            f"observable shape {obs.shape} does not match state {rho.data.shape}"
-        )
-    if np.abs(obs - obs.conj().T).max() >= tol.HERMITICITY_TOL:
-        raise HermiticityError("observable must be Hermitian")
-    val = np.einsum("ij,ji->", rho.data, obs)
-    if abs(val.imag) > tol.TRACE_IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"Tr(rho O) has imaginary part {val.imag:.3e} beyond tolerance"
-        )
-    return float(val.real)

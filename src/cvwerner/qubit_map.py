@@ -1,11 +1,12 @@
 """Local compression of the two-mode state onto a pair of qubits.
 
-Each mode is reduced to a qubit by pairing Fock levels (2m, 2m+1) with
-pseudo-spin operators that satisfy the Pauli algebra exactly. The mapped
-4x4 state is built along two independent routes (an explicit
-Choi-operator contraction and a Pauli-moment assembly) that must agree
-entrywise, and is analyzed for entanglement (partial transpose) and
-nonlocality (CHSH via the correlation-tensor criterion).
+Each mode is reduced to a qubit by pairing Fock levels (2m, 2m+1): level
+2m + k is read as pair m, qubit state k, and the mapped 4x4 state is the
+partial trace over both pair indices. The pseudo-spin operators of the
+pairing satisfy the Pauli algebra exactly; their moments rebuild the same
+4x4 along an independent route, which ``cvwerner validate`` checks against
+the trace. The mapped state is analyzed for entanglement (partial
+transpose) and nonlocality (CHSH via the correlation-tensor criterion).
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .fock_core import TwoModeDensityMatrix
 from .numerics import _bisect_threshold, hermitian_eigenvalues
 from .states import WernerParams
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
+# The 2x2 factors (1, sigma1, sigma2, sigma3), stacked.
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                 dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -88,70 +87,56 @@ class BellAnalysis:
         return self.bell_max > 2.0
 
 
-def _chi_tensor(n_max: int) -> np.ndarray:
-    """Choi operator of the mode-to-qubit compression, as chi[a, k, a', k']."""
-    chi = np.zeros((n_max, 2, n_max, 2))
-    for m in range(0, n_max - 1, 2):
-        for k in range(2):
-            for kp in range(2):
-                chi[m + k, k, m + kp, kp] = 1.0
-    return chi
+def _moments(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Moments Tr(rho (f_i (x) f_j)) of a state tensor t[a, b, a', b'].
 
-
-def _map_via_chi(rho: TwoModeDensityMatrix) -> np.ndarray:
-    chi = _chi_tensor(rho.n_max)
-    t = rho.as_tensor()
-    rho4 = np.einsum("akcK,bldL,abcd->klKL", chi, chi, t)
-    return rho4.reshape(4, 4)
-
-
-def _map_via_moments(rho: TwoModeDensityMatrix):
-    """Pauli-moment route: <f_i (x) f_j> for f in (1, s1, s2, s3) on each mode.
-
-    Each moment Tr(rho (f_i (x) f_j)) is a contraction of the state tensor
-    with the two n x n factors; no n^2 x n^2 observable is formed.
+    Each moment is a contraction of the tensor with the two single-mode
+    factors f_i, f_j; no two-mode observable is formed. The moments of
+    Hermitian factors are real, so an imaginary part beyond tolerance
+    raises.
     """
-    n = rho.n_max
-    factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n).as_tuple()])
-    half = np.einsum("abcd,ica->ibd", rho.as_tensor(), factors)
+    half = np.einsum("abcd,ica->ibd", tensor, factors)
     moments = np.einsum("ibd,jdb->ij", half, factors)
     imag = np.abs(moments.imag).max()
     if imag > tol.TRACE_IMAG_TOL:
         raise NumericalConsistencyError(
             f"Pauli moment has imaginary part {imag:.3e} beyond tolerance"
         )
-    moments = moments.real
-    bloch_A, bloch_B, corr = moments[1:, 0], moments[0, 1:], moments[1:, 1:]
-    rho4 = (1.0 - rho.trace_deficit) * np.eye(4, dtype=np.complex128)
-    for i in range(3):
-        rho4 += bloch_A[i] * np.kron(PAULI[i], np.eye(2))
-        rho4 += bloch_B[i] * np.kron(np.eye(2), PAULI[i])
-        for j in range(3):
-            rho4 += corr[i, j] * np.kron(PAULI[i], PAULI[j])
-    return rho4 / 4.0, bloch_A, bloch_B, corr
+    return moments.real
+
+
+def _map_via_moments(rho: TwoModeDensityMatrix) -> np.ndarray:
+    """Pseudo-spin route to the mapped 4x4: rho4 = 1/4 sum_ij M_ij sigma_i (x) sigma_j.
+
+    M_ij = <f_i (x) f_j> for f in (1, s1, s2, s3) on each mode, so M[0, 0]
+    is the trace. It does not use the pair-index trace of ``map_to_qubits``,
+    which makes it that trace's cross-check in ``cvwerner validate``.
+    """
+    n = rho.n_max
+    factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n).as_tuple()])
+    moments = _moments(rho.as_tensor(), factors)
+    return np.einsum("ij,ikK,jlL->klKL", moments, PAULI, PAULI).reshape(4, 4) / 4.0
 
 
 def map_to_qubits(rho: TwoModeDensityMatrix) -> QubitPairState:
-    """Compress a two-mode state to two qubits, with a built-in cross-check.
+    """Compress a two-mode state to two qubits by tracing out the pair indices.
 
-    The Choi-contraction route and the Pauli-moment route are computed
-    independently and must agree entrywise; disagreement indicates a
-    broken spin-operator or contraction convention and raises.
+    With level 2m + k read as (m, k) on each mode, rho4[(k, l), (K, L)] is
+    the sum over m, m' of rho[(2m+k, 2m'+l), (2m+K, 2m'+L)]. The Bloch
+    vectors and the correlation tensor are the Pauli moments of rho4.
+    ``_map_via_moments`` builds the same 4x4 from the pseudo-spin operators;
+    ``cvwerner validate`` compares the two.
     """
-    if rho.n_max % 2:
+    n = rho.n_max
+    if n % 2:
         raise ValueError("qubit map requires an even n_max")
-    via_chi = _map_via_chi(rho)
-    via_moments, bloch_A, bloch_B, corr = _map_via_moments(rho)
-    dev = np.abs(via_chi - via_moments).max()
-    if dev > tol.MAP_CONSISTENCY_TOL:
-        raise NumericalConsistencyError(
-            f"qubit-map constructions disagree by {dev:.3e}"
-        )
+    rho4 = np.einsum("ikjliKjL->klKL", rho.as_tensor().reshape((n // 2, 2) * 4)).reshape(4, 4)
+    moments = _moments(rho4.reshape(2, 2, 2, 2), PAULI)
     return QubitPairState(
-        rho4=via_chi,
-        bloch_A=bloch_A,
-        bloch_B=bloch_B,
-        corr_tensor=corr,
+        rho4=rho4,
+        bloch_A=moments[1:, 0],
+        bloch_B=moments[0, 1:],
+        corr_tensor=moments[1:, 1:],
         trace_deficit=rho.trace_deficit,
     )
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from cvwerner import qubit_map as qm
 from cvwerner.cli import (
     AxisSpec,
     SweepSpec,
@@ -330,6 +331,22 @@ class TestValidate:
         # that size is left to hide the fault.
         fault = corrupted_closed_form(1e-9, where=lambda w: w.r == w.s == 2.0)
         results, ok = run_validation(2, closed_form_fn=fault)
+        assert not ok
+        failing = [r.name for r in results if not r.passed]
+        assert failing == ["qubit_map consistency (contraction vs closed form)"]
+
+    def test_moment_route_fault_is_detected(self, monkeypatch):
+        # The pseudo-spin moment route is the qubit-map check's second
+        # partner: a 1e-9 error in it alone fails that check.
+        moment_route = qm._map_via_moments
+
+        def faulty(rho):
+            m = moment_route(rho).copy()
+            m[0, 0] += 1e-9
+            return m
+
+        monkeypatch.setattr(qm, "_map_via_moments", faulty)
+        results, ok = run_validation(2)
         assert not ok
         failing = [r.name for r in results if not r.passed]
         assert failing == ["qubit_map consistency (contraction vs closed form)"]

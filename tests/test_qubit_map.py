@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cvwerner.errors import NumericalConsistencyError
-from cvwerner.fock_core import FockCutoff
+from cvwerner import qubit_map as qm
+from cvwerner.fock_core import FockCutoff, TwoModeDensityMatrix
 from cvwerner.qubit_map import (
     QubitPairState,
     bell_analysis,
@@ -28,6 +28,18 @@ CUTOFF = FockCutoff(n_max=16, tail_bound=0.999)
 
 def mapped(params):
     return map_to_qubits(werner_state(params, CUTOFF))
+
+
+def random_density(n_max, seed):
+    """Random full-rank state with no A/B or transpose symmetry."""
+    rng = np.random.default_rng(seed)
+    dim = n_max * n_max
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    data = g @ g.conj().T
+    data /= np.trace(data).real
+    return TwoModeDensityMatrix(
+        cutoff=FockCutoff(n_max=n_max, tail_bound=0.5), data=data, trace_deficit=0.0
+    )
 
 
 class TestSpinOperators:
@@ -102,6 +114,36 @@ class TestMapToQubits:
                            FockCutoff(n_max=9, tail_bound=0.999))
         with pytest.raises(ValueError):
             map_to_qubits(rho)
+
+
+class TestMapOnGenericState:
+    """On a state without the Werner symmetries the map must still tell mode A
+    from mode B and T from its transpose."""
+
+    @pytest.mark.parametrize("n_max, seed", [(4, 11), (6, 12)])
+    def test_moments_match_dense_observables(self, n_max, seed):
+        rho = random_density(n_max, seed)
+        eye = np.eye(n_max)
+        spins = build_spin_operators(n_max).as_tuple()
+
+        def mean(obs):
+            return np.trace(rho.data @ obs).real
+
+        bloch_A = np.array([mean(np.kron(s, eye)) for s in spins])
+        bloch_B = np.array([mean(np.kron(eye, s)) for s in spins])
+        corr = np.array([[mean(np.kron(si, sj)) for sj in spins] for si in spins])
+        # The references themselves must tell the swaps apart.
+        assert np.abs(bloch_A - bloch_B).max() > 1e-3
+        assert np.abs(corr - corr.T).max() > 1e-3
+        q = map_to_qubits(rho)
+        assert np.abs(q.bloch_A - bloch_A).max() <= 1e-14
+        assert np.abs(q.bloch_B - bloch_B).max() <= 1e-14
+        assert np.abs(q.corr_tensor - corr).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_max, seed", [(4, 13), (6, 14)])
+    def test_trace_matches_moment_route(self, n_max, seed):
+        rho = random_density(n_max, seed)
+        assert np.abs(map_to_qubits(rho).rho4 - qm._map_via_moments(rho)).max() <= 1e-14
 
 
 class TestMappedEntanglement:

@@ -303,7 +303,7 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
         return float(max(np.abs(rho4 - truncated).max(),
                          np.abs(rho4 - qm._map_via_moments(rho)).max()))
 
-    run_check("qubit_map consistency (contraction vs closed form)", grid3,
+    run_check("qubit_map consistency (pair trace vs moments vs closed form)", grid3,
               map_dev, lambda _: tol.MAP_CONSISTENCY_TOL)
 
     def fidelity_dev(params):

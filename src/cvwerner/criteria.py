@@ -54,8 +54,9 @@ class PptSpectrum:
     min_eigenvalue_estimate: float
 
     def x_diag(self, l: int) -> float:
-        p, l1, l2 = self.params.p, self.params.lambda1, self.params.lambda2
-        return p * (1 - l1 * l1) * l1 ** (2 * l) + (1 - p) * (1 - l2 * l2) ** 2 * l2 ** (4 * l)
+        # |l,l> carries the NOPA coherence and thermal weight of m+n = 2l.
+        base, off = _pair_terms(self.params, 2 * l)
+        return base + off
 
     def x_pair_plus(self, m: int, n: int) -> float:
         base, off = _pair_terms(self.params, m + n)
@@ -66,8 +67,9 @@ class PptSpectrum:
         return base - off
 
 
-def _pair_terms(params: WernerParams, k: int):
-    """Thermal diagonal and NOPA coherence of the pair blocks with m+n = k."""
+def _pair_terms(params: WernerParams, k):
+    """Thermal diagonal and NOPA coherence of the pair blocks with m+n = k,
+    for an int k or elementwise for an integer array k."""
     p, l1, l2 = params.p, params.lambda1, params.lambda2
     base = (1 - p) * (1 - l2 * l2) ** 2 * l2 ** (2 * k)
     off = p * (1 - l1 * l1) * l1 ** k
@@ -77,20 +79,17 @@ def _pair_terms(params: WernerParams, k: int):
 def ppt_spectrum_analytic(params: WernerParams, horizon: int = DEFAULT_HORIZON) -> PptSpectrum:
     """Closed-form partial-transpose spectrum, with its infimum over the
     pair blocks m+n = 1 .. horizon."""
-    low = min(base - off for base, off in
-              (_pair_terms(params, k) for k in range(1, horizon + 1)))
-    return PptSpectrum(params=params, min_eigenvalue_estimate=low)
+    base, off = _pair_terms(params, np.arange(1, horizon + 1))
+    return PptSpectrum(params=params, min_eigenvalue_estimate=float((base - off).min()))
 
 
 def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
-    """All analytic eigenvalues of the truncated partial transpose, sorted."""
-    spec = ppt_spectrum_analytic(params, horizon=2 * n_max)
-    vals = [spec.x_diag(l) for l in range(n_max)]
-    for m in range(n_max):
-        for n in range(m + 1, n_max):
-            vals.append(spec.x_pair_plus(m, n))
-            vals.append(spec.x_pair_minus(m, n))
-    return np.sort(np.array(vals))
+    """All analytic eigenvalues of the truncated partial transpose, sorted:
+    x_diag(l) for each level l, and base +- off for each pair m < n."""
+    diag = np.add(*_pair_terms(params, 2 * np.arange(n_max)))
+    m, n = np.triu_indices(n_max, 1)
+    base, off = _pair_terms(params, m + n)
+    return np.sort(np.concatenate([diag, base + off, base - off]))
 
 
 def ppt_spectrum_bruteforce(params: WernerParams, cutoff: FockCutoff) -> np.ndarray:
@@ -99,20 +98,29 @@ def ppt_spectrum_bruteforce(params: WernerParams, cutoff: FockCutoff) -> np.ndar
     return hermitian_eigenvalues(partial_transpose_A(rho)).eigenvalues
 
 
+def _block_weights(l1: float, l2: float, k):
+    """Thermal and NOPA weights of the pair blocks with m+n = k, for an int k
+    or elementwise for an integer array k."""
+    return (1 - l2 * l2) ** 2 * l2 ** (2 * k), (1 - l1 * l1) * l1 ** k
+
+
+def _entanglement_limit(l1: float, l2: float) -> float:
+    """k -> infinity limit of the pair-block thresholds, governed by
+    q = l1 / l2^2; it stands in for blocks whose weights both underflow."""
+    q = l1 / (l2 * l2)
+    if q > 1.0:
+        return 0.0
+    if q == 1.0:
+        return (1.0 - l1) / 2.0
+    return 1.0
+
+
 def _entanglement_p_k(l1: float, l2: float, k: int) -> float:
     """Threshold probability at which the (m, n) pair block with m+n = k
     acquires a negative partial-transpose eigenvalue."""
-    therm = (1 - l2 * l2) ** 2 * l2 ** (2 * k)
-    nopa = (1 - l1 * l1) * l1 ** k
+    therm, nopa = _block_weights(l1, l2, k)
     if therm + nopa == 0.0:
-        # Both geometric terms underflowed; fall back on the k -> infinity
-        # limit governed by q = l1 / l2^2.
-        q = l1 / (l2 * l2)
-        if q > 1.0:
-            return 0.0
-        if q == 1.0:
-            return (1.0 - l1) / 2.0
-        return 1.0
+        return _entanglement_limit(l1, l2)
     return therm / (therm + nopa)
 
 
@@ -161,7 +169,11 @@ def enumerated_entanglement_threshold(r: float, s: float,
         return 1.0
     if l2 == 0.0:
         return 0.0
-    return min(_entanglement_p_k(l1, l2, k) for k in range(1, horizon + 1))
+    therm, nopa = _block_weights(l1, l2, np.arange(1, horizon + 1))
+    total = therm + nopa
+    live = total > 0.0
+    low = float((therm[live] / total[live]).min(initial=1.0))
+    return low if live.all() else min(low, _entanglement_limit(l1, l2))
 
 
 def bisect_direct_threshold(r: float, s: float, tol_p: float = 1e-9,
@@ -224,7 +236,7 @@ class SeparabilityCells:
     The state splits into weights P_m on |m,m><m,m| plus 4x4 cells on
     span{|mm>, |mn>, |nm>, |nn>} with entries alpha, beta, gamma; summing
     the cells over ordered pairs (m, n), m != n, reassembles the state
-    exactly.
+    exactly. Each weight takes int levels, or integer arrays elementwise.
     """
 
     params: WernerParams
@@ -265,25 +277,23 @@ def reconstruct_from_cells(params: WernerParams, cutoff: FockCutoff) -> np.ndarr
     """
     cells = SeparabilityCells(params)
     n_max = cutoff.n_max
-    data = np.zeros((n_max * n_max, n_max * n_max), dtype=np.complex128)
+    d = n_max * n_max
+    data = np.zeros((d, d), dtype=np.complex128)
     p, l1, l2 = params.p, params.lambda1, params.lambda2
     a_weight = p * (1 - l1 * l1) ** 2
     b_weight = (1 - p) * (1 - l2 * l2) ** 2 * (1 - l2 ** 4)
 
-    def flat(m, n):
-        return m * n_max + n
-
-    for m in range(n_max):
-        partners = (a_weight * l1 ** (2 * m) / (1 - l1 * l1)
-                    + b_weight * l2 ** (4 * m) / (1 - l2 ** 4) - cells.alpha(m, m))
-        data[flat(m, m), flat(m, m)] = cells.P(m) + partners
-    for m in range(n_max):
-        for n in range(n_max):
-            if m == n:
-                continue
-            data[flat(m, n), flat(m, n)] = cells.gamma(m, n)
-            data[flat(m, m), flat(n, n)] += 0.5 * cells.beta(m, n)
-            data[flat(n, n), flat(m, m)] += 0.5 * cells.beta(m, n)
+    # |m,n> sits at flat index m n_max + n, so |m,m> at m (n_max + 1).
+    levels = np.arange(n_max)
+    pairs = levels * (n_max + 1)
+    m, n = np.divmod(np.arange(d), n_max)
+    data.reshape(-1)[:: d + 1] = cells.gamma(m, n)
+    partners = (a_weight * l1 ** (2 * levels) / (1 - l1 * l1)
+                + b_weight * l2 ** (4 * levels) / (1 - l2 ** 4) - cells.alpha(levels, levels))
+    data[pairs, pairs] = cells.P(levels) + partners
+    # The cells of (m, n) and (n, m) each put half of beta on |m,m><n,n|.
+    m, n = np.triu_indices(n_max, 1)
+    data[pairs[m], pairs[n]] = data[pairs[n], pairs[m]] = cells.beta(m, n)
     return data
 
 

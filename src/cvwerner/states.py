@@ -12,6 +12,12 @@ constructor holds the exact geometric tail it truncates to the cutoff's
 tail_bound and raises CutoffTooSmallError past it; the two component
 constructors also report the least n_max that fits. The lost trace mass
 is carried on the returned state as trace_deficit.
+
+All three matrices come from one builder, which fills a single zeroed
+n_max^2 x n_max^2 buffer: the squeezed-vacuum coherences go into the
+n_max x n_max sub-block of the |m,m> rows and columns, and the thermal
+product is added onto the diagonal. No other entry is nonzero, so no
+dense temporary of the full size is made.
 """
 
 from __future__ import annotations
@@ -75,16 +81,22 @@ def _thermal_deficit(lam2: float, n_max: int) -> float:
     return x * (2.0 - x)
 
 
-def _nopa_data(lam1: float, n_max: int) -> np.ndarray:
-    amps = math.sqrt(1.0 - lam1 * lam1) * lam1 ** np.arange(n_max)
-    vec = np.zeros(n_max * n_max, dtype=np.complex128)
-    vec[np.arange(n_max) * n_max + np.arange(n_max)] = amps
-    return np.outer(vec, vec.conj())
+def _werner_data(p: float, lam1: float, lam2: float, n_max: int) -> np.ndarray:
+    """Matrix of p * NOPA(lam1) + (1 - p) * thermal(lam2) x thermal(lam2).
 
-
-def _thermal_data(s: float, n_max: int) -> np.ndarray:
-    single = thermal_single_mode(s, n_max)
-    return np.kron(single, single)
+    Only two patterns are nonzero: the squeezed-vacuum coherences
+    |m,m><k,k|, which sit at flat indices m (n_max + 1), and the thermal
+    diagonal. Each is written into one zeroed buffer.
+    """
+    levels = np.arange(n_max)
+    amps = math.sqrt(1.0 - lam1 * lam1) * lam1 ** levels
+    probs = (1.0 - lam2 * lam2) * lam2 ** (2 * levels)
+    d = n_max * n_max
+    data = np.zeros((d, d), dtype=np.complex128)
+    pairs = levels * (n_max + 1)
+    data[np.ix_(pairs, pairs)] = p * np.outer(amps, amps)
+    data.reshape(-1)[:: d + 1] += (1.0 - p) * np.outer(probs, probs).ravel()
+    return data
 
 
 def nopa_state(r: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
@@ -100,14 +112,8 @@ def nopa_state(r: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
             f"at n_max={n}",
             minimal_n_max=_minimal_n_max_nopa(lam, cutoff.tail_bound),
         )
-    return TwoModeDensityMatrix(cutoff=cutoff, data=_nopa_data(lam, n), trace_deficit=deficit)
-
-
-def thermal_single_mode(s: float, n_max: int) -> np.ndarray:
-    """Single-mode thermal matrix diag((1-lam^2) lam^(2k))."""
-    lam = math.tanh(s)
-    probs = (1.0 - lam * lam) * lam ** (2 * np.arange(n_max))
-    return np.diag(probs).astype(np.complex128)
+    return TwoModeDensityMatrix(cutoff=cutoff, data=_werner_data(1.0, lam, 0.0, n),
+                                trace_deficit=deficit)
 
 
 def thermal_product_state(s: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
@@ -123,7 +129,8 @@ def thermal_product_state(s: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
             f"at n_max={n}",
             minimal_n_max=_minimal_n_max_thermal(lam, cutoff.tail_bound),
         )
-    return TwoModeDensityMatrix(cutoff=cutoff, data=_thermal_data(s, n), trace_deficit=deficit)
+    return TwoModeDensityMatrix(cutoff=cutoff, data=_werner_data(0.0, 0.0, lam, n),
+                                trace_deficit=deficit)
 
 
 def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatrix:
@@ -142,9 +149,7 @@ def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatr
             f"at n_max={n}",
             minimal_n_max=None,
         )
-    nopa = _nopa_data(params.lambda1, n)
-    thermal = _thermal_data(params.s, n)
-    data = p * nopa + (1.0 - p) * thermal
+    data = _werner_data(p, params.lambda1, params.lambda2, n)
     return TwoModeDensityMatrix(cutoff=cutoff, data=data, trace_deficit=deficit)
 
 

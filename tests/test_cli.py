@@ -333,7 +333,7 @@ class TestValidate:
         results, ok = run_validation(2, closed_form_fn=fault)
         assert not ok
         failing = [r.name for r in results if not r.passed]
-        assert failing == ["qubit_map consistency (contraction vs closed form)"]
+        assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)"]
 
     def test_moment_route_fault_is_detected(self, monkeypatch):
         # The pseudo-spin moment route is the qubit-map check's second
@@ -349,7 +349,7 @@ class TestValidate:
         results, ok = run_validation(2)
         assert not ok
         failing = [r.name for r in results if not r.passed]
-        assert failing == ["qubit_map consistency (contraction vs closed form)"]
+        assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)"]
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

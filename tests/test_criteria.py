@@ -45,6 +45,45 @@ def table_verdict(name, params):
     return match[1] == "true", float(match[2]), float(match[3])
 
 
+# Seeded (p, r, s) points, plus points where every pair-block weight past some
+# k <= 200 underflows (q > 1 and q < 1) and the lambda = 0 edges.
+_rng = np.random.default_rng(2024)
+SEEDED_POINTS = [(float(p), float(r), float(s)) for p, r, s in
+                 zip(_rng.uniform(0, 1, 40), _rng.uniform(0, 3, 40), _rng.uniform(0, 3, 40))]
+SEEDED_POINTS += [(0.5, 0.01, 0.1), (0.5, 0.005, 0.1), (0.5, 0.0, 1.0), (0.5, 1.0, 0.0)]
+
+# Agreement of the numpy forms with the scalar loops they replaced: numpy's
+# float ** int-array may differ from Python's scalar ** by one ulp.
+LOOP_REFERENCE_TOL = 4.5e-16
+
+
+def enumerate_ppt_spectrum_reference(params, n_max):
+    """The scalar loop over levels and pairs that enumerate_ppt_spectrum replaced."""
+    spec = ppt_spectrum_analytic(params, horizon=2 * n_max)
+    vals = [spec.x_diag(l) for l in range(n_max)]
+    for m in range(n_max):
+        for n in range(m + 1, n_max):
+            vals.append(spec.x_pair_plus(m, n))
+            vals.append(spec.x_pair_minus(m, n))
+    return np.sort(np.array(vals))
+
+
+def analytic_infimum_reference(params, horizon=criteria.DEFAULT_HORIZON):
+    """The scalar loop over k that ppt_spectrum_analytic replaced."""
+    return min(base - off for base, off in
+               (criteria._pair_terms(params, k) for k in range(1, horizon + 1)))
+
+
+def enumerated_threshold_reference(r, s, horizon=criteria.DEFAULT_HORIZON):
+    """The scalar loop over k that enumerated_entanglement_threshold replaced."""
+    l1, l2 = math.tanh(r), math.tanh(s)
+    if l1 == 0.0:
+        return 1.0
+    if l2 == 0.0:
+        return 0.0
+    return min(criteria._entanglement_p_k(l1, l2, k) for k in range(1, horizon + 1))
+
+
 class TestPptSpectrum:
     def test_block_values(self):
         params = WernerParams(p=0.5, r=1.0, s=0.7)
@@ -77,6 +116,20 @@ class TestPptSpectrum:
         oracle = np.linalg.eigvalsh(partial_transpose_A(rho))
         analytic = enumerate_ppt_spectrum(params, CUTOFF.n_max)
         assert np.abs(oracle - analytic).max() < 1e-12
+
+    @pytest.mark.parametrize("p, r, s", SEEDED_POINTS)
+    def test_numpy_forms_match_scalar_loops(self, p, r, s):
+        params = WernerParams(p=p, r=r, s=s)
+        for n_max in (2, 7, 16):
+            enumerated = enumerate_ppt_spectrum(params, n_max)
+            reference = enumerate_ppt_spectrum_reference(params, n_max)
+            assert enumerated.shape == reference.shape == (n_max * n_max,)
+            assert np.abs(enumerated - reference).max() <= LOOP_REFERENCE_TOL
+        for horizon in (1, 5, criteria.DEFAULT_HORIZON):
+            low = ppt_spectrum_analytic(params, horizon).min_eigenvalue_estimate
+            assert abs(low - analytic_infimum_reference(params, horizon)) <= LOOP_REFERENCE_TOL
+            assert abs(enumerated_entanglement_threshold(r, s, horizon)
+                       - enumerated_threshold_reference(r, s, horizon)) <= LOOP_REFERENCE_TOL
 
     def test_negative_eigenvalue_detects_entanglement(self):
         entangled = ppt_spectrum_analytic(WernerParams(p=0.9, r=1.0, s=0.5))
@@ -231,12 +284,45 @@ class TestGapInterval:
         assert gap.as_tuple() == (gap.lower, gap.upper)
 
 
+def reconstruct_from_cells_reference(params, n_max):
+    """The scalar double loop over (m, n) that reconstruct_from_cells replaced."""
+    cells = SeparabilityCells(params)
+    data = np.zeros((n_max * n_max, n_max * n_max), dtype=np.complex128)
+    p, l1, l2 = params.p, params.lambda1, params.lambda2
+    a_weight = p * (1 - l1 * l1) ** 2
+    b_weight = (1 - p) * (1 - l2 * l2) ** 2 * (1 - l2 ** 4)
+
+    def flat(m, n):
+        return m * n_max + n
+
+    for m in range(n_max):
+        partners = (a_weight * l1 ** (2 * m) / (1 - l1 * l1)
+                    + b_weight * l2 ** (4 * m) / (1 - l2 ** 4) - cells.alpha(m, m))
+        data[flat(m, m), flat(m, m)] = cells.P(m) + partners
+    for m in range(n_max):
+        for n in range(n_max):
+            if m == n:
+                continue
+            data[flat(m, n), flat(m, n)] = cells.gamma(m, n)
+            data[flat(m, m), flat(n, n)] += 0.5 * cells.beta(m, n)
+            data[flat(n, n), flat(m, m)] += 0.5 * cells.beta(m, n)
+    return data
+
+
 class TestSeparabilityCells:
     def test_reconstruction_is_exact(self):
         params = WernerParams(p=0.5, r=1.0, s=1.0)
         rho = werner_state(params, CUTOFF)
         rebuilt = reconstruct_from_cells(params, CUTOFF)
         assert np.abs(rebuilt - rho.data).max() < 1e-10
+
+    @pytest.mark.parametrize("p, r, s", SEEDED_POINTS)
+    def test_reconstruction_matches_scalar_loop(self, p, r, s):
+        params = WernerParams(p=p, r=r, s=s)
+        for n_max in (2, 7, 12):
+            cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
+            rebuilt = reconstruct_from_cells(params, cutoff)
+            assert np.abs(rebuilt - reconstruct_from_cells_reference(params, n_max)).max() <= 1e-15
 
     def test_cell_weights_sum_to_one(self):
         params = WernerParams(p=0.4, r=0.9, s=1.1)

@@ -11,7 +11,7 @@ from cvwerner.errors import (
     NumericalConsistencyError,
 )
 from cvwerner.fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
-from cvwerner.states import nopa_state, thermal_single_mode
+from cvwerner.states import nopa_state
 
 
 def random_density(n_max, seed):
@@ -81,7 +81,8 @@ class TestTwoModeDensityMatrix:
 class TestPartialOperations:
     def test_partial_transpose_of_product(self):
         # On A (x) B the partial transpose acts as A^T (x) B.
-        a = thermal_single_mode(0.7, 4) + 0.01 * np.eye(4)
+        lam = math.tanh(0.7)
+        a = np.diag((1 - lam * lam) * lam ** (2 * np.arange(4))) + 0.01 * np.eye(4)
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = g @ g.conj().T

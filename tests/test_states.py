@@ -12,11 +12,35 @@ from cvwerner.states import (
     WernerParams,
     nopa_state,
     thermal_product_state,
-    thermal_single_mode,
     werner_state,
 )
 
 LOOSE = FockCutoff(n_max=12, tail_bound=0.999)
+
+
+def thermal_single_mode(s, n_max):
+    """Single-mode thermal matrix diag((1-lam^2) lam^(2k)), lam = tanh s."""
+    lam = math.tanh(s)
+    probs = (1.0 - lam * lam) * lam ** (2 * np.arange(n_max))
+    return np.diag(probs).astype(np.complex128)
+
+
+def dense_reference(p, r, s, n_max):
+    """(NOPA, thermal product, mixture) matrices built densely: the outer
+    product of two n_max^2-vectors, the Kronecker product of two thermal
+    matrices and their weighted sum."""
+    lam1 = math.tanh(r)
+    amps = math.sqrt(1.0 - lam1 * lam1) * lam1 ** np.arange(n_max)
+    vec = np.zeros(n_max * n_max, dtype=np.complex128)
+    vec[np.arange(n_max) * n_max + np.arange(n_max)] = amps
+    nopa = np.outer(vec, vec.conj())
+    single = thermal_single_mode(s, n_max)
+    thermal = np.kron(single, single)
+    return nopa, thermal, p * nopa + (1.0 - p) * thermal
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestWernerParams:
@@ -140,6 +164,16 @@ class TestWernerState:
         with pytest.raises(CutoffTooSmallError):
             werner_state(WernerParams(p=0.5, r=1.0, s=1.0),
                          FockCutoff(n_max=6, tail_bound=1e-10))
+
+    @pytest.mark.parametrize("n_max", [2, 12, 24, 32])
+    @pytest.mark.parametrize("r, s", [(0.9, 0.6), (0.0, 0.6), (0.9, 0.0)])
+    def test_bit_identical_to_dense_reference(self, n_max, r, s):
+        cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
+        for p in (0.0, 0.37, 1.0):
+            nopa, thermal, mixture = dense_reference(p, r, s, n_max)
+            assert same_bits(werner_state(WernerParams(p=p, r=r, s=s), cutoff).data, mixture)
+        assert same_bits(nopa_state(r, cutoff).data, nopa)
+        assert same_bits(thermal_product_state(s, cutoff).data, thermal)
 
 
 class TestMinimalCutoff:

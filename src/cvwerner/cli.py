@@ -311,7 +311,7 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
         return report.method_agreement
 
     run_check("teleport fidelity (closed form vs numeric)", grid_rr,
-              fidelity_dev, lambda _: 1e-3)
+              fidelity_dev, lambda _: tol.FIDELITY_AGREEMENT_TOL)
 
     def ordering_dev(params):
         direct, mapped, nonloc = (CRITERIA[name].value(params) for name in

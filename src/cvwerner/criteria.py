@@ -48,23 +48,10 @@ class CriterionVerdict:
 
 @dataclass(frozen=True)
 class PptSpectrum:
-    """Analytic eigenvalue families of the partially transposed Werner state."""
+    """Closed-form infimum of the partially transposed Werner state's spectrum."""
 
     params: WernerParams
     min_eigenvalue_estimate: float
-
-    def x_diag(self, l: int) -> float:
-        # |l,l> carries the NOPA coherence and thermal weight of m+n = 2l.
-        base, off = _pair_terms(self.params, 2 * l)
-        return base + off
-
-    def x_pair_plus(self, m: int, n: int) -> float:
-        base, off = _pair_terms(self.params, m + n)
-        return base + off
-
-    def x_pair_minus(self, m: int, n: int) -> float:
-        base, off = _pair_terms(self.params, m + n)
-        return base - off
 
 
 def _pair_terms(params: WernerParams, k):
@@ -85,7 +72,8 @@ def ppt_spectrum_analytic(params: WernerParams, horizon: int = DEFAULT_HORIZON) 
 
 def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
     """All analytic eigenvalues of the truncated partial transpose, sorted:
-    x_diag(l) for each level l, and base +- off for each pair m < n."""
+    base + off at m+n = 2l for each level |l,l>, and base +- off for each
+    pair m < n."""
     diag = np.add(*_pair_terms(params, 2 * np.arange(n_max)))
     m, n = np.triu_indices(n_max, 1)
     base, off = _pair_terms(params, m + n)
@@ -204,9 +192,6 @@ class GapInterval:
     upper: float  # mapped entanglement threshold
     nonempty: bool
     extends_to_zero: bool  # every p > 0 up to `upper` is in the gap
-
-    def as_tuple(self):
-        return (self.lower, self.upper) if self.nonempty else None
 
 
 def mapped_vs_direct_gap(r: float, s: float) -> GapInterval:
@@ -349,12 +334,6 @@ def largest_separable_p(r: float, s: float) -> float:
         limit = 1.0 / (1.0 + (1 - l1 * l1) / ((1 - l2 * l2) ** 2 * (1 - l2 ** 4)))
         best = min(best, limit)
     return best
-
-
-def q_tilde_one_bound(s: float) -> float:
-    """Separability bound on the q_tilde = 1 surface, in closed form."""
-    l2 = math.tanh(s)
-    return (1 - l2 * l2) ** 2 / (2.0 * (1 - l2 * l2 + l2 ** 4))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class TwoModeDensityMatrix:
                 f"negative diagonal entry {diag.real.min():.3e}"
             )
         tr = np.trace(self.data).real
-        if abs(tr - (1.0 - self.trace_deficit)) > 1e-10:
+        if abs(tr - (1.0 - self.trace_deficit)) > tol.TRACE_CONSISTENCY_TOL:
             raise NumericalConsistencyError(
                 f"trace {tr} inconsistent with trace_deficit {self.trace_deficit}"
             )

@@ -16,6 +16,13 @@ computed by trapezoid quadrature on a grid of its own, sized from its own
 factors, and is independent of the closed-form fidelity expressions it
 cross-checks.
 
+The autocorrelation of a coherent-state marginal w(x) = exp(-(x - c)^2)
+/ sqrt(pi) factorises: with z = x - c + u/2,
+w(x) w(x + u) = exp(-2 z^2) exp(-u^2 / 2) / pi, so
+ax(u) = T exp(-u^2 / 2) with T the 1-D integral of exp(-2 z^2) / pi.
+T is computed once per oracle call by the same quadrature, and neither
+it nor ax depends on the centre c.
+
 Wigner convention: vacuum W(x, p) = (1/pi) exp(-x^2 - p^2), integrating
 to 1, with x = (a + a^dag)/sqrt(2); a coherent amplitude alpha sits at
 x = sqrt(2) Re(alpha), p = sqrt(2) Im(alpha).
@@ -43,6 +50,8 @@ GRID_POINTS = int(2 * WIDTH_SIGMAS / RESOLUTION_FRACTION) + 1
 # Variance of the input autocorrelation exp(-u^2 / 2) / sqrt(2 pi) of a
 # coherent state in either quadrature.
 INPUT_VARIANCE = 1.0
+# Variance of exp(-2 z^2), the integrand of the input overlap T.
+OVERLAP_VARIANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -147,17 +156,16 @@ def _line_integral(variance: float, integrand) -> float:
     )
 
 
-def _input_autocorrelation(axis: np.ndarray, center: float) -> np.ndarray:
-    """1D overlap integral of the input Wigner marginal with its shift.
+def _input_overlap() -> float:
+    """T = integral exp(-2 z^2) / pi dz, the factor of the input
+    autocorrelation ax(u) = T exp(-u^2 / 2) that does not depend on u."""
+    return _line_integral(OVERLAP_VARIANCE, lambda z: np.exp(-2.0 * z * z) / math.pi)
 
-    For input marginal w(x) = (1/sqrt(pi)) exp(-(x - c)^2) returns
-    A(u) = integral w(x) w(x + u) dx, sampled on ``axis`` as the shift u.
-    """
-    span = 8.5
-    x = np.linspace(center - span, center + span, 401)
-    w = np.exp(-((x - center) ** 2)) / math.sqrt(math.pi)
-    shifted = np.exp(-((x[None, :] + axis[:, None] - center) ** 2)) / math.sqrt(math.pi)
-    return np.trapezoid(w[None, :] * shifted, x=x, axis=1)
+
+def _input_autocorrelation(u: np.ndarray, overlap: float) -> np.ndarray:
+    """Autocorrelation ax(u) = T exp(-u^2 / 2) of a coherent-state marginal,
+    sampled at the shifts ``u``, with ``overlap`` = T."""
+    return overlap * np.exp(-u * u / (2.0 * INPUT_VARIANCE))
 
 
 def fidelity_numeric_oracle(params: WernerParams, input_coherent_amplitude: complex = 0j) -> float:
@@ -169,11 +177,13 @@ def fidelity_numeric_oracle(params: WernerParams, input_coherent_amplitude: comp
     marginals. This is the kernel-times-autocorrelation double integral
     written out factor by factor; each 1-D integral runs on its own grid,
     so the result agrees with the closed form to rounding over the whole
-    accepted (r, s) range and does not depend on the input amplitude.
+    accepted (r, s) range. Both autocorrelations are T exp(-u^2 / 2): the
+    overlap of a marginal with its shift does not change when the marginal
+    is translated, so the result is independent of
+    ``input_coherent_amplitude`` by construction.
     """
     channel = WignerChannel.from_params(params)
-    x0 = math.sqrt(2.0) * input_coherent_amplitude.real
-    p0 = math.sqrt(2.0) * input_coherent_amplitude.imag
+    overlap = _input_overlap()
     total = 0.0
     for c in channel.components:
         x_plus = _line_integral(c.var_xplus, lambda u: c.factor(u, c.var_xplus))
@@ -182,11 +192,11 @@ def fidelity_numeric_oracle(params: WernerParams, input_coherent_amplitude: comp
         # Gaussian components are even in each variable.
         x_minus = _line_integral(
             min(c.var_xminus, INPUT_VARIANCE),
-            lambda u: c.factor(-u, c.var_xminus) * _input_autocorrelation(u, x0),
+            lambda u: c.factor(-u, c.var_xminus) * _input_autocorrelation(u, overlap),
         )
         p_plus = _line_integral(
             min(c.var_pplus, INPUT_VARIANCE),
-            lambda u: c.factor(u, c.var_pplus) * _input_autocorrelation(u, p0),
+            lambda u: c.factor(u, c.var_pplus) * _input_autocorrelation(u, overlap),
         )
         total += c.weight * c.norm * x_plus * p_minus * x_minus * p_plus
     return 0.5 * math.pi * total

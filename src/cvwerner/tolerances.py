@@ -10,6 +10,10 @@ HERMITICITY_TOL = 1e-12
 # Agreement between closed-form criteria and brute-force matrix computation.
 ORACLE_TOL = 1e-9
 
+# Agreement of the closed-form coherent-state fidelity with the numeric
+# quadrature oracle; both agree to rounding (~1e-15) on the accepted range.
+FIDELITY_AGREEMENT_TOL = 1e-12
+
 # Maximum admissible imaginary part of Tr(rho O) for Hermitian O.
 TRACE_IMAG_TOL = 1e-10
 
@@ -19,6 +23,9 @@ MAP_CONSISTENCY_TOL = 1e-10
 
 # Allowed negative excursion of density-matrix diagonals and eigenvalues.
 POSITIVITY_TOL = 1e-10
+
+# Agreement of a stored matrix's trace with 1 - trace_deficit.
+TRACE_CONSISTENCY_TOL = 1e-10
 
 # Default admissible probability mass lost to Fock-space truncation.
 DEFAULT_TAIL_BOUND = 1e-10

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cvwerner import qubit_map as qm
+from cvwerner import teleport as tp
 from cvwerner.cli import (
     AxisSpec,
     SweepSpec,
@@ -350,6 +351,17 @@ class TestValidate:
         assert not ok
         failing = [r.name for r in results if not r.passed]
         assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)"]
+
+    def test_fidelity_oracle_fault_is_detected(self, monkeypatch, capsys):
+        # The oracle agrees with the closed form to rounding, so a 1e-9
+        # offset in it alone fails the fidelity check and the command.
+        oracle = tp.fidelity_numeric_oracle
+        monkeypatch.setattr(tp, "fidelity_numeric_oracle",
+                            lambda *args, **kwargs: oracle(*args, **kwargs) + 1e-9)
+        assert main(["validate", "2"]) == 1
+        failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                   if ": FAIL worst_deviation" in line]
+        assert failing == ["teleport fidelity (closed form vs numeric)"]
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

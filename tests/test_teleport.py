@@ -7,9 +7,9 @@ import pytest
 
 from cvwerner.numerics import PhaseSpaceGrid, integrate_grid
 from cvwerner.states import WernerParams
+from cvwerner import teleport as tp
 from cvwerner.teleport import (
     WignerChannel,
-    _input_autocorrelation,
     fidelity_nopa,
     fidelity_numeric_oracle,
     fidelity_report,
@@ -84,6 +84,31 @@ def closed_form_fidelity(p, r, s):
     return p / (1.0 + math.exp(-2.0 * r)) + (1.0 - p) / (2.0 * math.cosh(s) ** 2)
 
 
+def dense_input_autocorrelation(axis, center):
+    """1D overlap integral of the input Wigner marginal with its shift, on a
+    dense grid: the oracle's autocorrelation before it was factorised.
+
+    For input marginal w(x) = (1/sqrt(pi)) exp(-(x - c)^2) returns
+    A(u) = integral w(x) w(x + u) dx, sampled on ``axis`` as the shift u.
+    """
+    span = 8.5
+    x = np.linspace(center - span, center + span, 401)
+    w = np.exp(-((x - center) ** 2)) / math.sqrt(math.pi)
+    shifted = np.exp(-((x[None, :] + axis[:, None] - center) ** 2)) / math.sqrt(math.pi)
+    return np.trapezoid(w[None, :] * shifted, x=x, axis=1)
+
+
+def oracle_autocorrelation_axes(params):
+    """The shift grids of the oracle's x_- and p_+ integrals, which carry
+    the input autocorrelation."""
+    axes = []
+    for c in WignerChannel.from_params(params).components:
+        for variance in (c.var_xminus, c.var_pplus):
+            half_width = tp.WIDTH_SIGMAS * math.sqrt(min(variance, tp.INPUT_VARIANCE))
+            axes.append(np.linspace(-half_width, half_width, tp.GRID_POINTS))
+    return axes
+
+
 def dense_oracle_reference(params):
     """The 2-D quadrature the separable oracle replaced.
 
@@ -110,7 +135,7 @@ def dense_oracle_reference(params):
         fx = c.factor(-axis, c.var_xminus)
         fp = c.factor(axis, c.var_pplus)
         kernel += c.weight * c.norm * inner * np.outer(fx, fp)
-    a = _input_autocorrelation(axis, 0.0)
+    a = dense_input_autocorrelation(axis, 0.0)
     autocorrelation = np.outer(a, a)
     return 0.5 * math.pi * trapezoid_2d(kernel * autocorrelation)
 
@@ -129,10 +154,27 @@ class TestNumericOracle:
         assert value == pytest.approx(0.545392, abs=1e-4)
 
     def test_amplitude_invariance(self):
+        # The input overlap does not change under translation, so the
+        # amplitude drops out exactly.
         params = WernerParams(p=0.5, r=1.0, s=1.0)
         at_origin = fidelity_numeric_oracle(params, input_coherent_amplitude=0j)
         displaced = fidelity_numeric_oracle(params, input_coherent_amplitude=1 + 0.5j)
-        assert abs(at_origin - displaced) < 1e-6
+        assert at_origin == displaced
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 5.0, 19.0])
+    @pytest.mark.parametrize("center", [0.0, 1.4, -0.7])
+    def test_factorised_overlap_matches_dense_autocorrelation(self, r, center):
+        overlap = tp._input_overlap()
+        for axis in oracle_autocorrelation_axes(WernerParams(p=0.5, r=r, s=r)):
+            factorised = tp._input_autocorrelation(axis, overlap)
+            assert np.abs(factorised - dense_input_autocorrelation(axis, center)).max() <= 1e-15
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.77, 1.0])
+    def test_agrees_with_closed_form_to_rounding(self, p):
+        for r in np.linspace(0.0, 19.0, 77):
+            r = float(r)
+            value = fidelity_numeric_oracle(WernerParams(p=p, r=r, s=r))
+            assert abs(value - closed_form_fidelity(p, r, r)) <= 2e-15, r
 
     def test_report_cross_check(self):
         report = fidelity_report(WernerParams(p=0.7, r=0.8, s=0.8))
@@ -150,8 +192,9 @@ class TestNumericOracle:
 
     @pytest.mark.parametrize("p, r, s", [(0.5, 1.0, 0.3), (0.2, 0.5, 2.0), (0.9, 2.0, 0.5)])
     def test_matches_general_closed_form_off_diagonal(self, p, r, s):
-        value = fidelity_numeric_oracle(WernerParams(p=p, r=r, s=s))
-        assert abs(value - closed_form_fidelity(p, r, s)) <= 1e-9
+        value = fidelity_numeric_oracle(WernerParams(p=p, r=r, s=s),
+                                        input_coherent_amplitude=0.3 + 0.7j)
+        assert abs(value - closed_form_fidelity(p, r, s)) <= 2e-15
 
     def test_finite_at_tanh_saturation_edge(self):
         value = fidelity_numeric_oracle(WernerParams(p=0.7, r=19.0, s=19.0))

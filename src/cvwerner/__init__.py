@@ -42,12 +42,7 @@ from .qubit_map import (
     mapped_threshold_bisection,
     nonlocality_threshold,
 )
-from .states import (
-    WernerParams,
-    nopa_state,
-    thermal_product_state,
-    werner_state,
-)
+from .states import WernerParams, werner_state
 from .teleport import (
     FidelityReport,
     WignerChannel,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CutoffTooSmallError, NumericalConsistencyError
 from .fock_core import FockCutoff, partial_transpose_A
-from .numerics import _bisect_threshold, hermitian_eigenvalues
+from .numerics import _bisect_threshold, _pattern_eigenvalues
 from .states import WernerParams, werner_state
 
 # Enumeration horizon of the validate partners of the direct threshold (the
@@ -81,9 +81,15 @@ def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
 
 
 def ppt_spectrum_bruteforce(params: WernerParams, cutoff: FockCutoff) -> np.ndarray:
-    """Eigenvalues of the partially transposed truncated state, sorted."""
+    """Eigenvalues of the partially transposed truncated state, sorted.
+
+    The state is built as a matrix, and its construction checks keep its
+    nonzero pattern; the partial transpose permutes that pattern and the
+    eigensolver splits it into blocks, so the d x d matrix is scanned
+    once and never copied.
+    """
     rho = werner_state(params, cutoff)
-    return hermitian_eigenvalues(partial_transpose_A(rho)).eigenvalues
+    return _pattern_eigenvalues(cutoff.dim, *partial_transpose_A(rho)).eigenvalues
 
 
 def _block_weights(l1: float, l2: float, k):

@@ -2,7 +2,9 @@
 
 Basis ordering is row-major with mode A as the slow index: the composite
 state |m>_A |n>_B sits at flat index m * n_max + n. With this fixed
-convention the partial transpose is a pure index permutation.
+convention the partial transpose is a pure index permutation, applied to
+the (rows, cols, values) nonzero pattern that each state keeps from its
+construction checks, so it never forms a second dense matrix.
 
 Truncated states are never renormalized; the probability mass lost to the
 cutoff is carried as ``trace_deficit`` metadata so that eigenvalues of the
@@ -12,7 +14,7 @@ closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +44,18 @@ class FockCutoff:
 
 @dataclass(frozen=True)
 class TwoModeDensityMatrix:
-    """Dense Hermitian matrix on the truncated two-mode Fock space."""
+    """Hermitian matrix on the truncated two-mode Fock space.
+
+    ``data`` is the dense matrix. ``pattern`` is its nonzero pattern
+    ``(rows, cols, values)``, row-sorted, taken by the one scan that also
+    checks the matrix finite and Hermitian. Both are read-only.
+    """
 
     cutoff: FockCutoff
     data: np.ndarray
     trace_deficit: float
+    pattern: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.cutoff.dim
@@ -54,7 +63,7 @@ class TwoModeDensityMatrix:
             raise DimensionMismatchError(
                 f"expected {(d, d)} matrix for n_max={self.cutoff.n_max}, got {self.data.shape}"
             )
-        *_, herm = _nonzero_pattern(self.data)
+        *pattern, herm = _nonzero_pattern(self.data)
         if herm >= tol.HERMITICITY_TOL:
             raise HermiticityError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         diag = np.diagonal(self.data)
@@ -70,6 +79,9 @@ class TwoModeDensityMatrix:
                 f"trace {tr} inconsistent with trace_deficit {self.trace_deficit}"
             )
         self.data.setflags(write=False)
+        for part in pattern:
+            part.setflags(write=False)
+        object.__setattr__(self, "pattern", tuple(pattern))
 
     @property
     def n_max(self) -> int:
@@ -81,7 +93,18 @@ class TwoModeDensityMatrix:
         return self.data.reshape(n, n, n, n)
 
 
-def partial_transpose_A(rho: TwoModeDensityMatrix) -> np.ndarray:
-    """Transpose the mode-A indices: result[(m,n),(m',n')] = rho[(m',n),(m,n')]."""
+def partial_transpose_A(rho: TwoModeDensityMatrix):
+    """Nonzero pattern ``(rows, cols, values)`` of the partial transpose on
+    mode A: result[(m,n),(m',n')] = rho[(m',n),(m,n')].
+
+    Each entry of rho moves from ((m, n), (m', n')) to ((m', n), (m, n'))
+    with its value unchanged. The triplets come out in no particular
+    order. The move sends an entry and its mirror to a mirror pair, so
+    the Hermiticity and finiteness checks rho passed at construction hold
+    for the result exactly and are not repeated.
+    """
     n = rho.n_max
-    return rho.as_tensor().transpose(2, 1, 0, 3).reshape(n * n, n * n)
+    rows, cols, values = rho.pattern
+    m, b = np.divmod(rows, n)
+    m_, b_ = np.divmod(cols, n)
+    return m_ * n + b, m * n + b_, values

@@ -6,10 +6,13 @@ has not decayed at its ends. The eigensolver splits a matrix exactly into
 the connected blocks of its nonzero pattern; 1x1 blocks are their
 diagonal entries, each 2x2 block takes one closed-form rotation, and a
 larger block is reduced to real tridiagonal form by complex Householder
-reflections and solved by Sturm-count bisection. Every partial transpose
-the library builds splits into blocks of size at most 2. Multi-dimensional
-integrals in this library are separable and are built from products of
-these 1-D integrals. Both pieces avoid any external linear-algebra
+reflections and solved by Sturm-count bisection. The split runs on
+(rows, cols, values) triplets: ``hermitian_eigenvalues`` takes them from
+a dense matrix in one scan, and the brute-force partial-transpose
+spectrum passes them in directly from the state's own pattern. Every
+partial transpose the library builds splits into blocks of size at most
+2. Multi-dimensional integrals in this library are separable and are
+built from products of these 1-D integrals. Both pieces avoid any external linear-algebra
 backend so every eigenvalue and integral produced by this library is
 reproducible from first principles. The bisection in p that the
 threshold cross-checks share lives here too.
@@ -176,13 +179,61 @@ def _sturm_bisection(diag: np.ndarray, off: np.ndarray):
     return 0.5 * (lower + upper), 0.5 * float((upper - lower).max())
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> EigenResult:
-    """Eigenvalues of a complex Hermitian matrix, block by block.
+def _pattern_eigenvalues(n: int, rows: np.ndarray, cols: np.ndarray,
+                         values: np.ndarray) -> EigenResult:
+    """Eigenvalues of the n x n Hermitian matrix with nonzero entries
+    ``values`` at (``rows``, ``cols``), block by block.
 
-    The nonzero pattern splits the matrix exactly into connected blocks.
-    1x1 blocks are their diagonal entries, 2x2 blocks take one plane
-    rotation each, and larger blocks go through Householder reduction to
-    real tridiagonal form and Sturm bisection.
+    The triplets may come in any order but must not repeat a position; the
+    caller has already checked that they are finite and Hermitian. Each
+    2x2 block {p, q}, p < q, reads its coupling from the (p, q) entry.
+    """
+    labels = _components(n, rows, cols)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.r_[True, labels[order][1:] != labels[order][:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    on = rows == cols
+    diag = np.zeros(n)
+    diag[rows[on]] = values[on].real
+    eigs = [diag[order[starts[sizes == 1]]]]
+    p = order[starts[sizes == 2]]
+    q = order[starts[sizes == 2] + 1]
+    # Size of the block holding each index; a 2x2 block's (p, q) entry is
+    # its one upper triplet.
+    size_of = np.empty(n, dtype=np.intp)
+    size_of[order] = np.repeat(sizes, sizes)
+    upper = (rows < cols) & (size_of[rows] == 2)
+    coupling = np.zeros(n, dtype=values.dtype)
+    coupling[rows[upper]] = values[upper]
+    eigs.append(_two_by_two(diag[p], diag[q], coupling[p]))
+    residual = 0.0
+    if (sizes > 2).any():
+        # Position of each index inside its block, whose members come in
+        # ascending order.
+        local = np.empty(n, dtype=np.intp)
+        local[order] = np.arange(n) - np.repeat(starts, sizes)
+        eps = np.finfo(float).eps
+        dtype = np.result_type(values.dtype, np.float64)
+        for label, size in zip(order[starts[sizes > 2]], sizes[sizes > 2]):
+            mine = labels[rows] == label
+            block = np.zeros((size, size), dtype=dtype)
+            block[local[rows[mine]], local[cols[mine]]] = values[mine]
+            vals, half_width = _sturm_bisection(*_tridiagonalize(block))
+            eigs.append(vals)
+            frob = float(np.sqrt((np.abs(block) ** 2).sum()))
+            residual = max(residual, half_width + size * eps * frob)
+    return EigenResult(eigenvalues=np.sort(np.concatenate(eigs)), max_residual=residual)
+
+
+def hermitian_eigenvalues(a: np.ndarray) -> EigenResult:
+    """Eigenvalues of a dense complex Hermitian matrix, block by block.
+
+    One scan takes the nonzero pattern and gates it: every entry must be
+    finite and the matrix Hermitian to HERMITICITY_TOL relative to its
+    largest entry. The pattern then splits the matrix exactly into
+    connected blocks. 1x1 blocks are their diagonal entries, 2x2 blocks
+    take one plane rotation each, and larger blocks go through Householder
+    reduction to real tridiagonal form and Sturm bisection.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -191,27 +242,7 @@ def hermitian_eigenvalues(a: np.ndarray) -> EigenResult:
     scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
     if herm_dev > tol.HERMITICITY_TOL * scale:
         raise HermiticityError(f"matrix is not Hermitian: max deviation {herm_dev:.3e}")
-
-    n = a.shape[0]
-    labels = _components(n, rows, cols)
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.r_[True, labels[order][1:] != labels[order][:-1]])
-    sizes = np.diff(np.r_[starts, n])
-    diag = np.diagonal(a).real.astype(np.float64)
-    eigs = [diag[order[starts[sizes == 1]]]]
-    p = order[starts[sizes == 2]]
-    q = order[starts[sizes == 2] + 1]
-    eigs.append(_two_by_two(diag[p], diag[q], a[p, q]))
-    residual = 0.0
-    eps = np.finfo(float).eps
-    for start, size in zip(starts[sizes > 2], sizes[sizes > 2]):
-        idx = order[start:start + size]
-        block = a[np.ix_(idx, idx)].astype(np.result_type(a.dtype, np.float64))
-        vals, half_width = _sturm_bisection(*_tridiagonalize(block))
-        eigs.append(vals)
-        frob = float(np.sqrt((np.abs(block) ** 2).sum()))
-        residual = max(residual, half_width + size * eps * frob)
-    return EigenResult(eigenvalues=np.sort(np.concatenate(eigs)), max_residual=residual)
+    return _pattern_eigenvalues(a.shape[0], rows, cols, values)
 
 
 @dataclass(frozen=True)

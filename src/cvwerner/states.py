@@ -1,19 +1,20 @@
 """Constructors for the continuous-variable Werner family.
 
-Three states on the truncated two-mode Fock space:
+The CV Werner state on the truncated two-mode Fock space is the convex
+mixture, weighted by p, of
 
 * the two-mode squeezed vacuum produced by a non-degenerate optical
-  parametric amplifier (NOPA), with coefficient lambda1 = tanh r,
-* the product of two equal thermal states, with lambda2 = tanh s,
-* their convex mixture, the CV Werner state, weighted by p.
+  parametric amplifier (NOPA), with coefficient lambda1 = tanh r, and
+* the product of two equal thermal states, with lambda2 = tanh s.
 
-The caller chooses the cutoff; no cutoff is selected here. Each
+Its two components are the states at p = 1 and p = 0.
+
+The caller chooses the cutoff; no cutoff is selected here. The
 constructor holds the exact geometric tail it truncates to the cutoff's
-tail_bound and raises CutoffTooSmallError past it; the two component
-constructors also report the least n_max that fits. The lost trace mass
+tail_bound and raises CutoffTooSmallError past it. The lost trace mass
 is carried on the returned state as trace_deficit.
 
-All three matrices come from one builder, which fills a single zeroed
+The matrix comes from one builder, which fills a single zeroed
 n_max^2 x n_max^2 buffer: the squeezed-vacuum coherences go into the
 n_max x n_max sub-block of the |m,m> rows and columns, and the thermal
 product is added onto the diagonal. No other entry is nonzero, so no
@@ -29,10 +30,6 @@ import numpy as np
 
 from .errors import CutoffTooSmallError, ParameterRangeError
 from .fock_core import FockCutoff, TwoModeDensityMatrix
-
-# Least level count suggested by CutoffTooSmallError: it keeps tiny states
-# usable by the qubit map.
-N_MAX_FLOOR = 4
 
 
 @dataclass(frozen=True)
@@ -99,40 +96,6 @@ def _werner_data(p: float, lam1: float, lam2: float, n_max: int) -> np.ndarray:
     return data
 
 
-def nopa_state(r: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
-    """Two-mode squeezed vacuum: <m,m|rho|n,n> = (1-lam^2) lam^(m+n)."""
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got r={r}")
-    lam = math.tanh(r)
-    n = cutoff.n_max
-    deficit = _nopa_deficit(lam, n)
-    if deficit > cutoff.tail_bound:
-        raise CutoffTooSmallError(
-            f"NOPA tail {deficit:.3e} exceeds tail_bound {cutoff.tail_bound:.3e} "
-            f"at n_max={n}",
-            minimal_n_max=_minimal_n_max_nopa(lam, cutoff.tail_bound),
-        )
-    return TwoModeDensityMatrix(cutoff=cutoff, data=_werner_data(1.0, lam, 0.0, n),
-                                trace_deficit=deficit)
-
-
-def thermal_product_state(s: float, cutoff: FockCutoff) -> TwoModeDensityMatrix:
-    """Product of equal thermal states, diagonal in the Fock basis."""
-    if s < 0:
-        raise ValueError(f"thermal parameter must be >= 0, got s={s}")
-    lam = math.tanh(s)
-    n = cutoff.n_max
-    deficit = _thermal_deficit(lam, n)
-    if deficit > cutoff.tail_bound:
-        raise CutoffTooSmallError(
-            f"thermal tail {deficit:.3e} exceeds tail_bound {cutoff.tail_bound:.3e} "
-            f"at n_max={n}",
-            minimal_n_max=_minimal_n_max_thermal(lam, cutoff.tail_bound),
-        )
-    return TwoModeDensityMatrix(cutoff=cutoff, data=_werner_data(0.0, 0.0, lam, n),
-                                trace_deficit=deficit)
-
-
 def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatrix:
     """Convex mixture p * NOPA(r) + (1 - p) * thermal(s) x thermal(s).
 
@@ -152,17 +115,3 @@ def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatr
     data = _werner_data(p, params.lambda1, params.lambda2, n)
     return TwoModeDensityMatrix(cutoff=cutoff, data=data, trace_deficit=deficit)
 
-
-def _minimal_n_max_nopa(lam1: float, bound: float) -> int:
-    if lam1 == 0.0:
-        return N_MAX_FLOOR
-    # lam1^(2n) <= bound
-    return max(N_MAX_FLOOR, math.ceil(math.log(bound) / (2.0 * math.log(lam1))))
-
-
-def _minimal_n_max_thermal(lam2: float, bound: float) -> int:
-    if lam2 == 0.0:
-        return N_MAX_FLOOR
-    # 1 - (1 - x)^2 <= bound with x = lam2^(2n), i.e. x <= 1 - sqrt(1 - bound)
-    x = bound / (1.0 + math.sqrt(1.0 - bound))
-    return max(N_MAX_FLOOR, math.ceil(math.log(x) / (2.0 * math.log(lam2))))

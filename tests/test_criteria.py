@@ -30,7 +30,8 @@ from cvwerner.criteria import (
 from cvwerner import criteria
 from cvwerner.cli import CRITERIA
 from cvwerner.errors import CutoffTooSmallError
-from cvwerner.fock_core import FockCutoff, partial_transpose_A
+from cvwerner.fock_core import FockCutoff
+from cvwerner.numerics import hermitian_eigenvalues
 from cvwerner.states import WernerParams, werner_state
 from cvwerner.tolerances import ORACLE_TOL
 
@@ -83,6 +84,17 @@ def enumerated_threshold_reference(r, s, horizon=criteria.DEFAULT_HORIZON):
     return min(criteria._entanglement_p_k(l1, l2, k) for k in range(1, horizon + 1))
 
 
+def dense_partial_transpose(rho):
+    """The dense reshape-transpose partial_transpose_A replaced:
+    result[(m,n),(m',n')] = rho[(m',n),(m,n')]."""
+    d = rho.cutoff.dim
+    return rho.as_tensor().transpose(2, 1, 0, 3).reshape(d, d)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestPptSpectrum:
     def test_block_values(self):
         # |2,2> sits at m+n = 4 and the pair (1, 2) at m+n = 3.
@@ -111,9 +123,20 @@ class TestPptSpectrum:
     def test_matches_numpy_oracle(self):
         params = WernerParams(p=0.7, r=0.8, s=1.2)
         rho = werner_state(params, CUTOFF)
-        oracle = np.linalg.eigvalsh(partial_transpose_A(rho))
+        oracle = np.linalg.eigvalsh(dense_partial_transpose(rho))
         analytic = enumerate_ppt_spectrum(params, CUTOFF.n_max)
         assert np.abs(oracle - analytic).max() < 1e-12
+
+    @pytest.mark.parametrize("n_max", [2, 12, 24, 32])
+    @pytest.mark.parametrize("r, s", [(0.9, 0.6), (0.0, 0.6), (0.9, 0.0)])
+    def test_bit_identical_to_dense_route(self, n_max, r, s):
+        # The dense route: the whole matrix transposed, then scanned again.
+        cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
+        for p in (0.0, 0.37, 1.0):
+            params = WernerParams(p=p, r=r, s=s)
+            dense = dense_partial_transpose(werner_state(params, cutoff))
+            reference = hermitian_eigenvalues(dense).eigenvalues
+            assert same_bits(ppt_spectrum_bruteforce(params, cutoff), reference), p
 
     @pytest.mark.parametrize("p, r, s", SEEDED_POINTS)
     def test_numpy_forms_match_scalar_loops(self, p, r, s):
@@ -180,15 +203,24 @@ class TestDirectThreshold:
         assert not table_verdict("entangled_ppt_direct", WernerParams(p=0.1, r=0.5, s=1.0))[0]
 
 
-def enumerated_direct_reference(r, s, horizon=200):
-    """The 200-term enumeration that direct_entanglement_threshold replaced."""
+def block_thresholds(l1, l2, horizon=200):
+    """The scalar per-block entanglement and cell-positivity thresholds for
+    k = 1 .. horizon."""
+    ks = range(1, horizon + 1)
+    return ([criteria._entanglement_p_k(l1, l2, k) for k in ks],
+            [criteria._positivity_p_k(l1, l2, k) for k in ks])
+
+
+def enumerated_direct_reference(r, s, blocks):
+    """The 200-term enumeration that direct_entanglement_threshold replaced,
+    over ``blocks`` = block_thresholds(tanh r, tanh s)."""
     l1, l2 = math.tanh(r), math.tanh(s)
     if l1 == 0.0:
         return 1.0
     if l2 == 0.0:
         return 0.0
     q = l1 / (l2 * l2)
-    enum = min(criteria._entanglement_p_k(l1, l2, k) for k in range(1, horizon + 1))
+    enum = min(blocks[0])
     if q > 1.0:
         limit = 0.0
     elif q == 1.0:
@@ -198,17 +230,18 @@ def enumerated_direct_reference(r, s, horizon=200):
     return min(enum, limit)
 
 
-def enumerated_separable_reference(r, s, horizon=200):
-    """The 200-term enumeration that largest_separable_p replaced."""
+def enumerated_separable_reference(r, s, horizon=200, blocks=None):
+    """The 200-term enumeration that largest_separable_p replaced.
+    ``blocks`` is block_thresholds(tanh r, tanh s, horizon) when the caller
+    has it already; the least of both lists is the least over k of the
+    per-k minimum, exactly."""
     l1, l2 = math.tanh(r), math.tanh(s)
     if l1 == 0.0:
         return 1.0
     if l2 == 0.0:
         return 0.0
-    best = min(
-        min(criteria._entanglement_p_k(l1, l2, k), criteria._positivity_p_k(l1, l2, k))
-        for k in range(1, horizon + 1)
-    )
+    entangle, positive = blocks if blocks is not None else block_thresholds(l1, l2, horizon)
+    best = min(min(entangle), min(positive))
     q = l1 / l2 ** 2
     if q > 1.0:
         best = 0.0
@@ -231,11 +264,10 @@ class TestClosedFormThresholds:
             for s in grid:
                 direct = direct_entanglement_threshold(r, s).threshold
                 separable = largest_separable_p(r, s)
-                assert direct == enumerated_direct_reference(r, s), (r, s)
-                assert separable == enumerated_separable_reference(r, s), (r, s)
-                l1, l2 = math.tanh(r), math.tanh(s)
-                interior += separable < min(criteria._entanglement_p_k(l1, l2, 1),
-                                            criteria._positivity_p_k(l1, l2, 1))
+                blocks = block_thresholds(math.tanh(r), math.tanh(s))
+                assert direct == enumerated_direct_reference(r, s, blocks), (r, s)
+                assert separable == enumerated_separable_reference(r, s, blocks=blocks), (r, s)
+                interior += separable < min(blocks[0][0], blocks[1][0])
         # The grid exercises the stationary point, not only the k = 1 cell.
         assert interior > 0
 

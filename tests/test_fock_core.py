@@ -11,7 +11,15 @@ from cvwerner.errors import (
     NumericalConsistencyError,
 )
 from cvwerner.fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
-from cvwerner.states import nopa_state
+from cvwerner.states import WernerParams, werner_state
+
+
+def dense(triplets, dim):
+    """The dim x dim matrix with the given (rows, cols, values) entries."""
+    rows, cols, values = triplets
+    out = np.zeros((dim, dim), dtype=values.dtype)
+    out[rows, cols] = values
+    return out
 
 
 def random_density(n_max, seed):
@@ -72,6 +80,19 @@ class TestTwoModeDensityMatrix:
         with pytest.raises(NumericalConsistencyError):
             TwoModeDensityMatrix(cutoff=FockCutoff(n_max=2), data=data, trace_deficit=0.0)
 
+    def test_pattern_is_the_read_only_nonzeros(self):
+        data = np.diag([0.4, 0.3, 0.2, 0.1]).astype(np.complex128)
+        data[0, 3] = 0.05 + 0.02j
+        data[3, 0] = 0.05 - 0.02j
+        rho = TwoModeDensityMatrix(cutoff=FockCutoff(n_max=2), data=data, trace_deficit=0.0)
+        rows, cols, values = rho.pattern
+        assert rows.tolist() == [0, 0, 1, 2, 3, 3]
+        assert cols.tolist() == [0, 3, 1, 2, 0, 3]
+        assert np.array_equal(values, data[rows, cols])
+        for part in rho.pattern:
+            with pytest.raises(ValueError):
+                part[0] = 0
+
     def test_as_tensor_matches_flat_convention(self):
         rho = random_density(4, seed=1)
         t = rho.as_tensor()
@@ -80,22 +101,27 @@ class TestTwoModeDensityMatrix:
 
 class TestPartialOperations:
     def test_partial_transpose_of_product(self):
-        # On A (x) B the partial transpose acts as A^T (x) B.
-        lam = math.tanh(0.7)
-        a = np.diag((1 - lam * lam) * lam ** (2 * np.arange(4))) + 0.01 * np.eye(4)
+        # On A (x) B the partial transpose acts as A^T (x) B. Both factors
+        # are complex and non-symmetric, so transposing mode B, or neither
+        # mode, fails here although it leaves the spectrum of a Werner
+        # state unchanged.
         rng = np.random.default_rng(3)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = g @ g.conj().T
+        g, h = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+        a, b = g @ g.conj().T, h @ h.conj().T
         data = np.kron(a, b)
         data /= np.trace(data).real
         rho = TwoModeDensityMatrix(cutoff=FockCutoff(n_max=4), data=data, trace_deficit=0.0)
         expected = np.kron(a.T, b) / np.trace(np.kron(a, b)).real
-        assert np.abs(partial_transpose_A(rho) - expected).max() < 1e-14
+        assert np.abs(expected - data).max() > 1e-3
+        assert np.abs(expected - np.kron(a, b.T) / np.trace(np.kron(a, b)).real).max() > 1e-3
+        assert np.abs(dense(partial_transpose_A(rho), 16) - expected).max() < 1e-14
 
     def test_partial_transpose_is_involution(self):
         rho = random_density(4, seed=4)
-        once = partial_transpose_A(rho)
-        twice = once.reshape(4, 4, 4, 4).transpose(2, 1, 0, 3).reshape(16, 16)
+        once = dense(partial_transpose_A(rho), 16)
+        # The transpose keeps the diagonal and trace, so it is a valid state.
+        once = TwoModeDensityMatrix(cutoff=rho.cutoff, data=once, trace_deficit=0.0)
+        twice = dense(partial_transpose_A(once), 16)
         assert np.abs(twice - rho.data).max() == 0.0
 
 
@@ -104,7 +130,8 @@ class TestExpectation:
         # The reduced state of the two-mode squeezed vacuum is thermal with
         # mean photon number sinh^2(r): Tr(rho (n (x) 1)) = sum_mn m rho[m, n, m, n].
         n_max = 40
-        rho = nopa_state(1.0, FockCutoff(n_max=n_max, tail_bound=1e-8))
+        rho = werner_state(WernerParams(p=1.0, r=1.0, s=0.0),
+                           FockCutoff(n_max=n_max, tail_bound=1e-8))
         mean_n_a = np.einsum("m,mnmn->", np.arange(n_max), rho.as_tensor())
         assert abs(mean_n_a.imag) == 0.0
         assert mean_n_a.real == pytest.approx(math.sinh(1.0) ** 2, abs=1e-6)

@@ -14,6 +14,8 @@ import pytest
 from cvwerner.errors import DomainTooSmallError, HermiticityError
 from cvwerner.numerics import (
     PhaseSpaceGrid,
+    _nonzero_pattern,
+    _pattern_eigenvalues,
     hermitian_eigenvalues,
     integrate_grid,
 )
@@ -120,6 +122,28 @@ class TestHermitianEigenvalues:
         assert merged.max_residual > 0.0
         assert np.abs(merged.eigenvalues - split.eigenvalues).max() < 1e-15
         assert np.abs(merged.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pattern_path_takes_shuffled_triplets(self, seed):
+        # Blocks of sizes 1 to 7 under a random permutation, with their
+        # triplets in random order: a partial transpose's triplets are not
+        # row-sorted either.
+        sizes = (1, 2, 3, 7, 2, 1, 4)
+        dim = sum(sizes)
+        a = np.zeros((dim, dim), dtype=np.complex128)
+        start = 0
+        for k, size in enumerate(sizes):
+            a[start:start + size, start:start + size] = random_hermitian(size, seed=20 + k)
+            start += size
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(dim)
+        a = a[np.ix_(perm, perm)]
+        rows, cols, values, _ = _nonzero_pattern(a)
+        shuffle = rng.permutation(values.size)
+        result = _pattern_eigenvalues(dim, rows[shuffle], cols[shuffle], values[shuffle])
+        dense = hermitian_eigenvalues(a)
+        assert np.array_equal(result.eigenvalues, dense.eigenvalues)
+        assert result.max_residual == dense.max_residual > 0.0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])

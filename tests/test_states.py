@@ -8,14 +8,31 @@ import pytest
 from cvwerner import states
 from cvwerner.errors import CutoffTooSmallError, ParameterRangeError
 from cvwerner.fock_core import FockCutoff
-from cvwerner.states import (
-    WernerParams,
-    nopa_state,
-    thermal_product_state,
-    werner_state,
-)
+from cvwerner.states import WernerParams, werner_state
 
 LOOSE = FockCutoff(n_max=12, tail_bound=0.999)
+
+
+def nopa(r, cutoff):
+    """The squeezed vacuum: the Werner state at p = 1."""
+    return werner_state(WernerParams(p=1.0, r=r, s=0.0), cutoff)
+
+
+def thermal_product(s, cutoff):
+    """The thermal product: the Werner state at p = 0."""
+    return werner_state(WernerParams(p=0.0, r=0.0, s=s), cutoff)
+
+
+def least_thermal_levels(lam, bound):
+    """Least n with 1 - (1 - lam^(2n))^2 <= bound, i.e.
+    lam^(2n) <= 1 - sqrt(1 - bound)."""
+    x = bound / (1.0 + math.sqrt(1.0 - bound))
+    return math.ceil(math.log(x) / (2.0 * math.log(lam)))
+
+
+def least_nopa_levels(lam, bound):
+    """Least n with lam^(2n) <= bound."""
+    return math.ceil(math.log(bound) / (2.0 * math.log(lam)))
 
 
 def thermal_single_mode(s, n_max):
@@ -70,9 +87,11 @@ class TestWernerParams:
 
 
 class TestNopaState:
+    """The Werner state at p = 1."""
+
     def test_entries(self):
         # <m,m| rho |n,n> = (1 - lam^2) lam^(m+n) with lam = tanh r.
-        rho = nopa_state(1.0, LOOSE)
+        rho = nopa(1.0, LOOSE)
         lam = math.tanh(1.0)
         i12 = 1 * 12 + 1
         j12 = 2 * 12 + 2
@@ -81,7 +100,7 @@ class TestNopaState:
 
     def test_off_diagonal_support(self):
         # Only |m,m><n,n| entries are populated.
-        rho = nopa_state(0.8, LOOSE)
+        rho = nopa(0.8, LOOSE)
         mask = np.abs(rho.data) > 0
         for flat_i in range(LOOSE.dim):
             for flat_j in range(LOOSE.dim):
@@ -89,23 +108,24 @@ class TestNopaState:
                     assert flat_i // 12 == flat_i % 12 and flat_j // 12 == flat_j % 12
 
     def test_trace_deficit_is_geometric_tail(self):
-        rho = nopa_state(1.0, LOOSE)
+        rho = nopa(1.0, LOOSE)
         assert rho.trace_deficit == pytest.approx(math.tanh(1.0) ** 24, rel=1e-12)
         assert np.trace(rho.data).real == pytest.approx(1.0 - rho.trace_deficit)
 
     def test_vacuum_limit(self):
-        rho = nopa_state(0.0, FockCutoff(n_max=4, tail_bound=1e-12))
+        rho = nopa(0.0, FockCutoff(n_max=4, tail_bound=1e-12))
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
         assert np.abs(rho.data - expected).max() == 0.0
 
     def test_cutoff_too_small(self):
-        with pytest.raises(CutoffTooSmallError) as err:
-            nopa_state(2.0, FockCutoff(n_max=6, tail_bound=1e-10))
-        assert err.value.minimal_n_max > 6
+        with pytest.raises(CutoffTooSmallError, match="tail"):
+            nopa(2.0, FockCutoff(n_max=6, tail_bound=1e-10))
 
 
 class TestThermalStates:
+    """The thermal product is the Werner state at p = 0."""
+
     def test_single_mode_entry(self):
         # diag((1 - lam^2) lam^(2k)); at lam = 0.5, k = 1: 0.75 * 0.25.
         s = math.atanh(0.5)
@@ -115,21 +135,21 @@ class TestThermalStates:
     def test_product_entry(self):
         # diagonal (m, n) entry is (1 - lam^2)^2 lam^(2(m+n)).
         s = math.atanh(0.5)
-        rho = thermal_product_state(s, LOOSE)
+        rho = thermal_product(s, LOOSE)
         i11 = 1 * 12 + 1
         assert rho.data[i11, i11].real == pytest.approx(0.03515625)
 
     def test_product_entry_at_s_one(self):
-        rho = thermal_product_state(1.0, LOOSE)
+        rho = thermal_product(1.0, LOOSE)
         i01 = 0 * 12 + 1
         assert rho.data[i01, i01].real == pytest.approx(0.102304, abs=1e-6)
 
     def test_is_diagonal(self):
-        rho = thermal_product_state(0.7, LOOSE)
+        rho = thermal_product(0.7, LOOSE)
         assert np.abs(rho.data - np.diag(np.diagonal(rho.data))).max() == 0.0
 
     def test_trace_deficit(self):
-        rho = thermal_product_state(1.0, LOOSE)
+        rho = thermal_product(1.0, LOOSE)
         lam = math.tanh(1.0)
         kept = 1.0 - lam ** 24
         assert rho.trace_deficit == pytest.approx(1.0 - kept * kept, rel=1e-12)
@@ -148,17 +168,17 @@ class TestWernerState:
     def test_deficit_is_weighted_sum(self):
         params = WernerParams(p=0.3, r=0.8, s=1.1)
         rho = werner_state(params, LOOSE)
-        nopa = nopa_state(0.8, LOOSE)
-        thermal = thermal_product_state(1.1, LOOSE)
-        expected = 0.3 * nopa.trace_deficit + 0.7 * thermal.trace_deficit
+        expected = (0.3 * nopa(0.8, LOOSE).trace_deficit
+                    + 0.7 * thermal_product(1.1, LOOSE).trace_deficit)
         assert rho.trace_deficit == pytest.approx(expected, rel=1e-12)
 
     def test_pure_limits(self):
+        # At p = 1 the thermal parameter drops out, at p = 0 the squeezing.
         cutoff = FockCutoff(n_max=10, tail_bound=0.999)
-        nopa = werner_state(WernerParams(p=1.0, r=0.9, s=1.7), cutoff)
-        assert np.abs(nopa.data - nopa_state(0.9, cutoff).data).max() == 0.0
+        pure = werner_state(WernerParams(p=1.0, r=0.9, s=1.7), cutoff)
+        assert np.abs(pure.data - nopa(0.9, cutoff).data).max() == 0.0
         thermal = werner_state(WernerParams(p=0.0, r=0.9, s=1.7), cutoff)
-        assert np.abs(thermal.data - thermal_product_state(1.7, cutoff).data).max() == 0.0
+        assert np.abs(thermal.data - thermal_product(1.7, cutoff).data).max() == 0.0
 
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffTooSmallError):
@@ -172,32 +192,40 @@ class TestWernerState:
         for p in (0.0, 0.37, 1.0):
             nopa, thermal, mixture = dense_reference(p, r, s, n_max)
             assert same_bits(werner_state(WernerParams(p=p, r=r, s=s), cutoff).data, mixture)
-        assert same_bits(nopa_state(r, cutoff).data, nopa)
-        assert same_bits(thermal_product_state(s, cutoff).data, thermal)
+            if p == 1.0:
+                assert same_bits(mixture, nopa)
+            if p == 0.0:
+                assert same_bits(mixture, thermal)
 
 
 class TestMinimalCutoff:
-    """The level count CutoffTooSmallError suggests is the least that fits."""
+    """werner_state's tail check at p = 0 and p = 1 rejects one level below
+    the least level count whose exact tail fits the bound."""
 
     @pytest.mark.parametrize("s", [0.3, 1.0, 2.0, 3.5, 5.0, 8.0])
     @pytest.mark.parametrize("bound", [1e-3, 1e-10, 1e-14])
     def test_thermal_is_least_within_bound(self, s, bound):
         lam = math.tanh(s)
-        n = states._minimal_n_max_thermal(lam, bound)
-        assert states._thermal_deficit(lam, n) <= bound
-        if n > states.N_MAX_FLOOR:
-            assert states._thermal_deficit(lam, n - 1) > bound
+        n = least_thermal_levels(lam, bound)
+        assert states._thermal_deficit(lam, n) <= bound < states._thermal_deficit(lam, n - 1)
+        with pytest.raises(CutoffTooSmallError):
+            thermal_product(s, FockCutoff(n_max=n - 1, tail_bound=bound))
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0, 5.0])
     def test_nopa_is_least_within_bound(self, r):
         lam = math.tanh(r)
-        n = states._minimal_n_max_nopa(lam, 1e-10)
+        n = least_nopa_levels(lam, 1e-10)
         assert states._nopa_deficit(lam, n) <= 1e-10 < states._nopa_deficit(lam, n - 1)
+        with pytest.raises(CutoffTooSmallError):
+            nopa(r, FockCutoff(n_max=n - 1, tail_bound=1e-10))
 
-    def test_error_reports_least_thermal_cutoff(self):
-        # s = 5 needs about 1.3e5 levels for a 1e-10 tail.
-        with pytest.raises(CutoffTooSmallError) as err:
-            thermal_product_state(5.0, FockCutoff(n_max=64, tail_bound=1e-10))
-        n = err.value.minimal_n_max
-        assert states._thermal_deficit(math.tanh(5.0), n) <= 1e-10
-        assert states._thermal_deficit(math.tanh(5.0), n - 1) > 1e-10
+    def test_accepted_at_the_least_level_count(self):
+        # Small enough to build: at tanh 0.3 the thermal product needs 4
+        # levels for a 1e-3 tail and the squeezed vacuum 10 for 1e-10.
+        lam = math.tanh(0.3)
+        n = least_thermal_levels(lam, 1e-3)
+        rho = thermal_product(0.3, FockCutoff(n_max=n, tail_bound=1e-3))
+        assert rho.trace_deficit == states._thermal_deficit(lam, n)
+        n = least_nopa_levels(lam, 1e-10)
+        rho = nopa(0.3, FockCutoff(n_max=n, tail_bound=1e-10))
+        assert rho.trace_deficit == states._nopa_deficit(lam, n)

@@ -249,16 +249,13 @@ def _validation_grid(grid_density: int):
     return p_values, rs_values
 
 
-def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckResult], bool]:
+def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
     """Run every cross-module consistency check on a grid_density^3 grid.
 
-    ``closed_form_fn`` replaces the closed-form 4x4 used in the qubit-map
-    check; the tests inject a corrupted version to confirm the suite
-    detects it. Returns the per-check results and the overall verdict.
+    Returns the per-check results and the overall verdict.
     """
     if grid_density < 2:
         raise ValueError(f"grid_density must be >= 2, got {grid_density}")
-    closed_form_fn = closed_form_fn or qm.closed_form_two_qubit
     p_values, rs_values = _validation_grid(grid_density)
     results: list[CheckResult] = []
 
@@ -299,7 +296,7 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
         # the pseudo-spin moment route.
         rho = werner_state(params, map_cutoff)
         rho4 = qm.map_to_qubits(rho).rho4
-        truncated = closed_form_fn(params, n_max=VALIDATE_MAP_N_MAX)
+        truncated = qm.closed_form_two_qubit(params, n_max=VALIDATE_MAP_N_MAX)
         return float(max(np.abs(rho4 - truncated).max(),
                          np.abs(rho4 - qm._map_via_moments(rho)).max()))
 
@@ -327,7 +324,7 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
         return abs(closed - brute)
 
     run_check("mapped threshold (closed form vs bisection)", grid_rs,
-              mapped_bisect_dev, lambda _: 1e-6)
+              mapped_bisect_dev, lambda _: tol.BISECTION_CHECK_TOL)
 
     def direct_dev(params):
         # Bisection explores the same finite eigenvalue horizon, so it is
@@ -340,15 +337,15 @@ def run_validation(grid_density: int, closed_form_fn=None) -> tuple[list[CheckRe
         return max(abs(enumerated - brute), abs(closed.threshold - min(enumerated, limit)))
 
     run_check("direct threshold (closed form vs enumeration vs bisection)", grid_rs,
-              direct_dev, lambda _: 1e-6)
+              direct_dev, lambda _: tol.BISECTION_CHECK_TOL)
 
     def squeezing_dev(params):
-        analytic = cr.squeezing_variance_analytic(params)
-        direct = cr.squeezing_variance_direct(params)
-        return abs(analytic - direct)
+        # The banded variance against the closed form of the same truncation.
+        truncated = cr._truncated_squeezing_variance(params, cr.SQUEEZING_CHECK_LEVELS)
+        return abs(cr.squeezing_variance_direct(params) - truncated)
 
     run_check("squeezing variance (closed form vs matrix)", grid3,
-              squeezing_dev, lambda _: cr.SQUEEZING_CONSISTENCY_TOL)
+              squeezing_dev, lambda _: tol.SQUEEZING_CONSISTENCY_TOL)
 
     def cells_dev(params):
         rho = werner_state(params, spectrum_cutoff)

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooSmallError, NumericalConsistencyError
+from .errors import NumericalConsistencyError
 from .fock_core import FockCutoff, partial_transpose_A
 from .numerics import _bisect_threshold, _pattern_eigenvalues
 from .states import WernerParams, werner_state
+from .tolerances import SQUEEZING_CONSISTENCY_TOL
 
 # Enumeration horizon of the validate partners of the direct threshold (the
 # enumerated threshold, its bisection and the analytic spectrum's infimum).
@@ -101,6 +102,8 @@ def _block_weights(l1: float, l2: float, k):
 def _entanglement_limit(l1: float, l2: float) -> float:
     """k -> infinity limit of the pair-block thresholds, governed by
     q = l1 / l2^2; it stands in for blocks whose weights both underflow."""
+    if l2 * l2 == 0.0:
+        return 0.0  # q is infinite
     q = l1 / (l2 * l2)
     if q > 1.0:
         return 0.0
@@ -124,7 +127,6 @@ class DirectThreshold:
 
     threshold: float
     regime: str  # "never", "q>1", "q=1", "q<1"
-    q: float
 
 
 def direct_entanglement_threshold(r: float, s: float) -> DirectThreshold:
@@ -138,16 +140,16 @@ def direct_entanglement_threshold(r: float, s: float) -> DirectThreshold:
     """
     l1, l2 = math.tanh(r), math.tanh(s)
     if l1 == 0.0:
-        return DirectThreshold(threshold=1.0, regime="never", q=0.0)
+        return DirectThreshold(threshold=1.0, regime="never")
     if l2 * l2 == 0.0:
-        return DirectThreshold(threshold=0.0, regime="q>1", q=math.inf)
+        return DirectThreshold(threshold=0.0, regime="q>1")
     q = l1 / (l2 * l2)
     if q > 1.0:
-        return DirectThreshold(threshold=0.0, regime="q>1", q=q)
+        return DirectThreshold(threshold=0.0, regime="q>1")
     p_1 = _entanglement_p_k(l1, l2, 1)
     if q == 1.0:
-        return DirectThreshold(threshold=min(p_1, (1.0 - l1) / 2.0), regime="q=1", q=q)
-    return DirectThreshold(threshold=p_1, regime="q<1", q=q)
+        return DirectThreshold(threshold=min(p_1, (1.0 - l1) / 2.0), regime="q=1")
+    return DirectThreshold(threshold=p_1, regime="q<1")
 
 
 def enumerated_entanglement_threshold(r: float, s: float,
@@ -170,12 +172,10 @@ def enumerated_entanglement_threshold(r: float, s: float,
     return low if live.all() else min(low, _entanglement_limit(l1, l2))
 
 
-def bisect_direct_threshold(r: float, s: float, tol_p: float = 1e-9,
-                            horizon: int = DEFAULT_HORIZON) -> float:
+def bisect_direct_threshold(r: float, s: float, horizon: int = DEFAULT_HORIZON) -> float:
     """Brute-force direct threshold: bisect p on the spectrum's infimum sign."""
     return _bisect_threshold(
-        lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s), horizon).min_eigenvalue_estimate,
-        tol_p)
+        lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s), horizon).min_eigenvalue_estimate)
 
 
 def threshold_verdict(criterion: str, params: WernerParams, threshold: float) -> CriterionVerdict:
@@ -349,7 +349,9 @@ def largest_separable_p(r: float, s: float) -> float:
 # Quadrature convention: x = (a + a^dag) / sqrt(2), so the vacuum variance of
 # x_A - x_B is exactly 1 and the squeezing boundary is Var < 1.
 
-SQUEEZING_CONSISTENCY_TOL = 1e-6
+# Fock levels of the banded cross-check; it is compared with the closed form
+# of the same truncation, so no tail enters its tolerance.
+SQUEEZING_CHECK_LEVELS = 64
 
 
 def squeezing_variance_analytic(params: WernerParams) -> float:
@@ -387,41 +389,7 @@ def published_squeezing_threshold_lambda_form(lam: float) -> float:
     return 1.0 / (1.0 + 2.0 * lam * (1.0 - lam * lam) / ((1.0 + lam) * (1.0 + 3.0 * lam * lam)))
 
 
-# At the ceiling the banded vectors of squeezing_variance_direct take a few
-# tens of MB.
-MOMENT_TAIL_BOUND = 1e-9
-MOMENT_LEVELS_FLOOR = 16
-MOMENT_LEVELS_CEILING = 2 ** 20
-
-
-def _moment_tail(lam: float, n: int) -> float:
-    """Sum over k >= n of (1 - lam^2) lam^(2k) (2k + 1), in closed form."""
-    return lam ** (2 * n) * ((2 * n + 1) + 2.0 * lam * lam / (1.0 - lam * lam))
-
-
-def _moment_cutoff(params: WernerParams) -> int:
-    """Smallest power of two (>= 16) whose second-moment tail is <= 1e-9.
-
-    Raises CutoffTooSmallError, carrying the level count that would be
-    needed, when that exceeds MOMENT_LEVELS_CEILING.
-    """
-    lam = max(params.lambda1, params.lambda2)
-    if lam >= 1.0:
-        raise CutoffTooSmallError(
-            f"squeezing moments of (r={params.r}, s={params.s}) have no finite "
-            "cutoff: tanh saturates to 1", minimal_n_max=None)
-    n = MOMENT_LEVELS_FLOOR
-    while _moment_tail(lam, n) > MOMENT_TAIL_BOUND:
-        n *= 2
-    if n > MOMENT_LEVELS_CEILING:
-        raise CutoffTooSmallError(
-            f"squeezing moments of (r={params.r}, s={params.s}) need {n} Fock "
-            f"levels for a tail <= {MOMENT_TAIL_BOUND:g}, above the ceiling of "
-            f"{MOMENT_LEVELS_CEILING}", minimal_n_max=n)
-    return n
-
-
-def squeezing_variance_direct(params: WernerParams, n_max: int | None = None) -> float:
+def squeezing_variance_direct(params: WernerParams, n_max: int = SQUEEZING_CHECK_LEVELS) -> float:
     """Var(x_A - x_B) from truncated matrix algebra, component by component.
 
     On n_max levels x = (a + a^dag) / sqrt(2) is tridiagonal with
@@ -432,8 +400,7 @@ def squeezing_variance_direct(params: WernerParams, n_max: int | None = None) ->
     diag(x^2)_k = e_{k-1}^2 + e_k^2, whose last entry is cut at the
     truncation edge, since diag(x) = 0. Every sum is O(n_max) on vectors.
     """
-    n = n_max if n_max is not None else _moment_cutoff(params)
-    levels = np.arange(n, dtype=np.float64)
+    levels = np.arange(n_max, dtype=np.float64)
     l1 = params.lambda1
     amps = math.sqrt(1.0 - l1 * l1) * l1 ** levels
     # 2 e_i^2 (c_{i+1} - c_i)^2 with c_{i+1} - c_i = -(1 - l1) c_i.
@@ -442,23 +409,52 @@ def squeezing_variance_direct(params: WernerParams, n_max: int | None = None) ->
     l2 = params.lambda2
     probs = (1.0 - l2 * l2) * l2 ** (2.0 * levels)
     # 2 diag(x^2): 2k + 1 below the edge, n - 1 on the last level.
-    var_thermal = float((probs * (2.0 * levels + 1.0)).sum()) - n * float(probs[-1])
+    var_thermal = float((probs * (2.0 * levels + 1.0)).sum()) - n_max * float(probs[-1])
 
     return params.p * var_nopa + (1.0 - params.p) * var_thermal
 
 
+def _geometric(x: float, m: int) -> tuple[float, float]:
+    """sum_{k<m} x^k and x^m for 0 <= x < 1 and m >= 1, with
+    -expm1(m ln x) / (1 - x) in place of (1 - x^m) / (1 - x), which loses
+    the digits of x^m when x is near 1."""
+    if x == 0.0:
+        return 1.0, 0.0
+    one_minus = 1.0 - x
+    log_x = math.log1p(-one_minus) if x >= 0.5 else math.log(x)
+    return -math.expm1(m * log_x) / one_minus, math.exp(m * log_x)
+
+
+def _truncated_squeezing_variance(params: WernerParams, n: int) -> float:
+    """Closed form of squeezing_variance_direct on n >= 2 levels.
+
+    With x = l1^2 and y = l2^2 the banded sums are arithmetico-geometric:
+    the NOPA part is (1 - l1)^2 [G_x(n-1) - (n-1) x^(n-1)] and the thermal
+    part 1 + 2y G_y(n-1) - (n + (n-1) y) y^(n-1), with G_x(m) = sum_{k<m} x^k.
+    """
+    l1, l2 = params.lambda1, params.lambda2
+    x, y = l1 * l1, l2 * l2
+    g_x, x_pow = _geometric(x, n - 1)
+    var_nopa = (1.0 - l1) ** 2 * (g_x - (n - 1) * x_pow)
+    g_y, y_pow = _geometric(y, n - 1)
+    var_thermal = 1.0 + 2.0 * y * g_y - (n + (n - 1) * y) * y_pow
+    return params.p * var_nopa + (1.0 - params.p) * var_thermal
+
+
 def squeezing_criterion(params: WernerParams) -> CriterionVerdict:
-    """Squeezing verdict with a built-in closed-form vs matrix cross-check."""
-    analytic = squeezing_variance_analytic(params)
+    """Squeezing verdict from the closed-form variance; the banded variance
+    is checked against the closed form of the same truncation."""
     direct = squeezing_variance_direct(params)
-    if abs(analytic - direct) > SQUEEZING_CONSISTENCY_TOL:
+    truncated = _truncated_squeezing_variance(params, SQUEEZING_CHECK_LEVELS)
+    if abs(direct - truncated) > SQUEEZING_CONSISTENCY_TOL:
         raise NumericalConsistencyError(
-            f"squeezing variance mismatch: analytic {analytic} vs direct {direct}"
-        )
+            f"squeezing variance mismatch at {SQUEEZING_CHECK_LEVELS} levels: "
+            f"banded {direct} vs closed form {truncated}")
+    variance = squeezing_variance_analytic(params)
     return CriterionVerdict(
         criterion=SQUEEZED,
-        decision=direct < 1.0,
+        decision=variance < 1.0,
         threshold_p=squeezing_threshold(params.r, params.s),
-        margin=1.0 - direct,
+        margin=1.0 - variance,
         method="both",
     )

@@ -16,10 +16,6 @@ class HermiticityError(CvWernerError):
 class CutoffTooSmallError(CvWernerError):
     """The Fock cutoff cannot hold the requested state within its tail bound."""
 
-    def __init__(self, message, minimal_n_max=None):
-        super().__init__(message)
-        self.minimal_n_max = minimal_n_max
-
 
 class ParameterRangeError(CvWernerError):
     """State parameters are outside the supported desk-scale range."""

@@ -295,8 +295,8 @@ def integrate_grid(grid: PhaseSpaceGrid) -> float:
 
 # Underscored: perfbench's tracer wraps only public names, so the time of a
 # bisection stays charged to the threshold bisection that calls it.
-def _bisect_threshold(min_eig, tol_p: float) -> float:
-    """Bisect p in [0, 1] for the sign change of ``min_eig(p)``.
+def _bisect_threshold(min_eig) -> float:
+    """Bisect p in [0, 1], to BISECTION_TOL_P, for the sign change of ``min_eig(p)``.
 
     ``min_eig`` is negative above the threshold; returns 1.0 when it is
     not negative even at p = 1.
@@ -304,7 +304,7 @@ def _bisect_threshold(min_eig, tol_p: float) -> float:
     lo, hi = 0.0, 1.0
     if min_eig(hi) >= 0.0:
         return 1.0
-    while hi - lo > tol_p:
+    while hi - lo > tol.BISECTION_TOL_P:
         mid = 0.5 * (lo + hi)
         if min_eig(mid) < 0.0:
             hi = mid

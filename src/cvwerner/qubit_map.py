@@ -202,10 +202,10 @@ def mapped_entanglement_threshold(r: float, s: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.tanh(2.0 * r) / noise)
 
 
-def mapped_threshold_bisection(r: float, s: float, tol_p: float = 1e-9) -> float:
+def mapped_threshold_bisection(r: float, s: float) -> float:
     """Brute-force mapped threshold: bisect p on the 4x4 PPT minimum eigenvalue."""
     return _bisect_threshold(
-        lambda p: min_eigenvalue_ppt(closed_form_two_qubit(WernerParams(p=p, r=r, s=s))), tol_p)
+        lambda p: min_eigenvalue_ppt(closed_form_two_qubit(WernerParams(p=p, r=r, s=s))))
 
 
 def bell_analysis(q: QubitPairState) -> BellAnalysis:

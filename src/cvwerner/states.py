@@ -109,9 +109,7 @@ def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatr
     if deficit > cutoff.tail_bound:
         raise CutoffTooSmallError(
             f"Werner tail {deficit:.3e} exceeds tail_bound {cutoff.tail_bound:.3e} "
-            f"at n_max={n}",
-            minimal_n_max=None,
-        )
+            f"at n_max={n}")
     data = _werner_data(p, params.lambda1, params.lambda2, n)
     return TwoModeDensityMatrix(cutoff=cutoff, data=data, trace_deficit=deficit)
 

@@ -33,3 +33,15 @@ DEFAULT_TAIL_BOUND = 1e-10
 # Integrand magnitude at the grid boundary must fall below this fraction
 # of its peak for a quadrature domain to be accepted.
 BOUNDARY_MASS_RATIO = 1e-8
+
+# Agreement of the banded squeezing variance with the closed form of the
+# same truncation, which both compute from the same rounded 1 - tanh^2
+# factors. The worst deviation over p in [0, 1], r, s in [0, 19] at 64
+# levels is 8.5e-14 (near s = 2.5, where the thermal part peaks at ~38).
+SQUEEZING_CONSISTENCY_TOL = 1e-12
+
+# Width in p at which the threshold bisections stop.
+BISECTION_TOL_P = 1e-9
+
+# Agreement of a bisected threshold with its closed form or enumeration.
+BISECTION_CHECK_TOL = 1e-6

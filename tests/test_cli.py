@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from cvwerner import criteria as cr
 from cvwerner import qubit_map as qm
 from cvwerner import teleport as tp
 from cvwerner.cli import (
@@ -223,7 +224,6 @@ class TestEval:
             (("p=0.5", "r=nan", "s=1"), "must be finite"),
             (("p=0.5", "r=inf", "s=1"), "must be finite"),
             (("p=0.5", "r=20", "s=20"), "tanh saturates"),
-            (("p=0.5", "r=9", "s=1"), "above the ceiling"),
         ],
     )
     def test_out_of_range_point_exits_2(self, capsys, point, message):
@@ -233,6 +233,14 @@ class TestEval:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_large_squeezing_gives_finite_verdicts(self, capsys):
+        # The squeezing verdict is the closed form, so no cutoff bounds r.
+        assert main(["eval", "p=0.5", "r=9", "s=1"]) == 0
+        verdicts = re.findall(r"^\w+: (?:true|false) threshold_p=(\S+) margin=(\S+) ",
+                              capsys.readouterr().out, flags=re.MULTILINE)
+        assert len(verdicts) == 5
+        assert all(math.isfinite(float(v)) for verdict in verdicts for v in verdict)
 
     @pytest.mark.parametrize("s", ["1e-100", "1e-200"])
     def test_vanishing_noise_gives_finite_verdicts(self, capsys, s):
@@ -301,10 +309,10 @@ class TestConfig:
 def corrupted_closed_form(fault, where=lambda params: True):
     """closed_form_two_qubit with ``fault`` moved from |00><00| to |01><01|
     at the points ``where`` accepts."""
-    def corrupted(params, n_max=None):
-        from cvwerner.qubit_map import closed_form_two_qubit
+    closed_form = qm.closed_form_two_qubit
 
-        m = closed_form_two_qubit(params, n_max=n_max).copy()
+    def corrupted(params, n_max=None):
+        m = closed_form(params, n_max=n_max).copy()
         if where(params):
             m[0, 0] += fault
             m[1, 1] -= fault
@@ -320,18 +328,20 @@ class TestValidate:
         assert code == 0
         assert "validation: PASS" in out
 
-    def test_fault_injection_is_detected(self):
-        results, ok = run_validation(2, closed_form_fn=corrupted_closed_form(0.05))
+    def test_fault_injection_is_detected(self, monkeypatch):
+        monkeypatch.setattr(qm, "closed_form_two_qubit", corrupted_closed_form(0.05))
+        results, ok = run_validation(2)
         assert not ok
         failing = [r for r in results if not r.passed]
         assert any("qubit_map" in r.name for r in failing)
 
-    def test_small_fault_is_detected_where_truncation_is_largest(self):
+    def test_small_fault_is_detected_where_truncation_is_largest(self, monkeypatch):
         # At r = s = 2 the 16-level state misses a third of its trace; the
         # check compares with the truncated closed form, so no slack of
         # that size is left to hide the fault.
         fault = corrupted_closed_form(1e-9, where=lambda w: w.r == w.s == 2.0)
-        results, ok = run_validation(2, closed_form_fn=fault)
+        monkeypatch.setattr(qm, "closed_form_two_qubit", fault)
+        results, ok = run_validation(2)
         assert not ok
         failing = [r.name for r in results if not r.passed]
         assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)"]
@@ -351,6 +361,17 @@ class TestValidate:
         assert not ok
         failing = [r.name for r in results if not r.passed]
         assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)"]
+
+    def test_squeezing_fault_is_detected(self, monkeypatch, capsys):
+        # The banded variance is checked against the closed form of the same
+        # truncation, so a 1e-9 offset in it alone fails the squeezing check.
+        banded = cr.squeezing_variance_direct
+        monkeypatch.setattr(cr, "squeezing_variance_direct",
+                            lambda *args, **kwargs: banded(*args, **kwargs) + 1e-9)
+        assert main(["validate", "2"]) == 1
+        failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                   if ": FAIL worst_deviation" in line]
+        assert failing == ["squeezing variance (closed form vs matrix)"]
 
     def test_fidelity_oracle_fault_is_detected(self, monkeypatch, capsys):
         # The oracle agrees with the closed form to rounding, so a 1e-9

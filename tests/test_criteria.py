@@ -5,11 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvwerner.criteria import (
-    MOMENT_LEVELS_CEILING,
-    MOMENT_TAIL_BOUND,
-    SQUEEZING_CONSISTENCY_TOL,
+    SQUEEZING_CHECK_LEVELS,
     SeparabilityCells,
     bisect_direct_threshold,
     direct_entanglement_threshold,
@@ -29,11 +29,10 @@ from cvwerner.criteria import (
 )
 from cvwerner import criteria
 from cvwerner.cli import CRITERIA
-from cvwerner.errors import CutoffTooSmallError
 from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import hermitian_eigenvalues
 from cvwerner.states import WernerParams, werner_state
-from cvwerner.tolerances import ORACLE_TOL
+from cvwerner.tolerances import ORACLE_TOL, SQUEEZING_CONSISTENCY_TOL
 
 CUTOFF = FockCutoff(n_max=10, tail_bound=0.999)
 
@@ -189,6 +188,13 @@ class TestDirectThreshold:
     def test_degenerate_limits(self):
         assert direct_entanglement_threshold(0.0, 1.0).threshold == 1.0
         assert direct_entanglement_threshold(1.0, 0.0).threshold == 0.0
+
+    @pytest.mark.parametrize("r, s", [(1e-200, 1e-200), (1e-100, 1e-170)])
+    def test_enumeration_where_tanh_s_squared_underflows(self, r, s):
+        # tanh(s)^2 and every block weight past the first underflow to 0, so
+        # q = tanh r / tanh^2 s is infinite and the limit is the q > 1 one.
+        assert enumerated_entanglement_threshold(r, s) == 0.0
+        assert direct_entanglement_threshold(r, s).threshold == 0.0
 
     def test_bisection_matches_enumeration(self):
         for r, s in [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)]:
@@ -401,13 +407,14 @@ class TestSqueezing:
             WernerParams(p=0.5, r=0.5, s=0.5),
             WernerParams(p=0.9, r=2.0, s=2.0),
             WernerParams(p=0.0, r=0.0, s=1.0),
-            WernerParams(p=0.5, r=3.0, s=2.0),  # 4096 levels
+            WernerParams(p=0.5, r=3.0, s=2.0),
         ],
     )
     def test_direct_matches_analytic(self, params):
+        # 4096 levels leave a tail below 1e-16 at every point here.
         analytic = squeezing_variance_analytic(params)
-        direct = squeezing_variance_direct(params)
-        assert abs(analytic - direct) < SQUEEZING_CONSISTENCY_TOL
+        direct = squeezing_variance_direct(params, n_max=4096)
+        assert abs(analytic - direct) < 1e-6
 
     def test_dense_route_matches_analytic(self):
         # Anchors the dense reference of TestBandedSqueezing to the closed form.
@@ -522,23 +529,48 @@ class TestBandedSqueezing:
         assert squeezing_variance_direct(WernerParams(p=1.0, r=0.0, s=0.0)) == 1.0
         assert squeezing_variance_direct(WernerParams(p=0.0, r=0.0, s=0.0)) == 1.0
 
-    @pytest.mark.parametrize("r, s", [(0.0, 0.0), (1.0, 0.3), (2.4, 1.0), (3.0, 2.0)])
-    def test_cutoff_is_smallest_power_of_two_within_tail(self, r, s):
-        params = WernerParams(p=0.5, r=r, s=s)
-        n = criteria._moment_cutoff(params)
-        lam = max(params.lambda1, params.lambda2)
-        assert n >= 16 and n & (n - 1) == 0
-        assert criteria._moment_tail(lam, n) <= MOMENT_TAIL_BOUND
-        if n > 16:
-            assert criteria._moment_tail(lam, n // 2) > MOMENT_TAIL_BOUND
 
-    def test_moment_tail_is_exact(self):
-        lam, n = 0.8, 40
-        k = np.arange(n, 4000)
-        summed = float(((1 - lam * lam) * lam ** (2 * k) * (2 * k + 1)).sum())
-        assert criteria._moment_tail(lam, n) == pytest.approx(summed, rel=1e-12)
+def mpmath_truncated_squeezing_variance(params, n):
+    """The banded sums of squeezing_variance_direct term by term in 50
+    digits, from the same double-precision lambdas."""
+    import mpmath
 
-    def test_past_ceiling_raises_typed_error(self):
-        with pytest.raises(CutoffTooSmallError) as info:
-            squeezing_criterion(WernerParams(p=0.5, r=9.0, s=1.0))
-        assert info.value.minimal_n_max > MOMENT_LEVELS_CEILING
+    with mpmath.workdps(50):
+        l1, l2 = mpmath.mpf(params.lambda1), mpmath.mpf(params.lambda2)
+        x, y = l1 * l1, l2 * l2
+        nopa = (1 - l1) ** 2 * (1 - x) * mpmath.fsum(i * x ** (i - 1) for i in range(1, n))
+        thermal = ((1 - y) * mpmath.fsum(y ** k * (2 * k + 1) for k in range(n))
+                   - n * (1 - y) * y ** (n - 1))
+        return float(params.p * nopa + (1 - params.p) * thermal)
+
+
+class TestTruncatedSqueezing:
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("r, s", [(0.0, 0.0), (0.5, 1.0), (1.0, 0.5), (2.0, 2.0),
+                                      (2.5, 0.3), (0.2, 2.5)])
+    def test_equals_analytic_where_tail_is_negligible(self, p, r, s):
+        n = 4096
+        lam = max(math.tanh(r), math.tanh(s))
+        # Second-moment tail sum_{k>=n} (1 - l^2) l^{2k} (2k + 1).
+        tail = lam ** (2 * n) * ((2 * n + 1) + 2 * lam * lam / (1 - lam * lam))
+        assert tail < 1e-16
+        params = WernerParams(p=p, r=r, s=s)
+        assert criteria._truncated_squeezing_variance(params, n) == pytest.approx(
+            squeezing_variance_analytic(params), rel=1e-12)
+
+    @pytest.mark.parametrize("p, r, s", [(0.37, 1.0, 1.0), (0.37, 5.0, 5.0), (0.0, 0.0, 12.0),
+                                         (0.5, 19.0, 19.0), (0.2, 0.5, 2.5), (1.0, 3.0, 0.0)])
+    def test_matches_50_digit_sum(self, p, r, s):
+        # At s = 12, (1 - y^m) / (1 - y) in place of expm1 is off by ~6e-7.
+        params = WernerParams(p=p, r=r, s=s)
+        n = SQUEEZING_CHECK_LEVELS
+        assert abs(criteria._truncated_squeezing_variance(params, n)
+                   - mpmath_truncated_squeezing_variance(params, n)) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0), r=st.floats(0.0, 19.0), s=st.floats(0.0, 19.0))
+    def test_banded_equals_truncated_closed_form(self, p, r, s):
+        params = WernerParams(p=p, r=r, s=s)
+        squeezing_criterion(params)
+        assert abs(squeezing_variance_direct(params) - criteria._truncated_squeezing_variance(
+            params, SQUEEZING_CHECK_LEVELS)) <= SQUEEZING_CONSISTENCY_TOL

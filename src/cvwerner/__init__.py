@@ -10,7 +10,6 @@ from .criteria import (
     CriterionVerdict,
     DirectThreshold,
     GapInterval,
-    PptSpectrum,
     SeparabilityCells,
     bisect_direct_threshold,
     direct_entanglement_threshold,

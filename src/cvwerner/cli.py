@@ -311,11 +311,12 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
               fidelity_dev, lambda _: tol.FIDELITY_AGREEMENT_TOL)
 
     def ordering_dev(params):
-        direct, mapped, nonloc = (CRITERIA[name].value(params) for name in
-                                  (cr.ENTANGLED_PPT_DIRECT, cr.ENTANGLED_PPT_MAPPED, cr.NONLOCAL))
-        return max(direct - mapped, mapped - nonloc)
+        names = (cr.SEPARABLE_SUFFICIENT, cr.ENTANGLED_PPT_DIRECT, cr.ENTANGLED_PPT_MAPPED,
+                 cr.NONLOCAL)
+        thresholds = [CRITERIA[name].value(params) for name in names]
+        return max(low - high for low, high in zip(thresholds, thresholds[1:]))
 
-    run_check("threshold ordering (direct <= mapped <= nonlocal)", grid_rs,
+    run_check("threshold ordering (separable <= direct <= mapped <= nonlocal)", grid_rs,
               ordering_dev, lambda _: 0.0)
 
     def mapped_bisect_dev(params):
@@ -332,9 +333,9 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         # compared against that enumeration closed by its regime's limit.
         enumerated = cr.enumerated_entanglement_threshold(params.r, params.s)
         brute = cr.bisect_direct_threshold(params.r, params.s)
-        closed = cr.direct_entanglement_threshold(params.r, params.s)
-        limit = {"q>1": 0.0, "q=1": (1.0 - params.lambda1) / 2.0}.get(closed.regime, 1.0)
-        return max(abs(enumerated - brute), abs(closed.threshold - min(enumerated, limit)))
+        closed = cr.direct_entanglement_threshold(params.r, params.s).threshold
+        limit = cr._entanglement_limit(params.lambda1, params.lambda2)[0]
+        return max(abs(enumerated - brute), abs(closed - min(enumerated, limit)))
 
     run_check("direct threshold (closed form vs enumeration vs bisection)", grid_rs,
               direct_dev, lambda _: tol.BISECTION_CHECK_TOL)

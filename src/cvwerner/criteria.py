@@ -5,11 +5,15 @@ The partially transposed Werner state is block diagonal: 1x1 blocks on
 spectrum is available in closed form. Every closed-form verdict here is
 cross-checkable against brute-force computation on the truncated matrix.
 
-Where the reference closed forms for the regime bounds contain internal
-inconsistencies, the per-(m,n) inequalities derived from the cell
-decomposition are authoritative; the trichotomy ratios that the numerics
-support are q = lambda1 / lambda2^2 for entanglement and
-q_tilde = lambda1 / lambda2^4 for positivity of the cells.
+The weights of those blocks and of the separability cells live in one
+table, ``_block_weights``; the k -> infinity regime rules live in
+``_entanglement_limit`` (q = lambda1 / lambda2^2) and ``_positivity_limit``
+(q_tilde = lambda1 / lambda2^4). The printed thresholds and their
+``validate`` partners (enumerated spectrum, cell reconstruction, enumerated
+threshold and bisection) all read them, so ``validate`` checks against
+the brute-force state the weights the thresholds use. The per-(m,n)
+inequalities of the cell decomposition are authoritative where the
+reference closed forms for the regime bounds are inconsistent.
 """
 
 from __future__ import annotations
@@ -47,28 +51,36 @@ class CriterionVerdict:
     method: str  # "analytic", "brute_force" or "both"
 
 
-@dataclass(frozen=True)
-class PptSpectrum:
-    """Closed-form infimum of the partially transposed Werner state's spectrum."""
+def _block_weights(l1: float, l2: float, k, cell=False, thermal=1.0, nopa=1.0):
+    """The table of p-free block weights at m+n = k, thermal weight first,
+    for an int k or elementwise for an integer array k:
 
-    params: WernerParams
-    min_eigenvalue_estimate: float
+    - pair blocks: the thermal t_k = (1 - l2^2)^2 l2^(2k) and the NOPA
+      coherence c_k = (1 - l1^2) l1^k;
+    - cells (``cell=True``): the thermal b_k = (1 - l2^2)^2 (1 - l2^4) l2^(4k)
+      and c_k, whose square is the NOPA cell weight.
+
+    ``thermal`` and ``nopa`` scale the two (by 1 - p and p) before the
+    powers are taken, so they cost no array operation.
+    """
+    thermal *= (1 - l2 * l2) ** 2
+    coherence = nopa * (1 - l1 * l1) * l1 ** k
+    if cell:
+        return thermal * (1 - l2 ** 4) * l2 ** (4 * k), coherence
+    return thermal * l2 ** (2 * k), coherence
 
 
 def _pair_terms(params: WernerParams, k):
-    """Thermal diagonal and NOPA coherence of the pair blocks with m+n = k,
-    for an int k or elementwise for an integer array k."""
-    p, l1, l2 = params.p, params.lambda1, params.lambda2
-    base = (1 - p) * (1 - l2 * l2) ** 2 * l2 ** (2 * k)
-    off = p * (1 - l1 * l1) * l1 ** k
-    return base, off
+    """Thermal diagonal (1 - p) t_k and NOPA coherence p c_k of the pair
+    blocks with m+n = k, for an int k or elementwise for an integer array k."""
+    return _block_weights(params.lambda1, params.lambda2, k, thermal=1 - params.p, nopa=params.p)
 
 
-def ppt_spectrum_analytic(params: WernerParams, horizon: int = DEFAULT_HORIZON) -> PptSpectrum:
-    """Closed-form partial-transpose spectrum, with its infimum over the
-    pair blocks m+n = 1 .. horizon."""
+def ppt_spectrum_analytic(params: WernerParams, horizon: int = DEFAULT_HORIZON) -> float:
+    """Infimum of the closed-form partial-transpose spectrum over the pair
+    blocks m+n = 1 .. horizon."""
     base, off = _pair_terms(params, np.arange(1, horizon + 1))
-    return PptSpectrum(params=params, min_eigenvalue_estimate=float((base - off).min()))
+    return float((base - off).min())
 
 
 def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
@@ -93,32 +105,33 @@ def ppt_spectrum_bruteforce(params: WernerParams, cutoff: FockCutoff) -> np.ndar
     return _pattern_eigenvalues(cutoff.dim, *partial_transpose_A(rho)).eigenvalues
 
 
-def _block_weights(l1: float, l2: float, k):
-    """Thermal and NOPA weights of the pair blocks with m+n = k, for an int k
-    or elementwise for an integer array k."""
-    return (1 - l2 * l2) ** 2 * l2 ** (2 * k), (1 - l1 * l1) * l1 ** k
+def _entanglement_limit(l1: float, l2: float) -> tuple[float, str]:
+    """k -> infinity limit of the pair-block thresholds and its regime tag.
 
-
-def _entanglement_limit(l1: float, l2: float) -> float:
-    """k -> infinity limit of the pair-block thresholds, governed by
-    q = l1 / l2^2; it stands in for blocks whose weights both underflow."""
+    The NOPA/thermal weight ratio of block k goes as q^k, q = l1 / l2^2:
+    the limit is 0 for q > 1 (also where l2^2 underflows, so q is
+    infinite), (1 - l1) / 2 for q = 1 and 1 for q < 1 or l1 = 0.
+    """
+    if l1 == 0.0:
+        return 1.0, "never"
     if l2 * l2 == 0.0:
-        return 0.0  # q is infinite
+        return 0.0, "q>1"
     q = l1 / (l2 * l2)
     if q > 1.0:
-        return 0.0
+        return 0.0, "q>1"
     if q == 1.0:
-        return (1.0 - l1) / 2.0
-    return 1.0
+        return (1.0 - l1) / 2.0, "q=1"
+    return 1.0, "q<1"
 
 
 def _entanglement_p_k(l1: float, l2: float, k: int) -> float:
     """Threshold probability at which the (m, n) pair block with m+n = k
     acquires a negative partial-transpose eigenvalue."""
     therm, nopa = _block_weights(l1, l2, k)
-    if therm + nopa == 0.0:
-        return _entanglement_limit(l1, l2)
-    return therm / (therm + nopa)
+    total = therm + nopa
+    if total == 0.0:
+        return _entanglement_limit(l1, l2)[0]
+    return therm / total
 
 
 @dataclass(frozen=True)
@@ -132,24 +145,16 @@ class DirectThreshold:
 def direct_entanglement_threshold(r: float, s: float) -> DirectThreshold:
     """Infimum over m+n = k >= 1 of the pair-block negativity thresholds.
 
-    The NOPA/thermal weight ratio of block k goes as q^k, with
-    q = lambda1 / lambda2^2, so the infimum is a closed form: 0 for q > 1
-    (entangled for every p > 0, which covers the whole r = s family),
-    min(p_1, (1 - lambda1) / 2) for q = 1 and p_1, the k = 1 block, for
-    q < 1.
+    The block thresholds fall or rise monotonically in k, so the infimum
+    is min(p_1, limit), with the k = 1 block p_1 and the k -> infinity
+    limit and regime of ``_entanglement_limit``: 0 for q > 1, which covers
+    the whole r = s family.
     """
     l1, l2 = math.tanh(r), math.tanh(s)
-    if l1 == 0.0:
-        return DirectThreshold(threshold=1.0, regime="never")
-    if l2 * l2 == 0.0:
-        return DirectThreshold(threshold=0.0, regime="q>1")
-    q = l1 / (l2 * l2)
-    if q > 1.0:
-        return DirectThreshold(threshold=0.0, regime="q>1")
-    p_1 = _entanglement_p_k(l1, l2, 1)
-    if q == 1.0:
-        return DirectThreshold(threshold=min(p_1, (1.0 - l1) / 2.0), regime="q=1")
-    return DirectThreshold(threshold=p_1, regime="q<1")
+    limit, regime = _entanglement_limit(l1, l2)
+    # A zero limit is the infimum without the k = 1 block.
+    threshold = min(_entanglement_p_k(l1, l2, 1), limit) if limit else limit
+    return DirectThreshold(threshold=threshold, regime=regime)
 
 
 def enumerated_entanglement_threshold(r: float, s: float,
@@ -158,24 +163,20 @@ def enumerated_entanglement_threshold(r: float, s: float,
 
     This is the finite object that bisection on the enumerated spectrum
     converges to; in the q > 1 regime it stays a horizon-dependent
-    distance above the true infimum 0.
+    distance above the true infimum 0. Blocks whose weights both underflow
+    take the limit instead.
     """
     l1, l2 = math.tanh(r), math.tanh(s)
-    if l1 == 0.0:
-        return 1.0
-    if l2 == 0.0:
-        return 0.0
     therm, nopa = _block_weights(l1, l2, np.arange(1, horizon + 1))
     total = therm + nopa
     live = total > 0.0
     low = float((therm[live] / total[live]).min(initial=1.0))
-    return low if live.all() else min(low, _entanglement_limit(l1, l2))
+    return low if live.all() else min(low, _entanglement_limit(l1, l2)[0])
 
 
 def bisect_direct_threshold(r: float, s: float, horizon: int = DEFAULT_HORIZON) -> float:
     """Brute-force direct threshold: bisect p on the spectrum's infimum sign."""
-    return _bisect_threshold(
-        lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s), horizon).min_eigenvalue_estimate)
+    return _bisect_threshold(lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s), horizon))
 
 
 def threshold_verdict(criterion: str, params: WernerParams, threshold: float) -> CriterionVerdict:
@@ -227,79 +228,83 @@ class SeparabilityCells:
     The state splits into weights P_m on |m,m><m,m| plus 4x4 cells on
     span{|mm>, |mn>, |nm>, |nn>} with entries alpha, beta, gamma; summing
     the cells over ordered pairs (m, n), m != n, reassembles the state
-    exactly. Each weight takes int levels, or integer arrays elementwise.
+    exactly. With k = m + n and the weights of ``_block_weights``,
+    alpha = p c_k^2 + (1 - p) b_k, beta = p c_k, gamma = (1 - p) t_k and
+    P_m = alpha(m, m). Each weight takes int levels, or integer arrays
+    elementwise.
     """
 
     params: WernerParams
 
     def P(self, m: int) -> float:
-        p, l1, l2 = self.params.p, self.params.lambda1, self.params.lambda2
-        return (
-            p * (1 - l1 * l1) ** 2 * l1 ** (4 * m)
-            + (1 - p) * (1 - l2 * l2) ** 2 * (1 - l2 ** 4) * l2 ** (8 * m)
-        )
+        return self.alpha(m, m)
 
     def alpha(self, m: int, n: int) -> float:
-        p, l1, l2 = self.params.p, self.params.lambda1, self.params.lambda2
-        k = m + n
-        return (
-            p * (1 - l1 * l1) ** 2 * l1 ** (2 * k)
-            + (1 - p) * (1 - l2 * l2) ** 2 * (1 - l2 ** 4) * l2 ** (4 * k)
-        )
+        p = self.params.p
+        thermal, coherence = _block_weights(self.params.lambda1, self.params.lambda2, m + n,
+                                            cell=True, thermal=1 - p)
+        return p * coherence ** 2 + thermal
 
     def beta(self, m: int, n: int) -> float:
-        p, l1 = self.params.p, self.params.lambda1
-        return p * (1 - l1 * l1) * l1 ** (m + n)
+        return _pair_terms(self.params, m + n)[1]
 
     def gamma(self, m: int, n: int) -> float:
-        p, l2 = self.params.p, self.params.lambda2
-        return (1 - p) * (1 - l2 * l2) ** 2 * l2 ** (2 * (m + n))
+        return _pair_terms(self.params, m + n)[0]
 
 
 def reconstruct_from_cells(params: WernerParams, cutoff: FockCutoff) -> np.ndarray:
     """Rebuild the truncated Werner matrix from its cell decomposition.
 
-    Diagonal entries |m,m> accumulate alpha contributions from every
-    partner n != m, including partners beyond the cutoff. Since
-    alpha(m, n) = A l1^(2(m+n)) + B l2^(4(m+n)) with A = p (1 - l1^2)^2
-    and B = (1 - p)(1 - l2^2)^2 (1 - l2^4), that sum is two geometric
-    series over all n minus the n = m term:
-    A l1^(2m) / (1 - l1^2) + B l2^(4m) / (1 - l2^4) - alpha(m, m).
+    Diagonal entries |m,m> take P_m plus alpha(m, n) from every partner
+    n != m, including partners beyond the cutoff. Since P_m = alpha(m, m),
+    that is the sum of alpha(m, n) over all n >= 0: a geometric series over
+    k = m + n >= m for each cell weight, p c_k^2 and (1 - p) b_k, whose
+    ratio is that of the weight's values at k = 1 and k = 0.
     """
     cells = SeparabilityCells(params)
     n_max = cutoff.n_max
     d = n_max * n_max
     data = np.zeros((d, d), dtype=np.complex128)
-    p, l1, l2 = params.p, params.lambda1, params.lambda2
-    a_weight = p * (1 - l1 * l1) ** 2
-    b_weight = (1 - p) * (1 - l2 * l2) ** 2 * (1 - l2 ** 4)
 
     # |m,n> sits at flat index m n_max + n, so |m,m> at m (n_max + 1).
     levels = np.arange(n_max)
     pairs = levels * (n_max + 1)
     m, n = np.divmod(np.arange(d), n_max)
     data.reshape(-1)[:: d + 1] = cells.gamma(m, n)
-    partners = (a_weight * l1 ** (2 * levels) / (1 - l1 * l1)
-                + b_weight * l2 ** (4 * levels) / (1 - l2 ** 4) - cells.alpha(levels, levels))
-    data[pairs, pairs] = cells.P(levels) + partners
+    thermal, coherence = _block_weights(params.lambda1, params.lambda2, levels, cell=True)
+    data[pairs, pairs] = (params.p * coherence ** 2 / (1 - (coherence[1] / coherence[0]) ** 2)
+                          + (1 - params.p) * thermal / (1 - thermal[1] / thermal[0]))
     # The cells of (m, n) and (n, m) each put half of beta on |m,m><n,n|.
     m, n = np.triu_indices(n_max, 1)
     data[pairs[m], pairs[n]] = data[pairs[n], pairs[m]] = cells.beta(m, n)
     return data
 
 
+def _positivity_limit(l1: float, l2: float) -> tuple[float, float]:
+    """k -> infinity limit of the cell positivity bounds, with the ratio
+    q_tilde = l1 / l2^4 that governs it: 0 for q_tilde > 1 (also where
+    l2^4 underflows, so q_tilde is infinite), 1 / (1 + c_0 / b_0) for
+    q_tilde = 1 and 1 for q_tilde < 1."""
+    if l1 == 0.0:
+        return 1.0, 0.0  # no coherence: every cell is positive
+    if l2 ** 4 == 0.0:
+        return 0.0, math.inf
+    q_tilde = l1 / l2 ** 4
+    if q_tilde > 1.0:
+        return 0.0, q_tilde
+    if q_tilde == 1.0:
+        therm, nopa = _block_weights(l1, l2, 0, cell=True)
+        return 1.0 / (1.0 + nopa / therm), q_tilde
+    return 1.0, q_tilde
+
+
 def _positivity_p_k(l1: float, l2: float, k: int) -> float:
     """Largest p keeping the m+n = k cell positive semidefinite (alpha >= beta)."""
-    if l1 == 0.0:
-        return 1.0
-    if l2 == 0.0:
-        return 0.0
-    nopa = (1 - l1 * l1) * l1 ** k
-    therm = (1 - l2 * l2) ** 2 * (1 - l2 ** 4) * l2 ** (4 * k)
+    therm, nopa = _block_weights(l1, l2, k, cell=True)
     if therm == 0.0:
-        # Underflow of the thermal cell weight; resolve by the k -> infinity
-        # limit governed by q_tilde = l1 / l2^4.
-        return 0.0 if nopa > 0.0 else (0.0 if l1 > l2 ** 4 else 1.0)
+        # Underflow of the thermal cell weight: a live NOPA weight dominates,
+        # and where both underflow the k -> infinity limit decides.
+        return 0.0 if nopa > 0.0 else _positivity_limit(l1, l2)[0]
     # alpha >= beta  <=>  p * nopa * (1 - nopa) <= (1 - p) * therm
     return 1.0 / (1.0 + nopa * (1.0 - nopa) / therm)
 
@@ -309,12 +314,12 @@ def largest_separable_p(r: float, s: float) -> float:
 
     The bound is the infimum over k = m+n >= 1 of the per-cell PPT bound
     (gamma >= beta) and positivity bound (alpha >= beta), closed with the
-    k -> infinity limits governed by q = lambda1 / lambda2^2 and
-    q_tilde = lambda1 / lambda2^4. Both infima are closed forms. The PPT
-    bound is the direct threshold's, least at k = 1 when q < 1. The
-    positivity bound is least where f(k) = q_tilde^k - c (q_tilde lambda1)^k,
-    c = 1 - lambda1^2, is greatest; for q_tilde < 1, f rises to its one
-    stationary point
+    k -> infinity limits of ``_entanglement_limit`` (q = lambda1 / lambda2^2)
+    and ``_positivity_limit`` (q_tilde = lambda1 / lambda2^4). Both infima
+    are closed forms. The PPT bound is the direct threshold's, least at
+    k = 1 when q < 1. The positivity bound is least where
+    f(k) = q_tilde^k - c (q_tilde lambda1)^k, c = c_0 = 1 - lambda1^2, is
+    greatest; for q_tilde < 1, f rises to its one stationary point
     k* = ln(ln q_tilde / (c ln(q_tilde lambda1))) / ln lambda1
     and falls after it, so over k >= 1 the least bound lies at k = 1,
     floor(k*) or ceil(k*).
@@ -322,24 +327,16 @@ def largest_separable_p(r: float, s: float) -> float:
     l1, l2 = math.tanh(r), math.tanh(s)
     if l1 == 0.0:
         return 1.0  # diagonal mixture of products for every p
-    if l2 ** 4 == 0.0:
-        return 0.0  # q_tilde is infinite
-    q = l1 / l2 ** 2
-    q_tilde = l1 / l2 ** 4
-    if q > 1.0 or q_tilde > 1.0:
+    positive, q_tilde = _positivity_limit(l1, l2)
+    limit = min(_entanglement_limit(l1, l2)[0], positive)
+    if limit == 0.0:
         return 0.0
     ks = {1}
     if q_tilde < 1.0:
         log_qt, log_l1 = math.log(q_tilde), math.log(l1)
-        k_star = math.log(log_qt / ((1.0 - l1 * l1) * (log_qt + log_l1))) / log_l1
+        k_star = math.log(log_qt / (_block_weights(l1, l2, 0)[1] * (log_qt + log_l1))) / log_l1
         ks.update(k for k in (math.floor(k_star), math.ceil(k_star)) if k >= 1)
-    best = min(_entanglement_p_k(l1, l2, 1), *(_positivity_p_k(l1, l2, k) for k in ks))
-    if q == 1.0:
-        best = min(best, (1.0 - l1) / 2.0)
-    if q_tilde == 1.0:
-        limit = 1.0 / (1.0 + (1 - l1 * l1) / ((1 - l2 * l2) ** 2 * (1 - l2 ** 4)))
-        best = min(best, limit)
-    return best
+    return min(limit, _entanglement_p_k(l1, l2, 1), *(_positivity_p_k(l1, l2, k) for k in ks))
 
 
 # ---------------------------------------------------------------------------

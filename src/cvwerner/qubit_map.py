@@ -237,14 +237,20 @@ def nonlocality_threshold(r: float, s: float) -> float:
     in [0, 1]" convention as mapped_entanglement_threshold, so the margin
     p - threshold stays finite. For s = 0 the thermal component is vacuum
     and any p > 0 is nonlocal (r > 0).
+
+    With a = g^2, g = tanh 2s and b = tanh 2r, the root of the CHSH
+    quadratic is (a (a - 1) + sqrt(a (a - a b^2 + 2 b^2))) / (a^2 + b^2),
+    whose numerator cancels to nothing when s is small. Rationalised, it
+    is (2 - g^2) / (1 - g^2 + hypot(sqrt(1 - b^2), sqrt(2) b / g)), a sum
+    of positive terms.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     if r == 0.0:
         return 1.0
-    a = math.tanh(2.0 * s) ** 2
+    g = math.tanh(2.0 * s)
     b = math.tanh(2.0 * r)
-    if a == 0.0:
+    if g == 0.0:
         return 0.0
-    disc = a * (a - a * b * b + 2.0 * b * b)
-    return (a * (a - 1.0) + math.sqrt(disc)) / (a * a + b * b)
+    root = math.hypot(math.sqrt(1.0 - b * b), math.sqrt(2.0) * b / g)
+    return (2.0 - g * g) / (1.0 - g * g + root)

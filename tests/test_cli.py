@@ -384,6 +384,28 @@ class TestValidate:
                    if ": FAIL worst_deviation" in line]
         assert failing == ["teleport fidelity (closed form vs numeric)"]
 
+    @pytest.mark.parametrize("weight", ["c", "t", "b"])
+    def test_block_weight_fault_is_detected(self, monkeypatch, capsys, weight):
+        # The cell reconstruction compares the weight table's NOPA coherence
+        # c_k, thermal pair weight t_k and thermal cell weight b_k with the
+        # brute-force state, so a 1e-9 relative fault in any one of them
+        # fails the cell check and the command.
+        table = cr._block_weights
+
+        def faulty(l1, l2, k, cell=False, **scales):
+            thermal, coherence = table(l1, l2, k, cell, **scales)
+            if weight == "c":
+                coherence = coherence * (1 + 1e-9)
+            elif cell == (weight == "b"):
+                thermal = thermal * (1 + 1e-9)
+            return thermal, coherence
+
+        monkeypatch.setattr(cr, "_block_weights", faulty)
+        assert main(["validate", "2"]) == 1
+        failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                   if ": FAIL worst_deviation" in line]
+        assert "cell decomposition (reconstruction)" in failing
+
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             run_validation(1)

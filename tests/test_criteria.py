@@ -146,7 +146,7 @@ class TestPptSpectrum:
             assert enumerated.shape == reference.shape == (n_max * n_max,)
             assert np.abs(enumerated - reference).max() <= LOOP_REFERENCE_TOL
         for horizon in (1, 5, criteria.DEFAULT_HORIZON):
-            low = ppt_spectrum_analytic(params, horizon).min_eigenvalue_estimate
+            low = ppt_spectrum_analytic(params, horizon)
             assert abs(low - analytic_infimum_reference(params, horizon)) <= LOOP_REFERENCE_TOL
             assert abs(enumerated_entanglement_threshold(r, s, horizon)
                        - enumerated_threshold_reference(r, s, horizon)) <= LOOP_REFERENCE_TOL
@@ -154,8 +154,8 @@ class TestPptSpectrum:
     def test_negative_eigenvalue_detects_entanglement(self):
         entangled = ppt_spectrum_analytic(WernerParams(p=0.9, r=1.0, s=0.5))
         separable = ppt_spectrum_analytic(WernerParams(p=0.0, r=1.0, s=0.5))
-        assert entangled.min_eigenvalue_estimate < 0.0
-        assert separable.min_eigenvalue_estimate >= 0.0
+        assert entangled < 0.0
+        assert separable >= 0.0
 
 
 class TestDirectThreshold:
@@ -210,11 +210,30 @@ class TestDirectThreshold:
 
 
 def block_thresholds(l1, l2, horizon=200):
-    """The scalar per-block entanglement and cell-positivity thresholds for
-    k = 1 .. horizon."""
+    """The per-block entanglement and cell-positivity thresholds for
+    k = 1 .. horizon, equal bit for bit to _entanglement_p_k and
+    _positivity_p_k (test_block_thresholds_equal_scalar_per_k).
+
+    Each weight is the table's k = 0 prefactor times Python's scalar power
+    (numpy's float ** int-array may differ by an ulp), and every other step
+    is one +, -, * or /, which numpy rounds as Python does. Blocks whose
+    weights underflow take the scalar functions' limits.
+    """
     ks = range(1, horizon + 1)
-    return ([criteria._entanglement_p_k(l1, l2, k) for k in ks],
-            [criteria._positivity_p_k(l1, l2, k) for k in ks])
+    therm_0, nopa_0 = criteria._block_weights(l1, l2, 0)
+    cell_0 = criteria._block_weights(l1, l2, 0, cell=True)[0]
+    therm = therm_0 * np.array([l2 ** (2 * k) for k in ks])
+    nopa = nopa_0 * np.array([l1 ** k for k in ks])
+    cell = cell_0 * np.array([l2 ** (4 * k) for k in ks])
+    total = therm + nopa
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        entangle = (therm / total).tolist()
+        positive = (1.0 / (1.0 + nopa * (1.0 - nopa) / cell)).tolist()
+    for i in np.flatnonzero(total == 0.0):
+        entangle[i] = criteria._entanglement_p_k(l1, l2, ks[i])
+    for i in np.flatnonzero(cell == 0.0):
+        positive[i] = criteria._positivity_p_k(l1, l2, ks[i])
+    return entangle, positive
 
 
 def enumerated_direct_reference(r, s, blocks):
@@ -263,6 +282,13 @@ def enumerated_separable_reference(r, s, horizon=200, blocks=None):
 
 
 class TestClosedFormThresholds:
+    @pytest.mark.parametrize("p, r, s", SEEDED_POINTS)
+    def test_block_thresholds_equal_scalar_per_k(self, p, r, s):
+        l1, l2 = math.tanh(r), math.tanh(s)
+        ks = range(1, 201)
+        assert block_thresholds(l1, l2) == ([criteria._entanglement_p_k(l1, l2, k) for k in ks],
+                                            [criteria._positivity_p_k(l1, l2, k) for k in ks])
+
     def test_equal_to_enumeration_on_grid(self):
         grid = [float(v) for v in np.linspace(0.01, 3.0, 120)]
         interior = 0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -206,6 +207,25 @@ class TestNonlocality:
         analysis = bell_analysis(q)
         assert analysis.bell_max == pytest.approx(bell_max_closed_form(params), abs=1e-10)
         assert analysis.is_nonlocal == (analysis.bell_max > 2.0)
+
+    def test_matches_mpmath_down_to_tiny_squeezing(self):
+        # The quadratic root (a (a - 1) + sqrt(disc)) / (a^2 + b^2), a = tanh^2 2s,
+        # b = tanh 2r, at enough digits to survive its cancellation (~a
+        # relative), on a log grid from 1e-300 to 19 and at three points
+        # where the unrationalised double form printed 0, 1.23 or divided
+        # by zero.
+        grid = [float(v) for v in np.logspace(-300, math.log10(19.0), 16)]
+        points = [(r, s) for r in grid for s in grid]
+        points += [(1e-20, 1e-10), (1e-16, 1e-8), (1e-170, 1e-100)]
+        for r, s in points:
+            with mpmath.workdps(40 + max(0, round(-2 * math.log10(s)))):
+                a = mpmath.tanh(2 * mpmath.mpf(s)) ** 2
+                b = mpmath.tanh(2 * mpmath.mpf(r))
+                disc = a * (a - a * b * b + 2 * b * b)
+                exact = (a * (a - 1) + mpmath.sqrt(disc)) / (a * a + b * b)
+            threshold = nonlocality_threshold(r, s)
+            assert abs(threshold - exact) <= 1e-15 * exact, (r, s)
+            assert mapped_entanglement_threshold(r, s) <= threshold * (1 + 4 * 2.0 ** -52), (r, s)
 
     def test_tsirelson_bound(self):
         for p in (0.2, 0.6, 1.0):

@@ -26,12 +26,10 @@ from .criteria import (
     squeezing_variance_direct,
 )
 from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
-from .numerics import EigenResult, PhaseSpaceGrid, hermitian_eigenvalues, integrate_grid
+from .numerics import EigenResult, hermitian_eigenvalues, integrate_line
 from .qubit_map import (
-    BellAnalysis,
     QubitPairState,
-    SpinOperators,
-    bell_analysis,
+    bell_max,
     bell_max_closed_form,
     build_spin_operators,
     closed_form_two_qubit,
@@ -44,7 +42,7 @@ from .qubit_map import (
 from .states import WernerParams, werner_state
 from .teleport import (
     FidelityReport,
-    WignerChannel,
+    channel_components,
     fidelity_nopa,
     fidelity_numeric_oracle,
     fidelity_report,

@@ -76,7 +76,7 @@ def _threshold_criterion(name: str, column: str,
 def _fidelity_value(params: WernerParams) -> float:
     if params.r != params.s:
         raise ParameterRangeError("fidelity_w requires r = s")
-    return tp.fidelity_werner(params.p, params.r).fidelity_closed_form
+    return tp.fidelity_werner(params.p, params.r)
 
 
 def _fidelity_line(params: WernerParams) -> str:
@@ -231,7 +231,6 @@ class CheckResult:
     passed: bool
     worst_deviation: float
     worst_point: WernerParams | None
-    detail: str = ""
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -239,8 +238,7 @@ class CheckResult:
         if self.worst_point is not None:
             w = self.worst_point
             where = f" at (p={w.p:.6g}, r={w.r:.6g}, s={w.s:.6g})"
-        extra = f" [{self.detail}]" if self.detail else ""
-        return f"{self.name}: {status} worst_deviation={self.worst_deviation:.3e}{where}{extra}"
+        return f"{self.name}: {status} worst_deviation={self.worst_deviation:.3e}{where}"
 
 
 def _validation_grid(grid_density: int):
@@ -259,18 +257,17 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
     p_values, rs_values = _validation_grid(grid_density)
     results: list[CheckResult] = []
 
-    def run_check(name, points, deviation_fn, tolerance_fn, detail=""):
+    def run_check(name, points, deviation_fn, tolerance):
         worst, worst_pt = -math.inf, None
         passed = True
         for params in points:
             dev = deviation_fn(params)
-            slack = dev - tolerance_fn(params)
-            if slack > 0:
+            if dev > tolerance:
                 passed = False
             if dev > worst:
                 worst, worst_pt = dev, params
         results.append(CheckResult(name=name, passed=passed, worst_deviation=worst,
-                                   worst_point=worst_pt, detail=detail))
+                                   worst_point=worst_pt))
 
     grid3 = [WernerParams(p=float(p), r=float(r), s=float(s))
              for p in p_values for r in rs_values for s in rs_values]
@@ -287,7 +284,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         return float(np.abs(brute - analytic).max())
 
     run_check("ppt_spectrum (analytic vs brute force)", grid3,
-              spectrum_dev, lambda _: tol.ORACLE_TOL)
+              spectrum_dev, tol.PPT_SPECTRUM_TOL)
 
     map_cutoff = FockCutoff(n_max=VALIDATE_MAP_N_MAX, tail_bound=1.0 - 1e-15)
 
@@ -301,14 +298,11 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
                          np.abs(rho4 - qm._map_via_moments(rho)).max()))
 
     run_check("qubit_map consistency (pair trace vs moments vs closed form)", grid3,
-              map_dev, lambda _: tol.MAP_CONSISTENCY_TOL)
-
-    def fidelity_dev(params):
-        report = tp.fidelity_report(params)
-        return report.method_agreement
+              map_dev, tol.MAP_CONSISTENCY_TOL)
 
     run_check("teleport fidelity (closed form vs numeric)", grid_rr,
-              fidelity_dev, lambda _: tol.FIDELITY_AGREEMENT_TOL)
+              lambda params: tp.fidelity_report(params).method_agreement,
+              tol.FIDELITY_AGREEMENT_TOL)
 
     def ordering_dev(params):
         names = (cr.SEPARABLE_SUFFICIENT, cr.ENTANGLED_PPT_DIRECT, cr.ENTANGLED_PPT_MAPPED,
@@ -317,7 +311,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         return max(low - high for low, high in zip(thresholds, thresholds[1:]))
 
     run_check("threshold ordering (separable <= direct <= mapped <= nonlocal)", grid_rs,
-              ordering_dev, lambda _: 0.0)
+              ordering_dev, 0.0)
 
     def mapped_bisect_dev(params):
         closed = qm.mapped_entanglement_threshold(params.r, params.s)
@@ -325,7 +319,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         return abs(closed - brute)
 
     run_check("mapped threshold (closed form vs bisection)", grid_rs,
-              mapped_bisect_dev, lambda _: tol.BISECTION_CHECK_TOL)
+              mapped_bisect_dev, tol.BISECTION_CHECK_TOL)
 
     def direct_dev(params):
         # Bisection explores the same finite eigenvalue horizon, so it is
@@ -338,7 +332,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         return max(abs(enumerated - brute), abs(closed - min(enumerated, limit)))
 
     run_check("direct threshold (closed form vs enumeration vs bisection)", grid_rs,
-              direct_dev, lambda _: tol.BISECTION_CHECK_TOL)
+              direct_dev, tol.BISECTION_CHECK_TOL)
 
     def squeezing_dev(params):
         # The banded variance against the closed form of the same truncation.
@@ -346,7 +340,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         return abs(cr.squeezing_variance_direct(params) - truncated)
 
     run_check("squeezing variance (closed form vs matrix)", grid3,
-              squeezing_dev, lambda _: tol.SQUEEZING_CONSISTENCY_TOL)
+              squeezing_dev, tol.SQUEEZING_CONSISTENCY_TOL)
 
     def cells_dev(params):
         rho = werner_state(params, spectrum_cutoff)
@@ -354,7 +348,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         return float(np.abs(rebuilt - rho.data).max())
 
     run_check("cell decomposition (reconstruction)", grid3,
-              cells_dev, lambda _: tol.MAP_CONSISTENCY_TOL)
+              cells_dev, tol.MAP_CONSISTENCY_TOL)
 
     ok = all(result.passed for result in results)
     return results, ok

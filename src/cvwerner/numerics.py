@@ -1,21 +1,24 @@
 """Self-contained numerical kernels.
 
-Two pieces: an eigensolver for complex Hermitian matrices and trapezoidal
-integration on uniform 1-D grids, which rejects a grid whose integrand
-has not decayed at its ends. The eigensolver splits a matrix exactly into
-the connected blocks of its nonzero pattern; 1x1 blocks are their
-diagonal entries, each 2x2 block takes one closed-form rotation, and a
-larger block is reduced to real tridiagonal form by complex Householder
-reflections and solved by Sturm-count bisection. The split runs on
-(rows, cols, values) triplets: ``hermitian_eigenvalues`` takes them from
-a dense matrix in one scan, and the brute-force partial-transpose
-spectrum passes them in directly from the state's own pattern. Every
-partial transpose the library builds splits into blocks of size at most
-2. Multi-dimensional integrals in this library are separable and are
-built from products of these 1-D integrals. Both pieces avoid any external linear-algebra
-backend so every eigenvalue and integral produced by this library is
-reproducible from first principles. The bisection in p that the
-threshold cross-checks share lives here too.
+Two pieces: an eigensolver for complex Hermitian matrices and the one 1-D
+quadrature rule, ``integrate_line``. The eigensolver splits a matrix
+exactly into the connected blocks of its nonzero pattern; 1x1 blocks are
+their diagonal entries, each 2x2 block takes one closed-form rotation,
+and a larger block is reduced to real tridiagonal form by complex
+Householder reflections and solved by Sturm-count bisection. The split
+runs on (rows, cols, values) triplets: ``hermitian_eigenvalues`` takes
+them from a dense matrix in one scan, and the brute-force
+partial-transpose spectrum passes them in directly from the state's own
+pattern. Every partial transpose the library builds splits into blocks of
+size at most 2. ``integrate_line`` owns the whole quadrature decision:
+from the variance of the integrand's narrowest Gaussian factor it sizes a
+uniform grid of fixed length, samples the integrand there, rejects it if
+it has not decayed at the ends, and applies the trapezoid rule.
+Multi-dimensional integrals in this library are separable and are built
+from products of these 1-D integrals. Both pieces avoid any external
+linear-algebra backend so every eigenvalue and integral produced by this
+library is reproducible from first principles. The bisection in p that
+the threshold cross-checks share lives here too.
 """
 
 from __future__ import annotations
@@ -245,42 +248,26 @@ def hermitian_eigenvalues(a: np.ndarray) -> EigenResult:
     return _pattern_eigenvalues(a.shape[0], rows, cols, values)
 
 
-@dataclass(frozen=True)
-class PhaseSpaceGrid:
-    """Uniform 1-D grid over [-half_width, +half_width], origin included."""
-
-    half_width: float
-    points_per_axis: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        if self.points_per_axis % 2 == 0 or self.points_per_axis < 3:
-            raise ValueError("points_per_axis must be odd and >= 3")
-        if self.values.shape != (self.points_per_axis,):
-            raise ValueError(
-                f"values shape {self.values.shape} is not the 1-D grid of "
-                f"points_per_axis={self.points_per_axis}"
-            )
-
-    @property
-    def axis(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.points_per_axis - 1)
+# Sizing of every 1-D grid: the integrand's narrowest Gaussian factor has
+# variance v, and the grid spans WIDTH_SIGMAS of its std sqrt(v) either side
+# of the origin (a Gaussian's ends then sit below 1e-19 of its peak, well
+# inside the boundary gate) at a spacing of RESOLUTION_FRACTION of it, so
+# every grid has the same GRID_POINTS samples whatever v.
+WIDTH_SIGMAS = 9.5
+RESOLUTION_FRACTION = 0.25
+GRID_POINTS = int(2 * WIDTH_SIGMAS / RESOLUTION_FRACTION) + 1
 
 
-def integrate_grid(grid: PhaseSpaceGrid) -> float:
-    """Trapezoidal integral of the sampled function over the grid.
+def integrate_line(variance: float, integrand) -> float:
+    """Trapezoid integral over the real line of ``integrand``, sampled on a
+    grid sized for ``variance``, that of its narrowest Gaussian factor.
 
-    Raises DomainTooSmallError when the integrand carries non-negligible
-    magnitude at either end of the grid, which signals that half_width
-    must be enlarged before the result can be trusted.
+    Raises DomainTooSmallError when the sampled integrand carries
+    non-negligible magnitude at either end of the grid, which signals that
+    the integrand is wider than ``variance`` says.
     """
-    values = grid.values
+    half_width = WIDTH_SIGMAS * math.sqrt(variance)
+    values = integrand(np.linspace(-half_width, half_width, GRID_POINTS))
     peak = float(np.abs(values).max())
     if peak == 0.0:
         return 0.0
@@ -288,9 +275,9 @@ def integrate_grid(grid: PhaseSpaceGrid) -> float:
     if edge > tol.BOUNDARY_MASS_RATIO * peak:
         raise DomainTooSmallError(
             f"integrand magnitude at the boundary is {edge / peak:.3e} of its peak; "
-            f"enlarge half_width beyond {grid.half_width}"
+            f"it is wider than variance {variance} (half-width {half_width})"
         )
-    return float(np.trapezoid(values, dx=grid.spacing))
+    return float(np.trapezoid(values, dx=2.0 * half_width / (GRID_POINTS - 1)))
 
 
 # Underscored: perfbench's tracer wraps only public names, so the time of a

@@ -28,22 +28,10 @@ PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 
                  dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Pseudo-spin triple for one truncated mode; each squares to identity."""
-
-    n_max: int
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-
-    def as_tuple(self):
-        return (self.s1, self.s2, self.s3)
-
-
 @functools.lru_cache(maxsize=None)
-def build_spin_operators(n_max: int) -> SpinOperators:
-    """Pseudo-spin operators pairing Fock levels (2m, 2m+1).
+def build_spin_operators(n_max: int) -> np.ndarray:
+    """Pseudo-spin operators pairing Fock levels (2m, 2m+1), stacked
+    read-only as (s1, s2, s3) in one (3, n_max, n_max) array.
 
     The ladder part is L = sum_m |2m><2m+1|, giving s1 = L + L^dag and
     s2 = -i (L - L^dag); s3 is the photon-number parity. The factor-2
@@ -58,9 +46,8 @@ def build_spin_operators(n_max: int) -> SpinOperators:
     s1 = ladder + ladder.conj().T
     s2 = -1j * (ladder - ladder.conj().T)
     s3 = np.diag(np.where(np.arange(n_max) % 2 == 0, 1.0, -1.0)).astype(np.complex128)
-    ops = SpinOperators(n_max=n_max, s1=s1, s2=s2, s3=s3)
-    for s in ops.as_tuple():
-        s.setflags(write=False)
+    ops = np.stack([s1, s2, s3])
+    ops.setflags(write=False)
     return ops
 
 
@@ -73,18 +60,6 @@ class QubitPairState:
     bloch_B: np.ndarray
     corr_tensor: np.ndarray
     trace_deficit: float
-
-
-@dataclass(frozen=True)
-class BellAnalysis:
-    """Correlation-tensor spectrum and the maximal CHSH combination."""
-
-    U_eigenvalues: np.ndarray
-    bell_max: float
-
-    @property
-    def is_nonlocal(self) -> bool:
-        return self.bell_max > 2.0
 
 
 def _moments(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -113,7 +88,7 @@ def _map_via_moments(rho: TwoModeDensityMatrix) -> np.ndarray:
     which makes it that trace's cross-check in ``cvwerner validate``.
     """
     n = rho.n_max
-    factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n).as_tuple()])
+    factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n)])
     moments = _moments(rho.as_tensor(), factors)
     return np.einsum("ij,ikK,jlL->klKL", moments, PAULI, PAULI).reshape(4, 4) / 4.0
 
@@ -208,19 +183,16 @@ def mapped_threshold_bisection(r: float, s: float) -> float:
         lambda p: min_eigenvalue_ppt(closed_form_two_qubit(WernerParams(p=p, r=r, s=s))))
 
 
-def bell_analysis(q: QubitPairState) -> BellAnalysis:
-    """Maximal CHSH value from the correlation tensor.
+def bell_max(corr_tensor: np.ndarray) -> float:
+    """Maximal CHSH value of a two-qubit state from its correlation tensor T.
 
     Uses the two largest eigenvalues of U = T^t T, which is the
     necessary-and-sufficient two-qubit criterion; for the Werner family
     this reduces to 2 sqrt(t11^2 + t33^2).
     """
-    t = q.corr_tensor
-    u = t.T @ t
-    eig = hermitian_eigenvalues(u.astype(np.complex128)).eigenvalues
-    eig = np.clip(eig, 0.0, None)
-    bell = 2.0 * math.sqrt(eig[-1] + eig[-2])
-    return BellAnalysis(U_eigenvalues=eig, bell_max=bell)
+    u = corr_tensor.T @ corr_tensor
+    eig = np.clip(hermitian_eigenvalues(u.astype(np.complex128)).eigenvalues, 0.0, None)
+    return 2.0 * math.sqrt(eig[-1] + eig[-2])
 
 
 def bell_max_closed_form(params: WernerParams) -> float:

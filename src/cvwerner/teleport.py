@@ -11,10 +11,11 @@ parameterized by its variances in the x_-, x_+, p_-, p_+ combinations
 (x_pm = x_A +- x_B). Only the mixture is non-Gaussian. Each component is
 a product of four 1-D Gaussian factors and the input autocorrelation is
 a product ax(x_-) ap(p_+), so the fidelity integral separates into a sum
-over components of products of four 1-D integrals. Each of these is
-computed by trapezoid quadrature on a grid of its own, sized from its own
-factors, and is independent of the closed-form fidelity expressions it
-cross-checks.
+over components of products of four 1-D integrals. Each of these goes
+to ``numerics.integrate_line`` with the variance of its narrowest factor
+(a channel factor, or the input autocorrelation when that is narrower),
+which sizes the grid; the result is independent of the closed-form
+fidelity expressions it cross-checks.
 
 The autocorrelation of a coherent-state marginal w(x) = exp(-(x - c)^2)
 / sqrt(pi) factorises: with z = x - c + u/2,
@@ -35,18 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PhaseSpaceGrid, integrate_grid
+from .numerics import integrate_line
 from .states import WernerParams
 
-# Grid sizing for each 1-D integral: the integrand is one Gaussian factor,
-# or a factor times the input autocorrelation, so its support is bounded
-# by the narrower of the two. The grid spans WIDTH_SIGMAS of that std
-# (the ends sit below 1e-19 of the peak, well inside the integrator's
-# boundary gate) and is spaced RESOLUTION_FRACTION of it, so every grid
-# has the same GRID_POINTS samples whatever (r, s).
-WIDTH_SIGMAS = 9.5
-RESOLUTION_FRACTION = 0.25
-GRID_POINTS = int(2 * WIDTH_SIGMAS / RESOLUTION_FRACTION) + 1
 # Variance of the input autocorrelation exp(-u^2 / 2) / sqrt(2 pi) of a
 # coherent state in either quadrature.
 INPUT_VARIANCE = 1.0
@@ -75,45 +67,33 @@ class GaussianComponent:
         return np.exp(-coords * coords / (2.0 * variance))
 
 
-@dataclass(frozen=True)
-class WignerChannel:
+def channel_components(params: WernerParams) -> tuple[GaussianComponent, ...]:
     """Channel Wigner function as a mixture of Gaussian components."""
-
-    components: tuple[GaussianComponent, ...]
-
-    @staticmethod
-    def from_params(params: WernerParams) -> "WignerChannel":
-        comps = []
-        if params.p > 0.0:
-            comps.append(
-                GaussianComponent(
-                    weight=params.p,
-                    var_xminus=math.exp(-2.0 * params.r),
-                    var_xplus=math.exp(2.0 * params.r),
-                    var_pminus=math.exp(2.0 * params.r),
-                    var_pplus=math.exp(-2.0 * params.r),
-                )
+    comps = []
+    if params.p > 0.0:
+        comps.append(
+            GaussianComponent(
+                weight=params.p,
+                var_xminus=math.exp(-2.0 * params.r),
+                var_xplus=math.exp(2.0 * params.r),
+                var_pminus=math.exp(2.0 * params.r),
+                var_pplus=math.exp(-2.0 * params.r),
             )
-        if params.p < 1.0:
-            c = math.cosh(2.0 * params.s)
-            comps.append(
-                GaussianComponent(
-                    weight=1.0 - params.p,
-                    var_xminus=c,
-                    var_xplus=c,
-                    var_pminus=c,
-                    var_pplus=c,
-                )
-            )
-        return WignerChannel(components=tuple(comps))
+        )
+    if params.p < 1.0:
+        c = math.cosh(2.0 * params.s)
+        comps.append(
+            GaussianComponent(weight=1.0 - params.p, var_xminus=c, var_xplus=c, var_pminus=c,
+                              var_pplus=c)
+        )
+    return tuple(comps)
 
 
 @dataclass(frozen=True)
 class FidelityReport:
     fidelity_closed_form: float
-    fidelity_numeric: float | None
-    d_eff: float
-    method_agreement: float | None
+    fidelity_numeric: float
+    method_agreement: float
 
 
 def fidelity_nopa(r: float) -> float:
@@ -123,7 +103,7 @@ def fidelity_nopa(r: float) -> float:
     return 1.0 / (1.0 + math.exp(-2.0 * r))
 
 
-def fidelity_werner(p: float, r: float) -> FidelityReport:
+def fidelity_werner(p: float, r: float) -> float:
     """Closed-form Werner-channel fidelity for the symmetric family (s = r).
 
     F = p * F_nopa + (1 - p) / d with d = 2 cosh^2 r the effective
@@ -133,33 +113,13 @@ def fidelity_werner(p: float, r: float) -> FidelityReport:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     d = 2.0 * math.cosh(r) ** 2
-    closed = p * fidelity_nopa(r) + (1.0 - p) / d
-    return FidelityReport(
-        fidelity_closed_form=closed,
-        fidelity_numeric=None,
-        d_eff=d,
-        method_agreement=None,
-    )
-
-
-def _line_integral(variance: float, integrand) -> float:
-    """Trapezoid integral of ``integrand`` on a grid sized for ``variance``.
-
-    ``variance`` is that of the narrowest Gaussian factor of the integrand.
-    integrate_grid raises DomainTooSmallError if the sampled integrand has
-    not decayed at the ends of the grid.
-    """
-    half_width = WIDTH_SIGMAS * math.sqrt(variance)
-    axis = np.linspace(-half_width, half_width, GRID_POINTS)
-    return integrate_grid(
-        PhaseSpaceGrid(half_width=half_width, points_per_axis=GRID_POINTS, values=integrand(axis))
-    )
+    return p * fidelity_nopa(r) + (1.0 - p) / d
 
 
 def _input_overlap() -> float:
     """T = integral exp(-2 z^2) / pi dz, the factor of the input
     autocorrelation ax(u) = T exp(-u^2 / 2) that does not depend on u."""
-    return _line_integral(OVERLAP_VARIANCE, lambda z: np.exp(-2.0 * z * z) / math.pi)
+    return integrate_line(OVERLAP_VARIANCE, lambda z: np.exp(-2.0 * z * z) / math.pi)
 
 
 def _input_autocorrelation(u: np.ndarray, overlap: float) -> np.ndarray:
@@ -182,19 +142,18 @@ def fidelity_numeric_oracle(params: WernerParams, input_coherent_amplitude: comp
     is translated, so the result is independent of
     ``input_coherent_amplitude`` by construction.
     """
-    channel = WignerChannel.from_params(params)
     overlap = _input_overlap()
     total = 0.0
-    for c in channel.components:
-        x_plus = _line_integral(c.var_xplus, lambda u: c.factor(u, c.var_xplus))
-        p_minus = _line_integral(c.var_pminus, lambda u: c.factor(u, c.var_pminus))
+    for c in channel_components(params):
+        x_plus = integrate_line(c.var_xplus, lambda u: c.factor(u, c.var_xplus))
+        p_minus = integrate_line(c.var_pminus, lambda u: c.factor(u, c.var_pminus))
         # The sign flip on x_- is applied literally even though the
         # Gaussian components are even in each variable.
-        x_minus = _line_integral(
+        x_minus = integrate_line(
             min(c.var_xminus, INPUT_VARIANCE),
             lambda u: c.factor(-u, c.var_xminus) * _input_autocorrelation(u, overlap),
         )
-        p_plus = _line_integral(
+        p_plus = integrate_line(
             min(c.var_pplus, INPUT_VARIANCE),
             lambda u: c.factor(u, c.var_pplus) * _input_autocorrelation(u, overlap),
         )
@@ -209,9 +168,5 @@ def fidelity_report(params: WernerParams,
         raise ValueError("closed-form fidelity is only defined for r = s")
     closed = fidelity_werner(params.p, params.r)
     numeric = fidelity_numeric_oracle(params, input_coherent_amplitude)
-    return FidelityReport(
-        fidelity_closed_form=closed.fidelity_closed_form,
-        fidelity_numeric=numeric,
-        d_eff=closed.d_eff,
-        method_agreement=abs(closed.fidelity_closed_form - numeric),
-    )
+    return FidelityReport(fidelity_closed_form=closed, fidelity_numeric=numeric,
+                          method_agreement=abs(closed - numeric))

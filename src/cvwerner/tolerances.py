@@ -10,6 +10,13 @@ HERMITICITY_TOL = 1e-12
 # Agreement between closed-form criteria and brute-force matrix computation.
 ORACLE_TOL = 1e-9
 
+# Agreement of the enumerated partial-transpose spectrum with the brute-force
+# one in ``cvwerner validate``. Both read the same rounded block weights, and
+# the worst deviation on the validate 3 grid is 5.6e-17; a relative fault of
+# 1e-11 in the thermal pair weights t_k moves it to 5e-12, which ORACLE_TOL
+# misses.
+PPT_SPECTRUM_TOL = 1e-12
+
 # Agreement of the closed-form coherent-state fidelity with the numeric
 # quadrature oracle; both agree to rounding (~1e-15) on the accepted range.
 FIDELITY_AGREEMENT_TOL = 1e-12

@@ -87,13 +87,7 @@ def test_criterion_04_nonlocality_threshold():
             thr = qm.nonlocality_threshold(r, s)
             for sign in (-1.0, 1.0):
                 params = WernerParams(p=thr + sign * 1e-5, r=r, s=s)
-                tensor = qm.correlation_tensor_closed_form(params)
-                state = qm.QubitPairState(
-                    rho4=qm.closed_form_two_qubit(params),
-                    bloch_A=np.zeros(3), bloch_B=np.zeros(3),
-                    corr_tensor=tensor, trace_deficit=0.0,
-                )
-                bell = qm.bell_analysis(state).bell_max
+                bell = qm.bell_max(qm.correlation_tensor_closed_form(params))
                 assert (bell > 2.0) == (sign > 0), f"(r={r}, s={s}, sign={sign})"
 
 
@@ -187,7 +181,7 @@ def test_criterion_09_property_suites():
         assert np.abs(eig - oracle).max() < 1e-8
 
     for n_max in (2, 4, 12):
-        s1, s2, s3 = build_spin_operators(n_max).as_tuple()
+        s1, s2, s3 = build_spin_operators(n_max)
         eye = np.eye(n_max)
         for s in (s1, s2, s3):
             assert np.abs(s @ s - eye).max() < 1e-12

@@ -321,6 +321,22 @@ def corrupted_closed_form(fault, where=lambda params: True):
     return corrupted
 
 
+def faulty_block_weights(weight, fault):
+    """criteria._block_weights with the NOPA coherence c_k, the thermal pair
+    weight t_k or the thermal cell weight b_k scaled by 1 + ``fault``."""
+    table = cr._block_weights
+
+    def faulty(l1, l2, k, cell=False, **scales):
+        thermal, coherence = table(l1, l2, k, cell, **scales)
+        if weight == "c":
+            coherence = coherence * (1 + fault)
+        elif cell == (weight == "b"):
+            thermal = thermal * (1 + fault)
+        return thermal, coherence
+
+    return faulty
+
+
 class TestValidate:
     def test_passes_on_clean_build(self, capsys):
         code = main(["validate", "2"])
@@ -390,21 +406,21 @@ class TestValidate:
         # c_k, thermal pair weight t_k and thermal cell weight b_k with the
         # brute-force state, so a 1e-9 relative fault in any one of them
         # fails the cell check and the command.
-        table = cr._block_weights
-
-        def faulty(l1, l2, k, cell=False, **scales):
-            thermal, coherence = table(l1, l2, k, cell, **scales)
-            if weight == "c":
-                coherence = coherence * (1 + 1e-9)
-            elif cell == (weight == "b"):
-                thermal = thermal * (1 + 1e-9)
-            return thermal, coherence
-
-        monkeypatch.setattr(cr, "_block_weights", faulty)
+        monkeypatch.setattr(cr, "_block_weights", faulty_block_weights(weight, 1e-9))
         assert main(["validate", "2"]) == 1
         failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
                    if ": FAIL worst_deviation" in line]
         assert "cell decomposition (reconstruction)" in failing
+
+    def test_small_thermal_pair_weight_fault_is_detected(self, monkeypatch, capsys):
+        # A 1e-10 relative fault in t_k moves the enumerated spectrum by
+        # ~5e-11, below ORACLE_TOL; the spectrum check's own tolerance,
+        # PPT_SPECTRUM_TOL, catches it.
+        monkeypatch.setattr(cr, "_block_weights", faulty_block_weights("t", 1e-10))
+        assert main(["validate", "2"]) == 1
+        failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                   if ": FAIL worst_deviation" in line]
+        assert "ppt_spectrum (analytic vs brute force)" in failing
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

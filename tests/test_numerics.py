@@ -1,4 +1,4 @@
-"""Tests for the block-split eigensolver and the 1-D grid integrator.
+"""Tests for the block-split eigensolver and the 1-D quadrature rule.
 
 The eigensolver splits a matrix into the connected blocks of its nonzero
 pattern, solves 1x1 and 2x2 blocks in closed form and larger ones by
@@ -13,11 +13,10 @@ import pytest
 
 from cvwerner.errors import DomainTooSmallError, HermiticityError
 from cvwerner.numerics import (
-    PhaseSpaceGrid,
     _nonzero_pattern,
     _pattern_eigenvalues,
     hermitian_eigenvalues,
-    integrate_grid,
+    integrate_line,
 )
 
 
@@ -155,39 +154,15 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(a)
 
 
-class TestPhaseSpaceGrid:
-    def test_axis_and_spacing(self):
-        grid = PhaseSpaceGrid(half_width=2.0, points_per_axis=5, values=np.zeros(5))
-        assert np.allclose(grid.axis, [-2, -1, 0, 1, 2])
-        assert grid.spacing == 1.0
-
-    def test_rejects_even_points(self):
-        with pytest.raises(ValueError):
-            PhaseSpaceGrid(half_width=1.0, points_per_axis=4, values=np.zeros(4))
-
-    def test_rejects_inconsistent_shape(self):
-        with pytest.raises(ValueError):
-            PhaseSpaceGrid(half_width=1.0, points_per_axis=5, values=np.zeros((5, 7)))
-
-    def test_rejects_unsupported_rank(self):
-        with pytest.raises(ValueError):
-            PhaseSpaceGrid(half_width=1.0, points_per_axis=3, values=np.zeros((3, 3, 3)))
-
-
-class TestIntegrateGrid:
+class TestIntegrateLine:
     def test_normalized_gaussian_1d(self):
-        grid_axis = np.linspace(-10, 10, 401)
-        values = np.exp(-grid_axis ** 2) / math.sqrt(math.pi)
-        grid = PhaseSpaceGrid(half_width=10.0, points_per_axis=401, values=values)
-        assert integrate_grid(grid) == pytest.approx(1.0, abs=1e-12)
+        value = integrate_line(0.5, lambda x: np.exp(-x ** 2) / math.sqrt(math.pi))
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_boundary_mass(self):
-        ax = np.linspace(-1, 1, 51)
-        values = np.exp(-ax ** 2)  # far from decayed at |x| = 1
-        grid = PhaseSpaceGrid(half_width=1.0, points_per_axis=51, values=values)
         with pytest.raises(DomainTooSmallError):
-            integrate_grid(grid)
+            # Variance 100, far from decayed on a grid sized for variance 1.
+            integrate_line(1.0, lambda x: np.exp(-x ** 2 / 200.0))
 
     def test_zero_integrand(self):
-        grid = PhaseSpaceGrid(half_width=1.0, points_per_axis=5, values=np.zeros(5))
-        assert integrate_grid(grid) == 0.0
+        assert integrate_line(1.0, np.zeros_like) == 0.0

@@ -9,8 +9,7 @@ import pytest
 from cvwerner import qubit_map as qm
 from cvwerner.fock_core import FockCutoff, TwoModeDensityMatrix
 from cvwerner.qubit_map import (
-    QubitPairState,
-    bell_analysis,
+    bell_max,
     bell_max_closed_form,
     build_spin_operators,
     closed_form_two_qubit,
@@ -46,9 +45,8 @@ def random_density(n_max, seed):
 class TestSpinOperators:
     @pytest.mark.parametrize("n_max", [2, 4, 12])
     def test_pauli_algebra(self, n_max):
-        ops = build_spin_operators(n_max)
         eye = np.eye(n_max)
-        s1, s2, s3 = ops.as_tuple()
+        s1, s2, s3 = build_spin_operators(n_max)
         for s in (s1, s2, s3):
             assert np.abs(s @ s - eye).max() < 1e-12
             assert np.abs(s - s.conj().T).max() < 1e-12
@@ -61,8 +59,8 @@ class TestSpinOperators:
 
     def test_raising_combination(self):
         # s1 + i s2 = 2 L maps |2m+1> to 2 |2m>.
-        ops = build_spin_operators(6)
-        ladder = (ops.s1 + 1j * ops.s2) / 2.0
+        s1, s2, _ = build_spin_operators(6)
+        ladder = (s1 + 1j * s2) / 2.0
         vec = np.zeros(6)
         vec[3] = 1.0
         out = ladder @ vec
@@ -125,7 +123,7 @@ class TestMapOnGenericState:
     def test_moments_match_dense_observables(self, n_max, seed):
         rho = random_density(n_max, seed)
         eye = np.eye(n_max)
-        spins = build_spin_operators(n_max).as_tuple()
+        spins = build_spin_operators(n_max)
 
         def mean(obs):
             return np.trace(rho.data @ obs).real
@@ -200,13 +198,9 @@ class TestNonlocality:
 
     def test_bell_analysis_matches_closed_form(self):
         params = WernerParams(p=0.9, r=1.0, s=1.0)
-        t = correlation_tensor_closed_form(params)
-        q = QubitPairState(rho4=closed_form_two_qubit(params),
-                           bloch_A=np.zeros(3), bloch_B=np.zeros(3),
-                           corr_tensor=t, trace_deficit=0.0)
-        analysis = bell_analysis(q)
-        assert analysis.bell_max == pytest.approx(bell_max_closed_form(params), abs=1e-10)
-        assert analysis.is_nonlocal == (analysis.bell_max > 2.0)
+        bell = bell_max(correlation_tensor_closed_form(params))
+        assert bell == pytest.approx(bell_max_closed_form(params), abs=1e-10)
+        assert (bell > 2.0) == (params.p > nonlocality_threshold(params.r, params.s))
 
     def test_matches_mpmath_down_to_tiny_squeezing(self):
         # The quadratic root (a (a - 1) + sqrt(disc)) / (a^2 + b^2), a = tanh^2 2s,

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cvwerner.numerics import PhaseSpaceGrid, integrate_grid
+from cvwerner.numerics import GRID_POINTS, WIDTH_SIGMAS, integrate_line
 from cvwerner.states import WernerParams
 from cvwerner import teleport as tp
 from cvwerner.teleport import (
-    WignerChannel,
+    channel_components,
     fidelity_nopa,
     fidelity_numeric_oracle,
     fidelity_report,
@@ -28,16 +28,15 @@ class TestClosedForms:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_werner_mixture(self):
-        report = fidelity_werner(0.5, 1.0)
-        assert report.d_eff == pytest.approx(2.0 * math.cosh(1.0) ** 2)
-        expected = 0.5 * fidelity_nopa(1.0) + 0.5 / report.d_eff
-        assert report.fidelity_closed_form == pytest.approx(expected, rel=1e-14)
-        assert report.fidelity_closed_form == pytest.approx(0.545392, abs=1e-6)
+        fidelity = fidelity_werner(0.5, 1.0)
+        d_eff = 2.0 * math.cosh(1.0) ** 2
+        expected = 0.5 * fidelity_nopa(1.0) + 0.5 / d_eff
+        assert fidelity == pytest.approx(expected, rel=1e-14)
+        assert fidelity == pytest.approx(0.545392, abs=1e-6)
 
     def test_werner_approaches_p_at_large_squeezing(self):
         # The thermal contribution 1/(2 cosh^2 r) dies off, leaving F -> p.
-        report = fidelity_werner(0.5, 6.0)
-        assert report.fidelity_closed_form == pytest.approx(0.5, abs=2e-5)
+        assert fidelity_werner(0.5, 6.0) == pytest.approx(0.5, abs=2e-5)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -48,14 +47,13 @@ class TestClosedForms:
 
 class TestWignerChannel:
     def test_component_weights(self):
-        channel = WignerChannel.from_params(WernerParams(p=0.3, r=1.0, s=0.5))
-        assert [c.weight for c in channel.components] == [0.3, 0.7]
-        pure = WignerChannel.from_params(WernerParams(p=1.0, r=1.0, s=0.5))
-        assert len(pure.components) == 1
+        channel = channel_components(WernerParams(p=0.3, r=1.0, s=0.5))
+        assert [c.weight for c in channel] == [0.3, 0.7]
+        pure = channel_components(WernerParams(p=1.0, r=1.0, s=0.5))
+        assert len(pure) == 1
 
     def test_squeezed_variances(self):
-        channel = WignerChannel.from_params(WernerParams(p=1.0, r=1.0, s=1.0))
-        comp = channel.components[0]
+        comp = channel_components(WernerParams(p=1.0, r=1.0, s=1.0))[0]
         assert comp.var_xminus == pytest.approx(math.exp(-2.0))
         assert comp.var_xplus == pytest.approx(math.exp(2.0))
         assert comp.var_pminus == pytest.approx(math.exp(2.0))
@@ -64,17 +62,11 @@ class TestWignerChannel:
     def test_wigner_normalization(self):
         # In the doubled +- variables each component integrates to 4: its
         # norm times the four 1-D integrals of its Gaussian factors.
-        channel = WignerChannel.from_params(WernerParams(p=0.5, r=0.5, s=0.5))
-        half_width = 12.0
-        points = 121
-        axis = np.linspace(-half_width, half_width, points)
         totals = []
-        for comp in channel.components:
+        for comp in channel_components(WernerParams(p=0.5, r=0.5, s=0.5)):
             total = comp.norm
             for variance in (comp.var_xminus, comp.var_xplus, comp.var_pminus, comp.var_pplus):
-                total *= integrate_grid(PhaseSpaceGrid(
-                    half_width=half_width, points_per_axis=points,
-                    values=comp.factor(axis, variance)))
+                total *= integrate_line(variance, lambda u: comp.factor(u, variance))
             totals.append(total)
         assert totals == pytest.approx([4.0, 4.0], abs=1e-6)
 
@@ -102,10 +94,10 @@ def oracle_autocorrelation_axes(params):
     """The shift grids of the oracle's x_- and p_+ integrals, which carry
     the input autocorrelation."""
     axes = []
-    for c in WignerChannel.from_params(params).components:
+    for c in channel_components(params):
         for variance in (c.var_xminus, c.var_pplus):
-            half_width = tp.WIDTH_SIGMAS * math.sqrt(min(variance, tp.INPUT_VARIANCE))
-            axes.append(np.linspace(-half_width, half_width, tp.GRID_POINTS))
+            half_width = WIDTH_SIGMAS * math.sqrt(min(variance, tp.INPUT_VARIANCE))
+            axes.append(np.linspace(-half_width, half_width, GRID_POINTS))
     return axes
 
 
@@ -118,8 +110,8 @@ def dense_oracle_reference(params):
     kernel times the outer product of the input autocorrelations, for an
     input coherent state at the origin.
     """
-    channel = WignerChannel.from_params(params)
-    stds = [math.sqrt(v) for c in channel.components
+    channel = channel_components(params)
+    stds = [math.sqrt(v) for c in channel
             for v in (c.var_xminus, c.var_xplus, c.var_pminus, c.var_pplus)]
     half_width = 6.0 + 6.2 * max(stds)
     points = (int(math.ceil(2.0 * half_width / (min(min(stds), 1.0) / 3.0))) + 1) | 1
@@ -130,7 +122,7 @@ def dense_oracle_reference(params):
         return np.trapezoid(np.trapezoid(values, dx=dx, axis=-1), dx=dx)
 
     kernel = np.zeros((points, points))
-    for c in channel.components:
+    for c in channel:
         inner = trapezoid_2d(np.outer(c.factor(axis, c.var_xplus), c.factor(axis, c.var_pminus)))
         fx = c.factor(-axis, c.var_xminus)
         fp = c.factor(axis, c.var_pplus)

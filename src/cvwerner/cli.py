@@ -231,14 +231,18 @@ class CheckResult:
     passed: bool
     worst_deviation: float
     worst_point: WernerParams | None
+    tolerance: float
 
     def line(self) -> str:
+        """The check's report line; it ends with the tolerance and its slack
+        (tolerance - worst deviation), both as deterministic as the check."""
         status = "pass" if self.passed else "FAIL"
         where = ""
         if self.worst_point is not None:
             w = self.worst_point
             where = f" at (p={w.p:.6g}, r={w.r:.6g}, s={w.s:.6g})"
-        return f"{self.name}: {status} worst_deviation={self.worst_deviation:.3e}{where}"
+        return (f"{self.name}: {status} worst_deviation={self.worst_deviation:.3e}{where}"
+                f" tol={self.tolerance:.1e} slack={self.tolerance - self.worst_deviation:.3e}")
 
 
 def _validation_grid(grid_density: int):
@@ -267,7 +271,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
             if dev > worst:
                 worst, worst_pt = dev, params
         results.append(CheckResult(name=name, passed=passed, worst_deviation=worst,
-                                   worst_point=worst_pt))
+                                   worst_point=worst_pt, tolerance=tolerance))
 
     grid3 = [WernerParams(p=float(p), r=float(r), s=float(s))
              for p in p_values for r in rs_values for s in rs_values]
@@ -322,7 +326,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
               mapped_bisect_dev, tol.BISECTION_CHECK_TOL)
 
     def direct_dev(params):
-        # Bisection explores the same finite eigenvalue horizon, so it is
+        # The root search explores the same finite eigenvalue horizon, so it is
         # compared against the enumerated threshold; the closed form is
         # compared against that enumeration closed by its regime's limit.
         enumerated = cr.enumerated_entanglement_threshold(params.r, params.s)
@@ -479,10 +483,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "validate":
-            start = time.time()
+            start = time.perf_counter()
             results, ok = run_validation(args.grid_density)
             lines = [result.line() for result in results]
-            lines.append(f"elapsed: {time.time() - start:.1f} s")
+            lines.append(f"elapsed: {(time.perf_counter() - start) * 1e3:.1f} ms")
             lines.append("validation: " + ("PASS" if ok else "FAIL"))
             _emit("\n".join(lines) + "\n", output)
             return 0 if ok else 1

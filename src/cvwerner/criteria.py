@@ -175,7 +175,9 @@ def enumerated_entanglement_threshold(r: float, s: float,
 
 
 def bisect_direct_threshold(r: float, s: float, horizon: int = DEFAULT_HORIZON) -> float:
-    """Brute-force direct threshold: bisect p on the spectrum's infimum sign."""
+    """Brute-force direct threshold: the ITP root search of
+    ``numerics._bisect_threshold`` in p on the sign of the enumerated
+    spectrum's infimum, to BISECTION_TOL_P."""
     return _bisect_threshold(lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s), horizon))
 
 

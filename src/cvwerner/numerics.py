@@ -17,8 +17,11 @@ it has not decayed at the ends, and applies the trapezoid rule.
 Multi-dimensional integrals in this library are separable and are built
 from products of these 1-D integrals. Both pieces avoid any external
 linear-algebra backend so every eigenvalue and integral produced by this
-library is reproducible from first principles. The bisection in p that
-the threshold cross-checks share lives here too.
+library is reproducible from first principles. The root search in p
+that the two threshold cross-checks share lives here too: an ITP search
+(interpolate, truncate, project) that keeps bisection's bracket and,
+within three evaluations, its worst case, but lands on a smooth sign
+change in about a third of bisection's evaluations.
 """
 
 from __future__ import annotations
@@ -280,21 +283,60 @@ def integrate_line(variance: float, integrand) -> float:
     return float(np.trapezoid(values, dx=2.0 * half_width / (GRID_POINTS - 1)))
 
 
-# Underscored: perfbench's tracer wraps only public names, so the time of a
-# bisection stays charged to the threshold bisection that calls it.
-def _bisect_threshold(min_eig) -> float:
-    """Bisect p in [0, 1], to BISECTION_TOL_P, for the sign change of ``min_eig(p)``.
+# ITP parameters (Oliveira and Takahashi, ACM TOMS 47(1), 2020): the
+# truncation kappa1 * width^kappa2 and the slack n0 of the bisection budget,
+# the values the paper recommends for a unit bracket.
+ITP_KAPPA1 = 0.2
+ITP_KAPPA2 = 2.0
+ITP_SLACK = 1
 
-    ``min_eig`` is negative above the threshold; returns 1.0 when it is
-    not negative even at p = 1.
+
+# Underscored: perfbench's tracer wraps only public names, so the time of a
+# root search stays charged to the threshold cross-check that calls it.
+def _bisect_threshold(min_eig) -> float:
+    """The p in [0, 1] where ``min_eig(p)`` turns negative, to BISECTION_TOL_P.
+
+    ``min_eig`` is non-negative below the threshold and negative above it.
+    Returns 1.0 when it is not negative even at p = 1, and 0.0 when it is
+    negative already at p = 0. Otherwise the bracket [lo, hi] keeps
+    min_eig(lo) >= 0 > min_eig(hi) and shrinks by ITP steps until it is
+    at most BISECTION_TOL_P wide; its midpoint is returned.
+
+    Each ITP step interpolates the regula falsi point between the bracket
+    ends, truncates it ITP_KAPPA1 * width^ITP_KAPPA2 towards the midpoint,
+    and projects it into a ball about the midpoint whose radius shrinks
+    with the remaining budget of ceil(log2(1 / BISECTION_TOL_P)) + ITP_SLACK
+    steps. The projection bounds the step count by plain bisection's plus
+    ITP_SLACK (and a last step where rounding leaves the width a hair above
+    the tolerance), whatever ``min_eig`` does: at most 34 evaluations
+    against bisection's 31. The interpolation lands on a linear or smooth
+    sign change in about 10; a near-step, whose values either side differ
+    by orders of magnitude, still takes the worst case.
     """
     lo, hi = 0.0, 1.0
-    if min_eig(hi) >= 0.0:
+    f_hi = min_eig(hi)
+    if f_hi >= 0.0:
         return 1.0
+    f_lo = min_eig(lo)
+    if f_lo < 0.0:
+        return 0.0
+    eps = 0.5 * tol.BISECTION_TOL_P
+    budget = math.ceil(math.log2((hi - lo) / tol.BISECTION_TOL_P)) + ITP_SLACK
+    step = 0
     while hi - lo > tol.BISECTION_TOL_P:
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        if min_eig(mid) < 0.0:
-            hi = mid
+        falsi = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
+        toward = math.copysign(1.0, mid - falsi)
+        delta = ITP_KAPPA1 * width ** ITP_KAPPA2
+        x = falsi + toward * delta if delta <= abs(mid - falsi) else mid
+        radius = max(eps * 2.0 ** (budget - step) - 0.5 * width, 0.0)
+        if abs(x - mid) > radius:
+            x = mid - toward * radius
+        f_x = min_eig(x)
+        if f_x < 0.0:
+            hi, f_hi = x, f_x
         else:
-            lo = mid
+            lo, f_lo = x, f_x
+        step += 1
     return 0.5 * (lo + hi)

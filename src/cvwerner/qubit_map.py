@@ -62,16 +62,19 @@ class QubitPairState:
     trace_deficit: float
 
 
-def _moments(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Moments Tr(rho (f_i (x) f_j)) of a state tensor t[a, b, a', b'].
+def _moments(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+             factors: np.ndarray) -> np.ndarray:
+    """Moments Tr(rho (f_i (x) f_j)) of the two-mode matrix with n levels per
+    mode and nonzero entries ``values`` at (``rows``, ``cols``).
 
-    Each moment is a contraction of the tensor with the two single-mode
-    factors f_i, f_j; no two-mode observable is formed. The moments of
-    Hermitian factors are real, so an imaginary part beyond tolerance
-    raises.
+    Each entry rho[(a, b), (a', b')] adds its value times f_i[a', a]
+    f_j[b', b], so the cost is that of the pattern, not of the n^4 tensor,
+    and no two-mode observable is formed. The moments of Hermitian factors
+    are real, so an imaginary part beyond tolerance raises.
     """
-    half = np.einsum("abcd,ica->ibd", tensor, factors)
-    moments = np.einsum("ibd,jdb->ij", half, factors)
+    a, b = np.divmod(rows, n)
+    a_, b_ = np.divmod(cols, n)
+    moments = (factors[:, a_, a] * values) @ factors[:, b_, b].T
     imag = np.abs(moments.imag).max()
     if imag > tol.TRACE_IMAG_TOL:
         raise NumericalConsistencyError(
@@ -84,12 +87,13 @@ def _map_via_moments(rho: TwoModeDensityMatrix) -> np.ndarray:
     """Pseudo-spin route to the mapped 4x4: rho4 = 1/4 sum_ij M_ij sigma_i (x) sigma_j.
 
     M_ij = <f_i (x) f_j> for f in (1, s1, s2, s3) on each mode, so M[0, 0]
-    is the trace. It does not use the pair-index trace of ``map_to_qubits``,
-    which makes it that trace's cross-check in ``cvwerner validate``.
+    is the trace; it is read off the state's own nonzero pattern. It does
+    not use the pair-index trace of ``map_to_qubits``, which makes it that
+    trace's cross-check in ``cvwerner validate``.
     """
     n = rho.n_max
     factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n)])
-    moments = _moments(rho.as_tensor(), factors)
+    moments = _moments(n, *rho.pattern, factors)
     return np.einsum("ij,ikK,jlL->klKL", moments, PAULI, PAULI).reshape(4, 4) / 4.0
 
 
@@ -106,7 +110,8 @@ def map_to_qubits(rho: TwoModeDensityMatrix) -> QubitPairState:
     if n % 2:
         raise ValueError("qubit map requires an even n_max")
     rho4 = np.einsum("ikjliKjL->klKL", rho.as_tensor().reshape((n // 2, 2) * 4)).reshape(4, 4)
-    moments = _moments(rho4.reshape(2, 2, 2, 2), PAULI)
+    rows, cols = np.divmod(np.arange(16), 4)
+    moments = _moments(2, rows, cols, rho4.ravel(), PAULI)
     return QubitPairState(
         rho4=rho4,
         bloch_A=moments[1:, 0],
@@ -178,7 +183,9 @@ def mapped_entanglement_threshold(r: float, s: float) -> float:
 
 
 def mapped_threshold_bisection(r: float, s: float) -> float:
-    """Brute-force mapped threshold: bisect p on the 4x4 PPT minimum eigenvalue."""
+    """Brute-force mapped threshold: the ITP root search of
+    ``numerics._bisect_threshold`` in p on the 4x4 PPT minimum eigenvalue,
+    to BISECTION_TOL_P (about ten eigensolves, where bisection took 31)."""
     return _bisect_threshold(
         lambda p: min_eigenvalue_ppt(closed_form_two_qubit(WernerParams(p=p, r=r, s=s))))
 

@@ -47,7 +47,8 @@ BOUNDARY_MASS_RATIO = 1e-8
 # levels is 8.5e-14 (near s = 2.5, where the thermal part peaks at ~38).
 SQUEEZING_CONSISTENCY_TOL = 1e-12
 
-# Width in p at which the threshold bisections stop.
+# Width in p at which the threshold root searches (numerics._bisect_threshold)
+# stop.
 BISECTION_TOL_P = 1e-9
 
 # Agreement of a bisected threshold with its closed form or enumeration.

@@ -9,6 +9,7 @@ import pytest
 from cvwerner import criteria as cr
 from cvwerner import qubit_map as qm
 from cvwerner import teleport as tp
+from cvwerner import tolerances as tol
 from cvwerner.cli import (
     AxisSpec,
     SweepSpec,
@@ -425,3 +426,50 @@ class TestValidate:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             run_validation(1)
+
+    def test_check_lines_report_their_tolerance_and_slack(self):
+        tolerances = {
+            "ppt_spectrum (analytic vs brute force)": tol.PPT_SPECTRUM_TOL,
+            "qubit_map consistency (pair trace vs moments vs closed form)":
+                tol.MAP_CONSISTENCY_TOL,
+            "teleport fidelity (closed form vs numeric)": tol.FIDELITY_AGREEMENT_TOL,
+            "threshold ordering (separable <= direct <= mapped <= nonlocal)": 0.0,
+            "mapped threshold (closed form vs bisection)": tol.BISECTION_CHECK_TOL,
+            "direct threshold (closed form vs enumeration vs bisection)":
+                tol.BISECTION_CHECK_TOL,
+            "squeezing variance (closed form vs matrix)": tol.SQUEEZING_CONSISTENCY_TOL,
+            "cell decomposition (reconstruction)": tol.MAP_CONSISTENCY_TOL,
+        }
+        results, _ = run_validation(2)
+        assert [r.name for r in results] == list(tolerances)
+        for result in results:
+            match = re.search(r" tol=(\S+) slack=(\S+)$", result.line())
+            assert match, result.line()
+            assert match[1] == f"{tolerances[result.name]:.1e}"
+            assert match[2] == f"{tolerances[result.name] - result.worst_deviation:.3e}"
+
+    def test_elapsed_line_in_milliseconds(self, capsys):
+        main(["validate", "2"])
+        elapsed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("elapsed:")]
+        assert len(elapsed) == 1
+        assert re.fullmatch(r"elapsed: \d+\.\d ms", elapsed[0])
+
+    def test_threshold_searches_take_few_probes(self, monkeypatch):
+        # Plain bisection took 31 evaluations per point, 124 per search
+        # over the four points of validate 2.
+        calls = {"mapped": 0, "direct": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(qm, "min_eigenvalue_ppt", counted("mapped", qm.min_eigenvalue_ppt))
+        monkeypatch.setattr(cr, "ppt_spectrum_analytic",
+                            counted("direct", cr.ppt_spectrum_analytic))
+        _, ok = run_validation(2)
+        assert ok
+        assert 0 < calls["mapped"] <= 64
+        assert 0 < calls["direct"] <= 64

@@ -1,4 +1,5 @@
-"""Tests for the block-split eigensolver and the 1-D quadrature rule.
+"""Tests for the block-split eigensolver, the 1-D quadrature rule and the
+root search in p.
 
 The eigensolver splits a matrix into the connected blocks of its nonzero
 pattern, solves 1x1 and 2x2 blocks in closed form and larger ones by
@@ -13,11 +14,13 @@ import pytest
 
 from cvwerner.errors import DomainTooSmallError, HermiticityError
 from cvwerner.numerics import (
+    _bisect_threshold,
     _nonzero_pattern,
     _pattern_eigenvalues,
     hermitian_eigenvalues,
     integrate_line,
 )
+from cvwerner.tolerances import BISECTION_TOL_P
 
 
 def random_hermitian(dim, seed, scale=1.0):
@@ -166,3 +169,67 @@ class TestIntegrateLine:
 
     def test_zero_integrand(self):
         assert integrate_line(1.0, np.zeros_like) == 0.0
+
+
+# Plain bisection from [0, 1] to BISECTION_TOL_P takes 31 probes; the ITP
+# search may take a few more on its worst case, never more than this.
+ITP_PROBE_CAP = 35
+
+
+class ProbeCounter:
+    """Wraps a function of p, records every probe and stops a search that
+    runs past the cap, which a broken search would otherwise do for ages."""
+
+    def __init__(self, f):
+        self.f = f
+        self.probes = []
+
+    def __call__(self, p):
+        self.probes.append(p)
+        if len(self.probes) > ITP_PROBE_CAP:
+            raise RuntimeError(f"more than {ITP_PROBE_CAP} probes")
+        return self.f(p)
+
+
+ROOT_IRRATIONAL = 1.0 / math.sqrt(7.0)
+
+# (name, min_eig, sign change, most probes allowed): non-negative below the
+# sign change, negative above it. The step's two values are far apart in
+# size, so interpolation alone would crawl towards it from one side.
+SIGN_CHANGES = [
+    ("linear", lambda x: 0.37 - x, 0.37, 12),
+    ("concave_kink", lambda x: min(0.6 - x, 3.0 * (0.52 - x)), 0.52, 12),
+    ("convex", lambda x: math.exp(-8.0 * x) - math.exp(-8.0 * 0.61), 0.61, 16),
+    ("step_irrational", lambda x: 1.0 if x < ROOT_IRRATIONAL else -1e-3, ROOT_IRRATIONAL,
+     ITP_PROBE_CAP),
+    ("ninth_power", lambda x: (0.3 - x) ** 9, 0.3, ITP_PROBE_CAP),
+]
+
+
+class TestBisectThreshold:
+    @pytest.mark.parametrize("name, f, root, most", SIGN_CHANGES,
+                             ids=[case[0] for case in SIGN_CHANGES])
+    def test_lands_on_sign_change(self, name, f, root, most):
+        counter = ProbeCounter(f)
+        assert abs(_bisect_threshold(counter) - root) <= BISECTION_TOL_P
+        assert all(0.0 <= p <= 1.0 for p in counter.probes)
+        assert len(counter.probes) <= most
+
+    def test_no_sign_change_up_to_one(self):
+        counter = ProbeCounter(lambda x: 0.5 - 0.1 * x)
+        assert _bisect_threshold(counter) == 1.0
+        assert counter.probes == [1.0]
+        assert _bisect_threshold(lambda x: 0.0) == 1.0
+
+    def test_negative_at_zero_returns_zero(self):
+        # Negative on all of [0, 1]: every p is past the sign change, so the
+        # threshold is 0 exactly.
+        counter = ProbeCounter(lambda x: -1.0 - x)
+        assert _bisect_threshold(counter) == 0.0
+        assert counter.probes == [1.0, 0.0]
+
+    def test_zero_counts_as_below_the_sign_change(self):
+        # min_eig = 0 is not entangled: the sign change is where it first
+        # turns negative.
+        f = lambda x: 0.0 if x <= 0.4 else 0.4 - x
+        assert abs(_bisect_threshold(f) - 0.4) <= BISECTION_TOL_P

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cvwerner import qubit_map as qm
+from cvwerner.errors import NumericalConsistencyError
 from cvwerner.fock_core import FockCutoff, TwoModeDensityMatrix
 from cvwerner.qubit_map import (
     bell_max,
@@ -113,6 +114,35 @@ class TestMapToQubits:
                            FockCutoff(n_max=9, tail_bound=0.999))
         with pytest.raises(ValueError):
             map_to_qubits(rho)
+
+
+def dense_moment_route(rho):
+    """The pseudo-spin route as a dense two-step contraction of the n^4
+    tensor t[a, b, a', b'] with f_i[a', a] and f_j[b', b]."""
+    n = rho.n_max
+    factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n)])
+    half = np.einsum("abcd,ica->ibd", rho.as_tensor(), factors)
+    moments = np.einsum("ibd,jdb->ij", half, factors).real
+    return np.einsum("ij,ikK,jlL->klKL", moments, qm.PAULI, qm.PAULI).reshape(4, 4) / 4.0
+
+
+class TestMomentRoute:
+    """The moment route reads the state's nonzero pattern; the dense
+    contraction of the whole tensor is its reference."""
+
+    @pytest.mark.parametrize("n_max, seed", [(4, 21), (6, 22)])
+    def test_pattern_matches_dense_on_generic_state(self, n_max, seed):
+        rho = random_density(n_max, seed)
+        assert np.abs(qm._map_via_moments(rho) - dense_moment_route(rho)).max() <= 1e-14
+
+    @pytest.mark.parametrize("p, r, s", [(0.5, 1.0, 1.0), (0.9, 2.0, 0.5), (0.2, 0.5, 2.0)])
+    def test_pattern_matches_dense_on_werner_state(self, p, r, s):
+        rho = werner_state(WernerParams(p=p, r=r, s=s), CUTOFF)
+        assert np.abs(qm._map_via_moments(rho) - dense_moment_route(rho)).max() <= 1e-14
+
+    def test_imaginary_moment_raises(self):
+        with pytest.raises(NumericalConsistencyError):
+            qm._moments(1, np.array([0]), np.array([0]), np.array([1e-9j]), qm.PAULI[:1])
 
 
 class TestMapOnGenericState:

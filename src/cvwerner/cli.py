@@ -41,10 +41,6 @@ R_EQUALS_S = "r_equals_s"
 VALIDATE_SPECTRUM_N_MAX = 12
 VALIDATE_MAP_N_MAX = 16
 
-# The only key a --config file may set.
-CONFIG_KEYS = ("output",)
-
-
 # ---------------------------------------------------------------------------
 # Criterion table
 # ---------------------------------------------------------------------------
@@ -362,28 +358,6 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def parse_config(path: str) -> dict[str, str]:
-    """Plain key=value config file; '#' starts a comment, blank lines ignored.
-
-    Every key must be one of CONFIG_KEYS.
-    """
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; "
-                                 f"expected one of {CONFIG_KEYS}")
-            values[key] = value.strip()
-    return values
-
-
 def _parse_axis(token: str) -> AxisSpec:
     match = _AXIS_RE.match(token)
     if not match:
@@ -395,11 +369,14 @@ def _parse_axis(token: str) -> AxisSpec:
 
 
 def _collect_tokens(tokens: list[str]) -> dict[str, str]:
+    """key=value tokens as a dict; a key given twice is an error."""
     pairs = {}
     for token in tokens:
         if "=" not in token:
             raise ValueError(f"expected key=value token, got {token!r}")
         key, value = token.split("=", 1)
+        if key in pairs:
+            raise ValueError(f"key {key!r} given more than once")
         pairs[key] = value
     return pairs
 
@@ -409,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cvwerner",
         description="Continuous-variable Werner state analysis",
     )
-    parser.add_argument("--config", default=None,
-                        help="key=value config file; its one key is output, "
-                             "which --output overrides")
     parser.add_argument("--output", default=None,
                         help="output path (CSV for sweep, report otherwise); '-' for stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -437,15 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    config = {}
-    if args.config:
-        try:
-            config = parse_config(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-
-    output = args.output or config.get("output")
-
     try:
         if args.command == "eval":
             pairs = _collect_tokens(args.point)
@@ -460,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
             names = tuple(CRITERIA) if args.criteria == "all" else tuple(
                 args.criteria.split(","))
             text = run_eval(params, names)
-            _emit(text, output)
+            _emit(text, args.output)
             return 0
 
         if args.command == "sweep":
@@ -475,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
                 axis2=_parse_axis(pairs["axis2"]),
                 fixed=fixed if fixed == R_EQUALS_S else float(fixed),
                 outputs=tuple(pairs["outputs"].split(",")),
-                output_path=output or "-",
+                output_path=args.output or "-",
             )
             text = run_sweep(spec)
             if spec.output_path == "-":
@@ -488,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
             lines = [result.line() for result in results]
             lines.append(f"elapsed: {(time.perf_counter() - start) * 1e3:.1f} ms")
             lines.append("validation: " + ("PASS" if ok else "FAIL"))
-            _emit("\n".join(lines) + "\n", output)
+            _emit("\n".join(lines) + "\n", args.output)
             return 0 if ok else 1
     except (ValueError, CvWernerError) as exc:
         parser.error(str(exc))

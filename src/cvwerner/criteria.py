@@ -29,9 +29,10 @@ from .numerics import _bisect_threshold, _pattern_eigenvalues
 from .states import WernerParams, werner_state
 from .tolerances import SQUEEZING_CONSISTENCY_TOL
 
-# Enumeration horizon of the validate partners of the direct threshold (the
-# enumerated threshold, its bisection and the analytic spectrum's infimum).
-# The production thresholds are closed forms and read no horizon.
+# Number of pair blocks (m+n = 1 .. DEFAULT_HORIZON) that the validate
+# partners of the direct threshold enumerate: the analytic spectrum's
+# infimum, the enumerated threshold and its bisection. The production
+# thresholds are closed forms and read no horizon.
 DEFAULT_HORIZON = 200
 
 # Criterion identifiers used in verdicts and CLI output.
@@ -76,10 +77,10 @@ def _pair_terms(params: WernerParams, k):
     return _block_weights(params.lambda1, params.lambda2, k, thermal=1 - params.p, nopa=params.p)
 
 
-def ppt_spectrum_analytic(params: WernerParams, horizon: int = DEFAULT_HORIZON) -> float:
+def ppt_spectrum_analytic(params: WernerParams) -> float:
     """Infimum of the closed-form partial-transpose spectrum over the pair
-    blocks m+n = 1 .. horizon."""
-    base, off = _pair_terms(params, np.arange(1, horizon + 1))
+    blocks m+n = 1 .. DEFAULT_HORIZON."""
+    base, off = _pair_terms(params, np.arange(1, DEFAULT_HORIZON + 1))
     return float((base - off).min())
 
 
@@ -157,9 +158,9 @@ def direct_entanglement_threshold(r: float, s: float) -> DirectThreshold:
     return DirectThreshold(threshold=threshold, regime=regime)
 
 
-def enumerated_entanglement_threshold(r: float, s: float,
-                                      horizon: int = DEFAULT_HORIZON) -> float:
-    """Minimum pair-block threshold over m+n <= horizon, without the limit.
+def enumerated_entanglement_threshold(r: float, s: float) -> float:
+    """Minimum pair-block threshold over m+n <= DEFAULT_HORIZON, without the
+    limit.
 
     This is the finite object that bisection on the enumerated spectrum
     converges to; in the q > 1 regime it stays a horizon-dependent
@@ -167,18 +168,18 @@ def enumerated_entanglement_threshold(r: float, s: float,
     take the limit instead.
     """
     l1, l2 = math.tanh(r), math.tanh(s)
-    therm, nopa = _block_weights(l1, l2, np.arange(1, horizon + 1))
+    therm, nopa = _block_weights(l1, l2, np.arange(1, DEFAULT_HORIZON + 1))
     total = therm + nopa
     live = total > 0.0
     low = float((therm[live] / total[live]).min(initial=1.0))
     return low if live.all() else min(low, _entanglement_limit(l1, l2)[0])
 
 
-def bisect_direct_threshold(r: float, s: float, horizon: int = DEFAULT_HORIZON) -> float:
+def bisect_direct_threshold(r: float, s: float) -> float:
     """Brute-force direct threshold: the ITP root search of
     ``numerics._bisect_threshold`` in p on the sign of the enumerated
     spectrum's infimum, to BISECTION_TOL_P."""
-    return _bisect_threshold(lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s), horizon))
+    return _bisect_threshold(lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s)))
 
 
 def threshold_verdict(criterion: str, params: WernerParams, threshold: float) -> CriterionVerdict:

@@ -6,23 +6,26 @@ the input smeared by a kernel obtained from the channel's Wigner
 function by integrating out the (x_+, p_-) quadrature combinations.
 
 Both channel components (squeezed vacuum and thermal product) are
-Gaussian, so the channel Wigner function is a two-term Gaussian mixture
-parameterized by its variances in the x_-, x_+, p_-, p_+ combinations
-(x_pm = x_A +- x_B). Only the mixture is non-Gaussian. Each component is
-a product of four 1-D Gaussian factors and the input autocorrelation is
-a product ax(x_-) ap(p_+), so the fidelity integral separates into a sum
-over components of products of four 1-D integrals. Each of these goes
-to ``numerics.integrate_line`` with the variance of its narrowest factor
-(a channel factor, or the input autocorrelation when that is narrower),
-which sizes the grid; the result is independent of the closed-form
-fidelity expressions it cross-checks.
+Gaussian, so the channel Wigner function is a two-term Gaussian mixture.
+Only the mixture is non-Gaussian. In the combinations x_pm = x_A +- x_B,
+p_pm = p_A +- p_B each component is a product of four 1-D Gaussian
+factors with two variances: x_- and p_+ share the squeezed one, x_+ and
+p_- the anti-squeezed one (exp(-+2r) for the NOPA, cosh 2s for both in
+the thermal product; Braunstein & Kimble, PRL 80, 869 (1998)). The input
+autocorrelation is a product ax(x_-) ap(p_+) with ax = ap, so the
+fidelity integral is a sum over components of two distinct 1-D integrals,
+each squared. Each goes to ``numerics.integrate_line`` with the variance
+of its narrowest factor (a channel factor, or the input autocorrelation
+when that is narrower), which sizes the grid; the result is independent
+of the closed-form fidelity expressions it cross-checks.
 
 The autocorrelation of a coherent-state marginal w(x) = exp(-(x - c)^2)
 / sqrt(pi) factorises: with z = x - c + u/2,
 w(x) w(x + u) = exp(-2 z^2) exp(-u^2 / 2) / pi, so
 ax(u) = T exp(-u^2 / 2) with T the 1-D integral of exp(-2 z^2) / pi.
 T is computed once per oracle call by the same quadrature, and neither
-it nor ax depends on the centre c.
+it nor ax depends on the centre c, so the oracle takes no input
+amplitude.
 
 Wigner convention: vacuum W(x, p) = (1/pi) exp(-x^2 - p^2), integrating
 to 1, with x = (a + a^dag)/sqrt(2); a coherent amplitude alpha sits at
@@ -48,19 +51,18 @@ OVERLAP_VARIANCE = 0.25
 
 @dataclass(frozen=True)
 class GaussianComponent:
-    """One Gaussian term of the channel Wigner function, in +- variables."""
+    """One Gaussian term of the channel Wigner function, in +- variables:
+    x_- and p_+ have the squeezed variance, x_+ and p_- the anti-squeezed."""
 
     weight: float
-    var_xminus: float
-    var_xplus: float
-    var_pminus: float
-    var_pplus: float
+    var_squeezed: float
+    var_antisqueezed: float
 
     @property
     def norm(self) -> float:
         # The +- variables double-cover phase space: the Wigner function
         # integrates to 4 over (x_-, x_+, p_-, p_+).
-        prod = self.var_xminus * self.var_xplus * self.var_pminus * self.var_pplus
+        prod = self.var_squeezed * self.var_antisqueezed * self.var_antisqueezed * self.var_squeezed
         return 4.0 / ((2.0 * math.pi) ** 2 * math.sqrt(prod))
 
     def factor(self, coords: np.ndarray, variance: float) -> np.ndarray:
@@ -71,21 +73,11 @@ def channel_components(params: WernerParams) -> tuple[GaussianComponent, ...]:
     """Channel Wigner function as a mixture of Gaussian components."""
     comps = []
     if params.p > 0.0:
-        comps.append(
-            GaussianComponent(
-                weight=params.p,
-                var_xminus=math.exp(-2.0 * params.r),
-                var_xplus=math.exp(2.0 * params.r),
-                var_pminus=math.exp(2.0 * params.r),
-                var_pplus=math.exp(-2.0 * params.r),
-            )
-        )
+        comps.append(GaussianComponent(weight=params.p, var_squeezed=math.exp(-2.0 * params.r),
+                                       var_antisqueezed=math.exp(2.0 * params.r)))
     if params.p < 1.0:
         c = math.cosh(2.0 * params.s)
-        comps.append(
-            GaussianComponent(weight=1.0 - params.p, var_xminus=c, var_xplus=c, var_pminus=c,
-                              var_pplus=c)
-        )
+        comps.append(GaussianComponent(weight=1.0 - params.p, var_squeezed=c, var_antisqueezed=c))
     return tuple(comps)
 
 
@@ -128,45 +120,37 @@ def _input_autocorrelation(u: np.ndarray, overlap: float) -> np.ndarray:
     return overlap * np.exp(-u * u / (2.0 * INPUT_VARIANCE))
 
 
-def fidelity_numeric_oracle(params: WernerParams, input_coherent_amplitude: complex = 0j) -> float:
+def fidelity_numeric_oracle(params: WernerParams) -> float:
     """Teleportation fidelity by separable quadrature.
 
     F = (pi/2) * sum over components c of
     w_c norm_c (int f_x+) (int f_p-) (int f_x-(-u) ax(u) du) (int f_p+(u) ap(u) du),
     with ax, ap the autocorrelations of the input coherent state's Wigner
     marginals. This is the kernel-times-autocorrelation double integral
-    written out factor by factor; each 1-D integral runs on its own grid,
-    so the result agrees with the closed form to rounding over the whole
-    accepted (r, s) range. Both autocorrelations are T exp(-u^2 / 2): the
-    overlap of a marginal with its shift does not change when the marginal
-    is translated, so the result is independent of
-    ``input_coherent_amplitude`` by construction.
+    written out factor by factor. The x_+ and p_- integrals are the same
+    anti-squeezed integral a_c; the components are even and ax = ap =
+    T exp(-u^2 / 2), so the x_- and p_+ integrals are the same squeezed
+    integral b_c, and F = (pi/2) sum_c w_c norm_c a_c a_c b_c b_c. Each 1-D
+    integral runs on its own grid, so the result agrees with the closed
+    form to rounding over the whole accepted (r, s) range.
     """
     overlap = _input_overlap()
     total = 0.0
     for c in channel_components(params):
-        x_plus = integrate_line(c.var_xplus, lambda u: c.factor(u, c.var_xplus))
-        p_minus = integrate_line(c.var_pminus, lambda u: c.factor(u, c.var_pminus))
-        # The sign flip on x_- is applied literally even though the
-        # Gaussian components are even in each variable.
-        x_minus = integrate_line(
-            min(c.var_xminus, INPUT_VARIANCE),
-            lambda u: c.factor(-u, c.var_xminus) * _input_autocorrelation(u, overlap),
+        anti = integrate_line(c.var_antisqueezed, lambda u: c.factor(u, c.var_antisqueezed))
+        squeezed = integrate_line(
+            min(c.var_squeezed, INPUT_VARIANCE),
+            lambda u: c.factor(u, c.var_squeezed) * _input_autocorrelation(u, overlap),
         )
-        p_plus = integrate_line(
-            min(c.var_pplus, INPUT_VARIANCE),
-            lambda u: c.factor(u, c.var_pplus) * _input_autocorrelation(u, overlap),
-        )
-        total += c.weight * c.norm * x_plus * p_minus * x_minus * p_plus
+        total += c.weight * c.norm * anti * anti * squeezed * squeezed
     return 0.5 * math.pi * total
 
 
-def fidelity_report(params: WernerParams,
-                    input_coherent_amplitude: complex = 0j) -> FidelityReport:
+def fidelity_report(params: WernerParams) -> FidelityReport:
     """Closed form (requires s = r) next to the numeric oracle."""
     if params.r != params.s:
         raise ValueError("closed-form fidelity is only defined for r = s")
     closed = fidelity_werner(params.p, params.r)
-    numeric = fidelity_numeric_oracle(params, input_coherent_amplitude)
+    numeric = fidelity_numeric_oracle(params)
     return FidelityReport(fidelity_closed_form=closed, fidelity_numeric=numeric,
                           method_agreement=abs(closed - numeric))

@@ -1,4 +1,5 @@
-"""Tests for the command-line front end: eval, sweep, validate, config."""
+"""Tests for the command-line front end: eval, sweep, validate, and the
+removed flags (--tail-bound, --n-max, --config), which exit 2."""
 
 import math
 import re
@@ -14,7 +15,6 @@ from cvwerner.cli import (
     AxisSpec,
     SweepSpec,
     main,
-    parse_config,
     run_sweep,
     run_validation,
 )
@@ -157,6 +157,13 @@ class TestRunSweep:
         with pytest.raises(Exception):
             run_sweep(spec)
 
+    def test_repeated_key_exits_2_and_names_it(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "axis1=r[0.5,1,2]", "axis2=s[0.5,1,2]",
+                  "outputs=p_min_squeezed", "fixed=0.5", "fixed=0.7"])
+        assert info.value.code == 2
+        assert "key 'fixed' given more than once" in capsys.readouterr().err
+
 
 class TestEval:
     def test_report_contents(self, capsys):
@@ -259,49 +266,17 @@ class TestEval:
         with pytest.raises(SystemExit):
             main(["eval", "q=0.5"])
 
-
-class TestConfig:
-    SWEEP = ["sweep", "axis1=r[0.5,1,2]", "axis2=s[0.5,1,2]",
-             "outputs=p_min_squeezed", "fixed=0.5"]
-
-    def test_parse_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\noutput = a.csv # inline\n\n")
-        values = parse_config(str(cfg))
-        assert values == {"output": "a.csv"}
-
-    def test_malformed_config(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just a line\n")
-        with pytest.raises(ValueError):
-            parse_config(str(cfg))
-
-    @pytest.mark.parametrize("key", ["tail_bound", "n_max", "outputs"])
-    def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key}=1e-6\n")
+    def test_repeated_key_exits_2_and_names_it(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["--config", str(cfg), "eval", "p=0.5", "r=1", "s=1"])
+            main(["eval", "r=1", "s=1", "p=0.5", "p=0.7"])
         assert info.value.code == 2
-        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert "key 'p' given more than once" in capsys.readouterr().err
 
-    def test_flags_take_precedence(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"output={tmp_path / 'from_config.csv'}\n")
-        out = tmp_path / "o.csv"
-        main(["--config", str(cfg), "--output", str(out), *self.SWEEP])
-        assert out.read_text(encoding="utf-8").startswith("# command=sweep")
-        assert not (tmp_path / "from_config.csv").exists()
 
-    def test_config_supplies_output(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        out = tmp_path / "o.csv"
-        cfg.write_text(f"output={out}\n")
-        main(["--config", str(cfg), *self.SWEEP])
-        assert out.read_text(encoding="utf-8").startswith("# command=sweep")
-
-    @pytest.mark.parametrize("flag", [["--tail-bound", "1e-9"], ["--n-max", "6"]])
-    def test_removed_cutoff_flags_exit_2(self, flag):
+class TestRemovedFlags:
+    @pytest.mark.parametrize("flag", [["--tail-bound", "1e-9"], ["--n-max", "6"],
+                                      ["--config", "run.cfg"]])
+    def test_removed_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as info:
             main([*flag, "eval", "p=0.5", "r=1", "s=1"])
         assert info.value.code == 2

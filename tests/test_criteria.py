@@ -67,20 +67,21 @@ def enumerate_ppt_spectrum_reference(params, n_max):
     return np.sort(np.array(vals))
 
 
-def analytic_infimum_reference(params, horizon=criteria.DEFAULT_HORIZON):
+def analytic_infimum_reference(params):
     """The scalar loop over k that ppt_spectrum_analytic replaced."""
-    return min(base - off for base, off in
-               (criteria._pair_terms(params, k) for k in range(1, horizon + 1)))
+    return min(base - off for base, off in (criteria._pair_terms(params, k)
+                                            for k in range(1, criteria.DEFAULT_HORIZON + 1)))
 
 
-def enumerated_threshold_reference(r, s, horizon=criteria.DEFAULT_HORIZON):
+def enumerated_threshold_reference(r, s):
     """The scalar loop over k that enumerated_entanglement_threshold replaced."""
     l1, l2 = math.tanh(r), math.tanh(s)
     if l1 == 0.0:
         return 1.0
     if l2 == 0.0:
         return 0.0
-    return min(criteria._entanglement_p_k(l1, l2, k) for k in range(1, horizon + 1))
+    return min(criteria._entanglement_p_k(l1, l2, k)
+               for k in range(1, criteria.DEFAULT_HORIZON + 1))
 
 
 def dense_partial_transpose(rho):
@@ -145,11 +146,10 @@ class TestPptSpectrum:
             reference = enumerate_ppt_spectrum_reference(params, n_max)
             assert enumerated.shape == reference.shape == (n_max * n_max,)
             assert np.abs(enumerated - reference).max() <= LOOP_REFERENCE_TOL
-        for horizon in (1, 5, criteria.DEFAULT_HORIZON):
-            low = ppt_spectrum_analytic(params, horizon)
-            assert abs(low - analytic_infimum_reference(params, horizon)) <= LOOP_REFERENCE_TOL
-            assert abs(enumerated_entanglement_threshold(r, s, horizon)
-                       - enumerated_threshold_reference(r, s, horizon)) <= LOOP_REFERENCE_TOL
+        low = ppt_spectrum_analytic(params)
+        assert abs(low - analytic_infimum_reference(params)) <= LOOP_REFERENCE_TOL
+        assert abs(enumerated_entanglement_threshold(r, s)
+                   - enumerated_threshold_reference(r, s)) <= LOOP_REFERENCE_TOL
 
     def test_negative_eigenvalue_detects_entanglement(self):
         entangled = ppt_spectrum_analytic(WernerParams(p=0.9, r=1.0, s=0.5))

@@ -53,11 +53,10 @@ class TestWignerChannel:
         assert len(pure) == 1
 
     def test_squeezed_variances(self):
-        comp = channel_components(WernerParams(p=1.0, r=1.0, s=1.0))[0]
-        assert comp.var_xminus == pytest.approx(math.exp(-2.0))
-        assert comp.var_xplus == pytest.approx(math.exp(2.0))
-        assert comp.var_pminus == pytest.approx(math.exp(2.0))
-        assert comp.var_pplus == pytest.approx(math.exp(-2.0))
+        nopa, thermal = channel_components(WernerParams(p=0.5, r=1.0, s=0.5))
+        assert nopa.var_squeezed == pytest.approx(math.exp(-2.0))
+        assert nopa.var_antisqueezed == pytest.approx(math.exp(2.0))
+        assert thermal.var_squeezed == thermal.var_antisqueezed == pytest.approx(math.cosh(1.0))
 
     def test_wigner_normalization(self):
         # In the doubled +- variables each component integrates to 4: its
@@ -65,10 +64,15 @@ class TestWignerChannel:
         totals = []
         for comp in channel_components(WernerParams(p=0.5, r=0.5, s=0.5)):
             total = comp.norm
-            for variance in (comp.var_xminus, comp.var_xplus, comp.var_pminus, comp.var_pplus):
+            for variance in four_variances(comp):
                 total *= integrate_line(variance, lambda u: comp.factor(u, variance))
             totals.append(total)
         assert totals == pytest.approx([4.0, 4.0], abs=1e-6)
+
+
+def four_variances(c):
+    """The variances of the (x_-, x_+, p_-, p_+) factors of a component."""
+    return c.var_squeezed, c.var_antisqueezed, c.var_antisqueezed, c.var_squeezed
 
 
 def closed_form_fidelity(p, r, s):
@@ -95,9 +99,8 @@ def oracle_autocorrelation_axes(params):
     the input autocorrelation."""
     axes = []
     for c in channel_components(params):
-        for variance in (c.var_xminus, c.var_pplus):
-            half_width = WIDTH_SIGMAS * math.sqrt(min(variance, tp.INPUT_VARIANCE))
-            axes.append(np.linspace(-half_width, half_width, GRID_POINTS))
+        half_width = WIDTH_SIGMAS * math.sqrt(min(c.var_squeezed, tp.INPUT_VARIANCE))
+        axes.append(np.linspace(-half_width, half_width, GRID_POINTS))
     return axes
 
 
@@ -111,8 +114,7 @@ def dense_oracle_reference(params):
     input coherent state at the origin.
     """
     channel = channel_components(params)
-    stds = [math.sqrt(v) for c in channel
-            for v in (c.var_xminus, c.var_xplus, c.var_pminus, c.var_pplus)]
+    stds = [math.sqrt(v) for c in channel for v in four_variances(c)]
     half_width = 6.0 + 6.2 * max(stds)
     points = (int(math.ceil(2.0 * half_width / (min(min(stds), 1.0) / 3.0))) + 1) | 1
     axis = np.linspace(-half_width, half_width, points)
@@ -123,13 +125,47 @@ def dense_oracle_reference(params):
 
     kernel = np.zeros((points, points))
     for c in channel:
-        inner = trapezoid_2d(np.outer(c.factor(axis, c.var_xplus), c.factor(axis, c.var_pminus)))
-        fx = c.factor(-axis, c.var_xminus)
-        fp = c.factor(axis, c.var_pplus)
+        var_xminus, var_xplus, var_pminus, var_pplus = four_variances(c)
+        inner = trapezoid_2d(np.outer(c.factor(axis, var_xplus), c.factor(axis, var_pminus)))
+        fx = c.factor(-axis, var_xminus)
+        fp = c.factor(axis, var_pplus)
         kernel += c.weight * c.norm * inner * np.outer(fx, fp)
     a = dense_input_autocorrelation(axis, 0.0)
     autocorrelation = np.outer(a, a)
     return 0.5 * math.pi * trapezoid_2d(kernel * autocorrelation)
+
+
+def four_integral_oracle_reference(params):
+    """The oracle before its duplicate integrals were merged: one
+    integrate_line call for each of the four factors of each component,
+    with the sign flip on x_- applied literally."""
+    overlap = tp._input_overlap()
+    total = 0.0
+    for c in channel_components(params):
+        var_xminus, var_xplus, var_pminus, var_pplus = four_variances(c)
+        x_plus = integrate_line(var_xplus, lambda u: c.factor(u, var_xplus))
+        p_minus = integrate_line(var_pminus, lambda u: c.factor(u, var_pminus))
+        x_minus = integrate_line(
+            min(var_xminus, tp.INPUT_VARIANCE),
+            lambda u: c.factor(-u, var_xminus) * tp._input_autocorrelation(u, overlap),
+        )
+        p_plus = integrate_line(
+            min(var_pplus, tp.INPUT_VARIANCE),
+            lambda u: c.factor(u, var_pplus) * tp._input_autocorrelation(u, overlap),
+        )
+        total += c.weight * c.norm * x_plus * p_minus * x_minus * p_plus
+    return 0.5 * math.pi * total
+
+
+def seeded_oracle_points():
+    """Seeded (p, r, s) with r = s and r != s over the accepted range, the
+    pure and thermal ends of p, and the r = s = 19 edge."""
+    rng = np.random.default_rng(17)
+    points = [(0.7, 19.0, 19.0), (1.0, 19.0, 19.0), (0.0, 19.0, 19.0), (0.5, 0.0, 0.0)]
+    for p, r, s in zip(rng.uniform(0.0, 1.0, 60), rng.uniform(0.0, 19.0, 60),
+                       rng.uniform(0.0, 19.0, 60)):
+        points += [(float(p), float(r), float(s)), (float(p), float(r), float(r))]
+    return points
 
 
 class TestNumericOracle:
@@ -144,14 +180,6 @@ class TestNumericOracle:
     def test_mixture_anchor(self):
         value = fidelity_numeric_oracle(WernerParams(p=0.5, r=1.0, s=1.0))
         assert value == pytest.approx(0.545392, abs=1e-4)
-
-    def test_amplitude_invariance(self):
-        # The input overlap does not change under translation, so the
-        # amplitude drops out exactly.
-        params = WernerParams(p=0.5, r=1.0, s=1.0)
-        at_origin = fidelity_numeric_oracle(params, input_coherent_amplitude=0j)
-        displaced = fidelity_numeric_oracle(params, input_coherent_amplitude=1 + 0.5j)
-        assert at_origin == displaced
 
     @pytest.mark.parametrize("r", [0.0, 1.0, 5.0, 19.0])
     @pytest.mark.parametrize("center", [0.0, 1.4, -0.7])
@@ -184,9 +212,28 @@ class TestNumericOracle:
 
     @pytest.mark.parametrize("p, r, s", [(0.5, 1.0, 0.3), (0.2, 0.5, 2.0), (0.9, 2.0, 0.5)])
     def test_matches_general_closed_form_off_diagonal(self, p, r, s):
-        value = fidelity_numeric_oracle(WernerParams(p=p, r=r, s=s),
-                                        input_coherent_amplitude=0.3 + 0.7j)
+        value = fidelity_numeric_oracle(WernerParams(p=p, r=r, s=s))
         assert abs(value - closed_form_fidelity(p, r, s)) <= 2e-15
+
+    @pytest.mark.parametrize("p, calls", [(0.5, 5), (1.0, 3), (0.0, 3)])
+    def test_one_integral_per_distinct_factor(self, monkeypatch, p, calls):
+        # The overlap T, then one anti-squeezed and one squeezed integral
+        # per component.
+        counted = []
+
+        def counting(variance, integrand):
+            counted.append(variance)
+            return integrate_line(variance, integrand)
+
+        monkeypatch.setattr(tp, "integrate_line", counting)
+        fidelity_numeric_oracle(WernerParams(p=p, r=1.0, s=0.5))
+        assert len(counted) == calls
+
+    def test_bit_identical_to_four_integral_route(self):
+        for p, r, s in seeded_oracle_points():
+            params = WernerParams(p=p, r=r, s=s)
+            reference = four_integral_oracle_reference(params)
+            assert fidelity_numeric_oracle(params) == reference, (p, r, s)
 
     def test_finite_at_tanh_saturation_edge(self):
         value = fidelity_numeric_oracle(WernerParams(p=0.7, r=19.0, s=19.0))

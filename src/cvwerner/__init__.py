@@ -8,15 +8,11 @@ brute-force matrix computation.
 
 from .criteria import (
     CriterionVerdict,
-    DirectThreshold,
-    GapInterval,
-    SeparabilityCells,
     bisect_direct_threshold,
     direct_entanglement_threshold,
     enumerate_ppt_spectrum,
     enumerated_entanglement_threshold,
     largest_separable_p,
-    mapped_vs_direct_gap,
     ppt_spectrum_analytic,
     ppt_spectrum_bruteforce,
     reconstruct_from_cells,
@@ -28,7 +24,6 @@ from .criteria import (
 from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
 from .numerics import EigenResult, hermitian_eigenvalues, integrate_line
 from .qubit_map import (
-    QubitPairState,
     bell_max,
     bell_max_closed_form,
     build_spin_operators,

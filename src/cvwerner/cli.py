@@ -89,7 +89,7 @@ def _fidelity_line(params: WernerParams) -> str:
 # tracer does) reaches the table.
 CRITERIA = {criterion.name: criterion for criterion in (
     _threshold_criterion(cr.ENTANGLED_PPT_DIRECT, "p_min_entangled_direct",
-                         lambda w: cr.direct_entanglement_threshold(w.r, w.s).threshold),
+                         lambda w: cr.direct_entanglement_threshold(w.r, w.s)),
     _threshold_criterion(cr.ENTANGLED_PPT_MAPPED, "p_min_entangled_mapped",
                          lambda w: qm.mapped_entanglement_threshold(w.r, w.s)),
     _threshold_criterion(cr.SEPARABLE_SUFFICIENT, "p_max_separable",
@@ -139,7 +139,6 @@ class SweepSpec:
     axis2: AxisSpec
     fixed: float | str  # value of the remaining parameter, or "r_equals_s"
     outputs: tuple[str, ...]
-    output_path: str
 
     def __post_init__(self):
         if self.axis1.name == self.axis2.name:
@@ -175,7 +174,7 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> str:
-    """Evaluate the sweep and return the CSV text (also written to the path)."""
+    """Evaluate the sweep and return the CSV text."""
     lines = [
         f"# command=sweep",
         f"# axis1={spec.axis1.name}[{spec.axis1.minimum:.12g},"
@@ -195,11 +194,7 @@ def run_sweep(spec: SweepSpec) -> str:
             row = [text1, f"{float(v2):.12g}"]
             row += [f"{value(params):.12g}" for value in columns]
             lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if spec.output_path != "-":
-        with open(spec.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +205,11 @@ def run_eval(params: WernerParams, names: tuple[str, ...]) -> str:
     """Textual report: two header lines, then one line per requested criterion."""
     lines = [f"point: p={params.p:.12g} r={params.r:.12g} s={params.s:.12g}",
              "thresholds: closed forms in (p, r, s), no Fock truncation"]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"criterion {name!r} given more than once")
         lines.append(CRITERIA[name].line(params))
     return "\n".join(lines) + "\n"
 
@@ -292,7 +289,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         # The pair-index trace against the truncated closed form and against
         # the pseudo-spin moment route.
         rho = werner_state(params, map_cutoff)
-        rho4 = qm.map_to_qubits(rho).rho4
+        rho4 = qm.map_to_qubits(rho)
         truncated = qm.closed_form_two_qubit(params, n_max=VALIDATE_MAP_N_MAX)
         return float(max(np.abs(rho4 - truncated).max(),
                          np.abs(rho4 - qm._map_via_moments(rho)).max()))
@@ -327,8 +324,8 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
         # compared against that enumeration closed by its regime's limit.
         enumerated = cr.enumerated_entanglement_threshold(params.r, params.s)
         brute = cr.bisect_direct_threshold(params.r, params.s)
-        closed = cr.direct_entanglement_threshold(params.r, params.s).threshold
-        limit = cr._entanglement_limit(params.lambda1, params.lambda2)[0]
+        closed = cr.direct_entanglement_threshold(params.r, params.s)
+        limit = cr._entanglement_limit(params.lambda1, params.lambda2)
         return max(abs(enumerated - brute), abs(closed - min(enumerated, limit)))
 
     run_check("direct threshold (closed form vs enumeration vs bisection)", grid_rs,
@@ -407,8 +404,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unknown_leading_option(argv: list[str]) -> str | None:
+    """The first option ahead of the subcommand other than (a prefix of)
+    --output or --help; argparse would name its value, read as the subcommand."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-") and argv[i] not in ("-", "--"):
+        name = argv[i].split("=", 1)[0]
+        if name == "-h" or len(name) > 2 and "--help".startswith(name):
+            return None
+        if len(name) <= 2 or not "--output".startswith(name):
+            return name
+        i += 1 if "=" in argv[i] else 2
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if unknown := _unknown_leading_option(argv):
+        parser.error(f"unrecognized option {unknown!r}")
     args = parser.parse_args(argv)
 
     try:
@@ -440,11 +453,8 @@ def main(argv: list[str] | None = None) -> int:
                 axis2=_parse_axis(pairs["axis2"]),
                 fixed=fixed if fixed == R_EQUALS_S else float(fixed),
                 outputs=tuple(pairs["outputs"].split(",")),
-                output_path=args.output or "-",
             )
-            text = run_sweep(spec)
-            if spec.output_path == "-":
-                sys.stdout.write(text)
+            _emit(run_sweep(spec), args.output)
             return 0
 
         if args.command == "validate":

@@ -106,23 +106,23 @@ def ppt_spectrum_bruteforce(params: WernerParams, cutoff: FockCutoff) -> np.ndar
     return _pattern_eigenvalues(cutoff.dim, *partial_transpose_A(rho)).eigenvalues
 
 
-def _entanglement_limit(l1: float, l2: float) -> tuple[float, str]:
-    """k -> infinity limit of the pair-block thresholds and its regime tag.
+def _entanglement_limit(l1: float, l2: float) -> float:
+    """k -> infinity limit of the pair-block thresholds.
 
     The NOPA/thermal weight ratio of block k goes as q^k, q = l1 / l2^2:
     the limit is 0 for q > 1 (also where l2^2 underflows, so q is
     infinite), (1 - l1) / 2 for q = 1 and 1 for q < 1 or l1 = 0.
     """
     if l1 == 0.0:
-        return 1.0, "never"
+        return 1.0
     if l2 * l2 == 0.0:
-        return 0.0, "q>1"
+        return 0.0
     q = l1 / (l2 * l2)
     if q > 1.0:
-        return 0.0, "q>1"
+        return 0.0
     if q == 1.0:
-        return (1.0 - l1) / 2.0, "q=1"
-    return 1.0, "q<1"
+        return (1.0 - l1) / 2.0
+    return 1.0
 
 
 def _entanglement_p_k(l1: float, l2: float, k: int) -> float:
@@ -131,31 +131,22 @@ def _entanglement_p_k(l1: float, l2: float, k: int) -> float:
     therm, nopa = _block_weights(l1, l2, k)
     total = therm + nopa
     if total == 0.0:
-        return _entanglement_limit(l1, l2)[0]
+        return _entanglement_limit(l1, l2)
     return therm / total
 
 
-@dataclass(frozen=True)
-class DirectThreshold:
-    """Direct (infinite-dimensional) entanglement threshold with regime tag."""
-
-    threshold: float
-    regime: str  # "never", "q>1", "q=1", "q<1"
-
-
-def direct_entanglement_threshold(r: float, s: float) -> DirectThreshold:
+def direct_entanglement_threshold(r: float, s: float) -> float:
     """Infimum over m+n = k >= 1 of the pair-block negativity thresholds.
 
     The block thresholds fall or rise monotonically in k, so the infimum
     is min(p_1, limit), with the k = 1 block p_1 and the k -> infinity
-    limit and regime of ``_entanglement_limit``: 0 for q > 1, which covers
-    the whole r = s family.
+    limit of ``_entanglement_limit``: 0 for q > 1, which covers the whole
+    r = s family.
     """
     l1, l2 = math.tanh(r), math.tanh(s)
-    limit, regime = _entanglement_limit(l1, l2)
+    limit = _entanglement_limit(l1, l2)
     # A zero limit is the infimum without the k = 1 block.
-    threshold = min(_entanglement_p_k(l1, l2, 1), limit) if limit else limit
-    return DirectThreshold(threshold=threshold, regime=regime)
+    return min(_entanglement_p_k(l1, l2, 1), limit) if limit else limit
 
 
 def enumerated_entanglement_threshold(r: float, s: float) -> float:
@@ -172,7 +163,7 @@ def enumerated_entanglement_threshold(r: float, s: float) -> float:
     total = therm + nopa
     live = total > 0.0
     low = float((therm[live] / total[live]).min(initial=1.0))
-    return low if live.all() else min(low, _entanglement_limit(l1, l2)[0])
+    return low if live.all() else min(low, _entanglement_limit(l1, l2))
 
 
 def bisect_direct_threshold(r: float, s: float) -> float:
@@ -194,77 +185,17 @@ def threshold_verdict(criterion: str, params: WernerParams, threshold: float) ->
                             margin=margin, method="analytic")
 
 
-@dataclass(frozen=True)
-class GapInterval:
-    """p-range where the full state is entangled but its qubit image is PPT."""
-
-    lower: float  # direct entanglement threshold
-    upper: float  # mapped entanglement threshold
-    nonempty: bool
-    extends_to_zero: bool  # every p > 0 up to `upper` is in the gap
-
-
-def mapped_vs_direct_gap(r: float, s: float) -> GapInterval:
-    """Interval of p entangled under the direct test yet PPT after mapping.
-
-    ``extends_to_zero`` marks the strong form in which the whole interval
-    (0, upper] consists of such states; it holds exactly when
-    tanh r > tanh^2 s, i.e. when the direct threshold vanishes.
-    """
-    from .qubit_map import mapped_entanglement_threshold
-
-    direct = direct_entanglement_threshold(r, s).threshold
-    mapped = mapped_entanglement_threshold(r, s)
-    nonempty = direct < mapped and mapped > 0.0
-    return GapInterval(
-        lower=direct,
-        upper=mapped,
-        nonempty=nonempty,
-        extends_to_zero=nonempty and direct == 0.0,
-    )
-
-
-@dataclass(frozen=True)
-class SeparabilityCells:
-    """Cell decomposition of the Werner state over Fock-pair subspaces.
-
-    The state splits into weights P_m on |m,m><m,m| plus 4x4 cells on
-    span{|mm>, |mn>, |nm>, |nn>} with entries alpha, beta, gamma; summing
-    the cells over ordered pairs (m, n), m != n, reassembles the state
-    exactly. With k = m + n and the weights of ``_block_weights``,
-    alpha = p c_k^2 + (1 - p) b_k, beta = p c_k, gamma = (1 - p) t_k and
-    P_m = alpha(m, m). Each weight takes int levels, or integer arrays
-    elementwise.
-    """
-
-    params: WernerParams
-
-    def P(self, m: int) -> float:
-        return self.alpha(m, m)
-
-    def alpha(self, m: int, n: int) -> float:
-        p = self.params.p
-        thermal, coherence = _block_weights(self.params.lambda1, self.params.lambda2, m + n,
-                                            cell=True, thermal=1 - p)
-        return p * coherence ** 2 + thermal
-
-    def beta(self, m: int, n: int) -> float:
-        return _pair_terms(self.params, m + n)[1]
-
-    def gamma(self, m: int, n: int) -> float:
-        return _pair_terms(self.params, m + n)[0]
-
-
 def reconstruct_from_cells(params: WernerParams, cutoff: FockCutoff) -> np.ndarray:
     """Rebuild the truncated Werner matrix from its cell decomposition.
 
-    Diagonal entries |m,m> take P_m plus alpha(m, n) from every partner
-    n != m, including partners beyond the cutoff. Since P_m = alpha(m, m),
-    that is the sum of alpha(m, n) over all n >= 0: a geometric series over
-    k = m + n >= m for each cell weight, p c_k^2 and (1 - p) b_k, whose
-    ratio is that of the weight's values at k = 1 and k = 0.
+    The state is the sum of weights P_m on |m,m><m,m| and of 4x4 cells on
+    span{|mm>, |mn>, |nm>, |nn>} over ordered pairs m != n. With k = m + n,
+    the cell entries are the pair terms gamma = (1 - p) t_k and beta = p c_k
+    of ``_pair_terms`` and alpha = p c_k^2 + (1 - p) b_k; P_m = alpha(m, m).
+    So diagonal entries |m,m> take the sum of alpha(m, n) over all n >= 0,
+    partners beyond the cutoff included: a geometric series over k >= m for
+    each cell weight, whose ratio is that of its values at k = 1 and k = 0.
     """
-    cells = SeparabilityCells(params)
     n_max = cutoff.n_max
     d = n_max * n_max
     data = np.zeros((d, d), dtype=np.complex128)
@@ -273,13 +204,13 @@ def reconstruct_from_cells(params: WernerParams, cutoff: FockCutoff) -> np.ndarr
     levels = np.arange(n_max)
     pairs = levels * (n_max + 1)
     m, n = np.divmod(np.arange(d), n_max)
-    data.reshape(-1)[:: d + 1] = cells.gamma(m, n)
+    data.reshape(-1)[:: d + 1] = _pair_terms(params, m + n)[0]
     thermal, coherence = _block_weights(params.lambda1, params.lambda2, levels, cell=True)
     data[pairs, pairs] = (params.p * coherence ** 2 / (1 - (coherence[1] / coherence[0]) ** 2)
                           + (1 - params.p) * thermal / (1 - thermal[1] / thermal[0]))
     # The cells of (m, n) and (n, m) each put half of beta on |m,m><n,n|.
     m, n = np.triu_indices(n_max, 1)
-    data[pairs[m], pairs[n]] = data[pairs[n], pairs[m]] = cells.beta(m, n)
+    data[pairs[m], pairs[n]] = data[pairs[n], pairs[m]] = _pair_terms(params, m + n)[1]
     return data
 
 
@@ -331,7 +262,7 @@ def largest_separable_p(r: float, s: float) -> float:
     if l1 == 0.0:
         return 1.0  # diagonal mixture of products for every p
     positive, q_tilde = _positivity_limit(l1, l2)
-    limit = min(_entanglement_limit(l1, l2)[0], positive)
+    limit = min(_entanglement_limit(l1, l2), positive)
     if limit == 0.0:
         return 0.0
     ks = {1}

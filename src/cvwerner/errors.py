@@ -17,8 +17,8 @@ class CutoffTooSmallError(CvWernerError):
     """The Fock cutoff cannot hold the requested state within its tail bound."""
 
 
-class ParameterRangeError(CvWernerError):
-    """State parameters are outside the supported desk-scale range."""
+class ParameterRangeError(CvWernerError, ValueError):
+    """Parameters or cutoffs are outside the supported range."""
 
 
 class NumericalConsistencyError(CvWernerError):

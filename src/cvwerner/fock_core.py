@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatchError, HermiticityError, NumericalConsistencyError
+from .errors import (DimensionMismatchError, HermiticityError, NumericalConsistencyError,
+                     ParameterRangeError)
 from .numerics import _nonzero_pattern
 
 
@@ -32,9 +33,9 @@ class FockCutoff:
 
     def __post_init__(self):
         if self.n_max < 2:
-            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+            raise ParameterRangeError(f"n_max must be >= 2, got {self.n_max}")
         if not 0.0 < self.tail_bound < 1.0:
-            raise ValueError(f"tail_bound must lie in (0, 1), got {self.tail_bound}")
+            raise ParameterRangeError(f"tail_bound must lie in (0, 1), got {self.tail_bound}")
 
     @property
     def dim(self) -> int:

@@ -2,23 +2,23 @@
 
 Each mode is reduced to a qubit by pairing Fock levels (2m, 2m+1): level
 2m + k is read as pair m, qubit state k, and the mapped 4x4 state is the
-partial trace over both pair indices. The pseudo-spin operators of the
-pairing satisfy the Pauli algebra exactly; their moments rebuild the same
-4x4 along an independent route, which ``cvwerner validate`` checks against
-the trace. The mapped state is analyzed for entanglement (partial
-transpose) and nonlocality (CHSH via the correlation-tensor criterion).
+partial trace over both pair indices, which ``map_to_qubits`` returns as
+a plain 4x4 array. The pseudo-spin operators of the pairing satisfy the
+Pauli algebra exactly; their moments rebuild the same 4x4 along an
+independent route, which ``cvwerner validate`` checks against the trace.
+The mapped state is analyzed for entanglement (partial transpose) and
+nonlocality (CHSH via the correlation-tensor criterion).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import NumericalConsistencyError
+from .errors import NumericalConsistencyError, ParameterRangeError
 from .fock_core import TwoModeDensityMatrix
 from .numerics import _bisect_threshold, hermitian_eigenvalues
 from .states import WernerParams
@@ -39,7 +39,7 @@ def build_spin_operators(n_max: int) -> np.ndarray:
     unique reading under which each operator squares to the identity.
     """
     if n_max < 2 or n_max % 2:
-        raise ValueError(f"n_max must be even and >= 2, got {n_max}")
+        raise ParameterRangeError(f"n_max must be even and >= 2, got {n_max}")
     ladder = np.zeros((n_max, n_max), dtype=np.complex128)
     for m in range(0, n_max - 1, 2):
         ladder[m, m + 1] = 1.0
@@ -49,17 +49,6 @@ def build_spin_operators(n_max: int) -> np.ndarray:
     ops = np.stack([s1, s2, s3])
     ops.setflags(write=False)
     return ops
-
-
-@dataclass(frozen=True)
-class QubitPairState:
-    """Mapped two-qubit state with its Bloch vectors and correlation tensor."""
-
-    rho4: np.ndarray
-    bloch_A: np.ndarray
-    bloch_B: np.ndarray
-    corr_tensor: np.ndarray
-    trace_deficit: float
 
 
 def _moments(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -97,28 +86,18 @@ def _map_via_moments(rho: TwoModeDensityMatrix) -> np.ndarray:
     return np.einsum("ij,ikK,jlL->klKL", moments, PAULI, PAULI).reshape(4, 4) / 4.0
 
 
-def map_to_qubits(rho: TwoModeDensityMatrix) -> QubitPairState:
-    """Compress a two-mode state to two qubits by tracing out the pair indices.
+def map_to_qubits(rho: TwoModeDensityMatrix) -> np.ndarray:
+    """The 4x4 two-qubit image of a two-mode state: the trace over the pair indices.
 
     With level 2m + k read as (m, k) on each mode, rho4[(k, l), (K, L)] is
-    the sum over m, m' of rho[(2m+k, 2m'+l), (2m+K, 2m'+L)]. The Bloch
-    vectors and the correlation tensor are the Pauli moments of rho4.
+    the sum over m, m' of rho[(2m+k, 2m'+l), (2m+K, 2m'+L)].
     ``_map_via_moments`` builds the same 4x4 from the pseudo-spin operators;
     ``cvwerner validate`` compares the two.
     """
     n = rho.n_max
     if n % 2:
-        raise ValueError("qubit map requires an even n_max")
-    rho4 = np.einsum("ikjliKjL->klKL", rho.as_tensor().reshape((n // 2, 2) * 4)).reshape(4, 4)
-    rows, cols = np.divmod(np.arange(16), 4)
-    moments = _moments(2, rows, cols, rho4.ravel(), PAULI)
-    return QubitPairState(
-        rho4=rho4,
-        bloch_A=moments[1:, 0],
-        bloch_B=moments[0, 1:],
-        corr_tensor=moments[1:, 1:],
-        trace_deficit=rho.trace_deficit,
-    )
+        raise ParameterRangeError("qubit map requires an even n_max")
+    return np.einsum("ikjliKjL->klKL", rho.as_tensor().reshape((n // 2, 2) * 4)).reshape(4, 4)
 
 
 def closed_form_two_qubit(params: WernerParams, n_max: int | None = None) -> np.ndarray:
@@ -173,7 +152,7 @@ def mapped_entanglement_threshold(r: float, s: float) -> float:
     entirely (no p entangles).
     """
     if r < 0 or s < 0:
-        raise ValueError("r and s must be >= 0")
+        raise ParameterRangeError("r and s must be >= 0")
     if r == 0.0:
         return 1.0
     noise = math.tanh(2.0 * s) ** 2
@@ -224,7 +203,7 @@ def nonlocality_threshold(r: float, s: float) -> float:
     of positive terms.
     """
     if r < 0 or s < 0:
-        raise ValueError("r and s must be >= 0")
+        raise ParameterRangeError("r and s must be >= 0")
     if r == 0.0:
         return 1.0
     g = math.tanh(2.0 * s)

@@ -49,9 +49,9 @@ class WernerParams:
             raise ParameterRangeError(
                 f"p, r and s must be finite, got p={self.p}, r={self.r}, s={self.s}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
+            raise ParameterRangeError(f"p must lie in [0, 1], got {self.p}")
         if self.r < 0.0 or self.s < 0.0:
-            raise ValueError(f"r and s must be >= 0, got r={self.r}, s={self.s}")
+            raise ParameterRangeError(f"r and s must be >= 0, got r={self.r}, s={self.s}")
         # Past r or s ~ 19.1, tanh rounds to 1: every (1 - lambda^2) factor
         # is then 0 and the thresholds divide by it.
         if math.tanh(self.r) == 1.0 or math.tanh(self.s) == 1.0:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterRangeError
 from .numerics import integrate_line
 from .states import WernerParams
 
@@ -91,7 +92,7 @@ class FidelityReport:
 def fidelity_nopa(r: float) -> float:
     """Coherent-state fidelity through the pure squeezed-vacuum channel."""
     if r < 0:
-        raise ValueError("squeezing parameter must be >= 0")
+        raise ParameterRangeError("squeezing parameter must be >= 0")
     return 1.0 / (1.0 + math.exp(-2.0 * r))
 
 
@@ -103,7 +104,7 @@ def fidelity_werner(p: float, r: float) -> float:
     only available through the numeric oracle.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise ParameterRangeError("p must lie in [0, 1]")
     d = 2.0 * math.cosh(r) ** 2
     return p * fidelity_nopa(r) + (1.0 - p) / d
 
@@ -149,7 +150,7 @@ def fidelity_numeric_oracle(params: WernerParams) -> float:
 def fidelity_report(params: WernerParams) -> FidelityReport:
     """Closed form (requires s = r) next to the numeric oracle."""
     if params.r != params.s:
-        raise ValueError("closed-form fidelity is only defined for r = s")
+        raise ParameterRangeError("closed-form fidelity is only defined for r = s")
     closed = fidelity_werner(params.p, params.r)
     numeric = fidelity_numeric_oracle(params)
     return FidelityReport(fidelity_closed_form=closed, fidelity_numeric=numeric,

@@ -60,7 +60,7 @@ def test_criterion_02_two_qubit_map_consistency():
     MAP_CONSISTENCY_TOL on the 27-point grid."""
     for params in GRID_27:
         rho = werner_state(params, MAP_CUTOFF)
-        traced = qm.map_to_qubits(rho).rho4
+        traced = qm.map_to_qubits(rho)
         via_moments = qm._map_via_moments(rho)
         closed = qm.closed_form_two_qubit(params, n_max=MAP_CUTOFF.n_max)
         for a, b in ((traced, via_moments), (traced, closed), (via_moments, closed)):
@@ -97,12 +97,12 @@ def test_criterion_05_threshold_ordering_and_gap():
     grid = np.linspace(0.1, 2.0, 20)
     for r in grid:
         for s in grid:
-            direct = cr.direct_entanglement_threshold(r, s).threshold
+            direct = cr.direct_entanglement_threshold(r, s)
             mapped = qm.mapped_entanglement_threshold(r, s)
             nonlocal_thr = qm.nonlocality_threshold(r, s)
             assert direct <= mapped <= nonlocal_thr, f"(r={r}, s={s})"
-            gap = cr.mapped_vs_direct_gap(r, s)
-            assert gap.extends_to_zero == (math.tanh(r) > math.tanh(s) ** 2), \
+            # The gap is the p interval (direct, mapped].
+            assert (direct == 0.0 < mapped) == (math.tanh(r) > math.tanh(s) ** 2), \
                 f"(r={r}, s={s})"
 
 
@@ -174,7 +174,7 @@ def test_criterion_08_cell_decomposition_reconstruction():
         rebuilt = cr.reconstruct_from_cells(params, cutoff)
         assert np.abs(rebuilt - rho.data).max() < 1e-10, f"{params}"
         separable = params.p <= cr.largest_separable_p(params.r, params.s)
-        entangled = params.p > cr.direct_entanglement_threshold(params.r, params.s).threshold
+        entangled = params.p > cr.direct_entanglement_threshold(params.r, params.s)
         assert not (separable and entangled), f"{params}"
 
 
@@ -224,6 +224,5 @@ def test_criterion_10_end_to_end():
         fixed=0.5,
         outputs=("p_min_entangled_direct", "p_min_entangled_mapped",
                  "p_max_separable", "p_min_nonlocal", "p_min_squeezed"),
-        output_path="-",
     )
     assert run_sweep(spec).encode("utf-8") == run_sweep(spec).encode("utf-8")

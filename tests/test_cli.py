@@ -42,7 +42,6 @@ class TestSweepSpec:
             axis2=AxisSpec(name="s", minimum=0.1, maximum=2.0, steps=3),
             fixed=0.5,
             outputs=("p_min_entangled_direct",),
-            output_path="-",
         )
         kwargs.update(overrides)
         return SweepSpec(**kwargs)
@@ -78,16 +77,17 @@ class TestSweepSpec:
 class TestRunSweep:
     def test_header_and_shape(self, tmp_path):
         out = tmp_path / "sweep.csv"
+        outputs = ("p_min_entangled_direct", "p_min_entangled_mapped", "p_min_nonlocal")
         spec = SweepSpec(
             axis1=AxisSpec(name="r", minimum=0.1, maximum=2.0, steps=4),
             axis2=AxisSpec(name="s", minimum=0.1, maximum=2.0, steps=4),
             fixed=0.5,
-            outputs=("p_min_entangled_direct", "p_min_entangled_mapped",
-                     "p_min_nonlocal"),
-            output_path=str(out),
+            outputs=outputs,
         )
         text = run_sweep(spec)
-        assert out.read_text(encoding="utf-8") == text
+        assert main(["--output", str(out), "sweep", "axis1=r[0.1,2,4]", "axis2=s[0.1,2,4]",
+                     "fixed=0.5", "outputs=" + ",".join(outputs)]) == 0
+        assert out.read_bytes() == text.encode("utf-8")
         lines = text.split("\n")
         comments = [l for l in lines if l.startswith("#")]
         assert [c.split("=")[0] for c in comments] == [
@@ -104,7 +104,6 @@ class TestRunSweep:
             fixed=0.5,
             outputs=("p_min_entangled_direct", "p_min_entangled_mapped",
                      "p_min_nonlocal"),
-            output_path="-",
         )
         rows = [l for l in run_sweep(spec).split("\n") if l and not l.startswith("#")][1:]
         for row in rows:
@@ -118,7 +117,6 @@ class TestRunSweep:
             axis2=AxisSpec(name="s", minimum=0.5, maximum=4.0, steps=6),
             fixed=0.5,
             outputs=("p_min_nonlocal",),
-            output_path="-",
         )
         rows = [l for l in run_sweep(spec).split("\n") if l and not l.startswith("#")][1:]
         values = [float(row.split(",")[2]) for row in rows]
@@ -130,7 +128,6 @@ class TestRunSweep:
             axis2=AxisSpec(name="r", minimum=0.0, maximum=6.0, steps=4),
             fixed="r_equals_s",
             outputs=("fidelity_w",),
-            output_path="-",
         )
         rows = [l for l in run_sweep(spec).split("\n") if l and not l.startswith("#")][1:]
         for row in rows:
@@ -152,7 +149,6 @@ class TestRunSweep:
             axis2=AxisSpec(name="s", minimum=0.1, maximum=1.0, steps=3),
             fixed=0.5,
             outputs=("fidelity_w",),
-            output_path="-",
         )
         with pytest.raises(Exception):
             run_sweep(spec)
@@ -272,14 +268,23 @@ class TestEval:
         assert info.value.code == 2
         assert "key 'p' given more than once" in capsys.readouterr().err
 
+    def test_repeated_criterion_exits_2_and_names_it(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "p=0.5", "r=1", "s=1", "--criteria", "nonlocal,squeezed,squeezed"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "criterion 'squeezed' given more than once" in captured.err
+        assert captured.out == ""
+
 
 class TestRemovedFlags:
     @pytest.mark.parametrize("flag", [["--tail-bound", "1e-9"], ["--n-max", "6"],
                                       ["--config", "run.cfg"]])
-    def test_removed_flags_exit_2(self, flag):
+    def test_removed_flags_exit_2(self, flag, capsys):
         with pytest.raises(SystemExit) as info:
             main([*flag, "eval", "p=0.5", "r=1", "s=1"])
         assert info.value.code == 2
+        assert f"unrecognized option '{flag[0]}'" in capsys.readouterr().err
 
 
 def corrupted_closed_form(fault, where=lambda params: True):

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from cvwerner.criteria import (
     SQUEEZING_CHECK_LEVELS,
-    SeparabilityCells,
     bisect_direct_threshold,
     direct_entanglement_threshold,
     enumerate_ppt_spectrum,
     enumerated_entanglement_threshold,
     largest_separable_p,
-    mapped_vs_direct_gap,
     ppt_spectrum_analytic,
     ppt_spectrum_bruteforce,
     published_squeezing_threshold,
@@ -31,6 +29,7 @@ from cvwerner import criteria
 from cvwerner.cli import CRITERIA
 from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import hermitian_eigenvalues
+from cvwerner.qubit_map import mapped_entanglement_threshold
 from cvwerner.states import WernerParams, werner_state
 from cvwerner.tolerances import ORACLE_TOL, SQUEEZING_CONSISTENCY_TOL
 
@@ -161,40 +160,35 @@ class TestPptSpectrum:
 class TestDirectThreshold:
     def test_equal_parameters_entangle_for_all_p(self):
         # q = tanh r / tanh^2 s > 1 whenever r = s > 0.
-        result = direct_entanglement_threshold(1.0, 1.0)
-        assert result.regime == "q>1"
-        assert result.threshold == 0.0
+        assert direct_entanglement_threshold(1.0, 1.0) == 0.0
 
     def test_weak_squeezing_regime(self):
         # q < 1: the infimum is attained at m + n = 1.
-        result = direct_entanglement_threshold(0.5, 1.0)
-        assert result.regime == "q<1"
+        threshold = direct_entanglement_threshold(0.5, 1.0)
         l1, l2 = math.tanh(0.5), math.tanh(1.0)
         therm = (1 - l2 ** 2) ** 2 * l2 ** 2
         nopa = (1 - l1 ** 2) * l1
-        assert result.threshold == pytest.approx(therm / (therm + nopa), rel=1e-12)
-        assert result.threshold == pytest.approx(0.21966, abs=1e-5)
+        assert threshold == pytest.approx(therm / (therm + nopa), rel=1e-12)
+        assert threshold == pytest.approx(0.21966, abs=1e-5)
 
     def test_marginal_regime(self):
         # lambda1 = lambda2^2 gives threshold (1 - lambda1) / 2.
         l1 = math.tanh(1.0) ** 2
         r = math.atanh(l1)
-        result = direct_entanglement_threshold(r, 1.0)
         # Floating-point round-trip may land infinitesimally on either side
         # of q = 1; the threshold value is continuous across the boundary.
-        assert result.regime in ("q=1", "q<1")
-        assert result.threshold == pytest.approx((1 - l1) / 2.0, rel=1e-9)
+        assert direct_entanglement_threshold(r, 1.0) == pytest.approx((1 - l1) / 2.0, rel=1e-9)
 
     def test_degenerate_limits(self):
-        assert direct_entanglement_threshold(0.0, 1.0).threshold == 1.0
-        assert direct_entanglement_threshold(1.0, 0.0).threshold == 0.0
+        assert direct_entanglement_threshold(0.0, 1.0) == 1.0
+        assert direct_entanglement_threshold(1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("r, s", [(1e-200, 1e-200), (1e-100, 1e-170)])
     def test_enumeration_where_tanh_s_squared_underflows(self, r, s):
         # tanh(s)^2 and every block weight past the first underflow to 0, so
         # q = tanh r / tanh^2 s is infinite and the limit is the q > 1 one.
         assert enumerated_entanglement_threshold(r, s) == 0.0
-        assert direct_entanglement_threshold(r, s).threshold == 0.0
+        assert direct_entanglement_threshold(r, s) == 0.0
 
     def test_bisection_matches_enumeration(self):
         for r, s in [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)]:
@@ -294,7 +288,7 @@ class TestClosedFormThresholds:
         interior = 0
         for r in grid:
             for s in grid:
-                direct = direct_entanglement_threshold(r, s).threshold
+                direct = direct_entanglement_threshold(r, s)
                 separable = largest_separable_p(r, s)
                 blocks = block_thresholds(math.tanh(r), math.tanh(s))
                 assert direct == enumerated_direct_reference(r, s, blocks), (r, s)
@@ -333,21 +327,35 @@ class TestClosedFormThresholds:
 
 
 class TestGapInterval:
+    """The p interval (direct, mapped], entangled yet PPT after mapping."""
+
     def test_strong_gap_exactly_when_tanh_r_exceeds_tanh_sq_s(self):
         for r in (0.2, 0.7, 1.5):
             for s in (0.2, 0.7, 1.5):
-                gap = mapped_vs_direct_gap(r, s)
-                assert gap.extends_to_zero == (math.tanh(r) > math.tanh(s) ** 2)
+                direct = direct_entanglement_threshold(r, s)
+                mapped = mapped_entanglement_threshold(r, s)
+                assert (direct == 0.0 < mapped) == (math.tanh(r) > math.tanh(s) ** 2)
 
     def test_interval_orientation(self):
-        gap = mapped_vs_direct_gap(1.0, 1.0)
-        assert gap.nonempty
-        assert gap.lower == 0.0 < gap.upper
+        assert direct_entanglement_threshold(1.0, 1.0) == 0.0
+        assert mapped_entanglement_threshold(1.0, 1.0) > 0.0
+
+
+def cell_alpha(params, m, n):
+    """alpha = p c_k^2 + (1 - p) b_k of the (m, n) cell, k = m + n."""
+    thermal, coherence = criteria._block_weights(params.lambda1, params.lambda2, m + n,
+                                                 cell=True, thermal=1 - params.p)
+    return params.p * coherence ** 2 + thermal
+
+
+def cell_gamma_beta(params, m, n):
+    """gamma = (1 - p) t_k and beta = p c_k of the (m, n) cell, k = m + n."""
+    return criteria._block_weights(params.lambda1, params.lambda2, m + n,
+                                   thermal=1 - params.p, nopa=params.p)
 
 
 def reconstruct_from_cells_reference(params, n_max):
     """The scalar double loop over (m, n) that reconstruct_from_cells replaced."""
-    cells = SeparabilityCells(params)
     data = np.zeros((n_max * n_max, n_max * n_max), dtype=np.complex128)
     p, l1, l2 = params.p, params.lambda1, params.lambda2
     a_weight = p * (1 - l1 * l1) ** 2
@@ -358,15 +366,16 @@ def reconstruct_from_cells_reference(params, n_max):
 
     for m in range(n_max):
         partners = (a_weight * l1 ** (2 * m) / (1 - l1 * l1)
-                    + b_weight * l2 ** (4 * m) / (1 - l2 ** 4) - cells.alpha(m, m))
-        data[flat(m, m), flat(m, m)] = cells.P(m) + partners
+                    + b_weight * l2 ** (4 * m) / (1 - l2 ** 4) - cell_alpha(params, m, m))
+        data[flat(m, m), flat(m, m)] = cell_alpha(params, m, m) + partners
     for m in range(n_max):
         for n in range(n_max):
             if m == n:
                 continue
-            data[flat(m, n), flat(m, n)] = cells.gamma(m, n)
-            data[flat(m, m), flat(n, n)] += 0.5 * cells.beta(m, n)
-            data[flat(n, n), flat(m, m)] += 0.5 * cells.beta(m, n)
+            gamma, beta = cell_gamma_beta(params, m, n)
+            data[flat(m, n), flat(m, n)] = gamma
+            data[flat(m, m), flat(n, n)] += 0.5 * beta
+            data[flat(n, n), flat(m, m)] += 0.5 * beta
     return data
 
 
@@ -387,19 +396,16 @@ class TestSeparabilityCells:
 
     def test_cell_weights_sum_to_one(self):
         params = WernerParams(p=0.4, r=0.9, s=1.1)
-        cells = SeparabilityCells(params)
         horizon = 400
-        total = sum(cells.P(m) for m in range(horizon))
-        total += sum(
-            cells.alpha(m, n) + cells.gamma(m, n)
-            for m in range(horizon) for n in range(horizon) if m != n
-        )
+        m, n = np.divmod(np.arange(horizon * horizon), horizon)
+        # P_m = alpha(m, m) on the diagonal, alpha + gamma off it.
+        total = cell_alpha(params, m, n).sum() + cell_gamma_beta(params, m, n)[0][m != n].sum()
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_separable_bound_below_entanglement_threshold(self):
         for r, s in [(0.3, 1.0), (0.2, 1.5), (0.5, 1.2)]:
             sep = largest_separable_p(r, s)
-            ent = direct_entanglement_threshold(r, s).threshold
+            ent = direct_entanglement_threshold(r, s)
             assert sep <= ent + 1e-12
 
     def test_equal_parameters_have_no_certified_region(self):

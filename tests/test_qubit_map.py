@@ -31,6 +31,16 @@ def mapped(params):
     return map_to_qubits(werner_state(params, CUTOFF))
 
 
+# (1, sigma1, sigma2, sigma3).
+SIGMA = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
+def qubit_moments(rho4):
+    """Tr(rho4 (s_i x s_j)) for s in SIGMA: [1:, 0] is the Bloch vector of
+    qubit A, [0, 1:] that of qubit B and [1:, 1:] the correlation tensor."""
+    return np.array([[np.trace(rho4 @ np.kron(a, b)).real for b in SIGMA] for a in SIGMA])
+
+
 def random_density(n_max, seed):
     """Random full-rank state with no A/B or transpose symmetry."""
     rng = np.random.default_rng(seed)
@@ -77,16 +87,15 @@ class TestMapToQubits:
     def test_matches_closed_form_up_to_deficit(self):
         params = WernerParams(p=0.5, r=1.0, s=1.0)
         rho = werner_state(params, CUTOFF)
-        q = map_to_qubits(rho)
-        dev = np.abs(q.rho4 - closed_form_two_qubit(params)).max()
+        dev = np.abs(map_to_qubits(rho) - closed_form_two_qubit(params)).max()
         assert dev <= 1e-10 + rho.trace_deficit
 
     @pytest.mark.parametrize("p, r, s", [(0.5, 1.0, 1.0), (0.9, 2.0, 2.0), (0.2, 0.5, 2.0)])
     def test_matches_truncated_closed_form(self, p, r, s):
         params = WernerParams(p=p, r=r, s=s)
-        q = map_to_qubits(werner_state(params, CUTOFF))
+        rho4 = map_to_qubits(werner_state(params, CUTOFF))
         truncated = closed_form_two_qubit(params, n_max=CUTOFF.n_max)
-        assert np.abs(q.rho4 - truncated).max() <= 1e-14
+        assert np.abs(rho4 - truncated).max() <= 1e-14
 
     def test_closed_form_trace_is_one(self):
         for p in (0.0, 0.4, 1.0):
@@ -105,8 +114,8 @@ class TestMapToQubits:
     def test_mapped_tensor_matches_closed_form(self):
         params = WernerParams(p=0.5, r=0.8, s=1.0)
         rho = werner_state(params, CUTOFF)
-        q = map_to_qubits(rho)
-        dev = np.abs(q.corr_tensor - correlation_tensor_closed_form(params)).max()
+        corr = qubit_moments(map_to_qubits(rho))[1:, 1:]
+        dev = np.abs(corr - correlation_tensor_closed_form(params)).max()
         assert dev <= 1e-10 + rho.trace_deficit
 
     def test_rejects_odd_cutoff(self):
@@ -164,15 +173,15 @@ class TestMapOnGenericState:
         # The references themselves must tell the swaps apart.
         assert np.abs(bloch_A - bloch_B).max() > 1e-3
         assert np.abs(corr - corr.T).max() > 1e-3
-        q = map_to_qubits(rho)
-        assert np.abs(q.bloch_A - bloch_A).max() <= 1e-14
-        assert np.abs(q.bloch_B - bloch_B).max() <= 1e-14
-        assert np.abs(q.corr_tensor - corr).max() <= 1e-14
+        moments = qubit_moments(map_to_qubits(rho))
+        assert np.abs(moments[1:, 0] - bloch_A).max() <= 1e-14
+        assert np.abs(moments[0, 1:] - bloch_B).max() <= 1e-14
+        assert np.abs(moments[1:, 1:] - corr).max() <= 1e-14
 
     @pytest.mark.parametrize("n_max, seed", [(4, 13), (6, 14)])
     def test_trace_matches_moment_route(self, n_max, seed):
         rho = random_density(n_max, seed)
-        assert np.abs(map_to_qubits(rho).rho4 - qm._map_via_moments(rho)).max() <= 1e-14
+        assert np.abs(map_to_qubits(rho) - qm._map_via_moments(rho)).max() <= 1e-14
 
 
 class TestMappedEntanglement:

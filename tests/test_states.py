@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cvwerner import states
-from cvwerner.errors import CutoffTooSmallError, ParameterRangeError
+from cvwerner import qubit_map, states, teleport
+from cvwerner.errors import CutoffTooSmallError, CvWernerError, ParameterRangeError
 from cvwerner.fock_core import FockCutoff
 from cvwerner.states import WernerParams, werner_state
 
@@ -84,6 +84,32 @@ class TestWernerParams:
     def test_largest_unsaturated_point_accepted(self):
         params = WernerParams(p=0.5, r=18.0, s=18.0)
         assert params.lambda1 < 1.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: WernerParams(p=1.5, r=1.0, s=1.0), id="p-above-1"),
+    pytest.param(lambda: WernerParams(p=-0.1, r=1.0, s=1.0), id="p-below-0"),
+    pytest.param(lambda: WernerParams(p=0.5, r=-0.1, s=1.0), id="r-negative"),
+    pytest.param(lambda: WernerParams(p=0.5, r=1.0, s=-0.1), id="s-negative"),
+    pytest.param(lambda: teleport.fidelity_werner(2, 1), id="fidelity_werner-p"),
+    pytest.param(lambda: teleport.fidelity_nopa(-1), id="fidelity_nopa-r"),
+    pytest.param(lambda: teleport.fidelity_report(WernerParams(p=0.5, r=1.0, s=0.5)),
+                 id="fidelity_report-r-ne-s"),
+    pytest.param(lambda: qubit_map.nonlocality_threshold(-1, 1), id="nonlocality-r"),
+    pytest.param(lambda: qubit_map.mapped_entanglement_threshold(1, -1), id="mapped-s"),
+    pytest.param(lambda: FockCutoff(n_max=1), id="cutoff-n_max"),
+    pytest.param(lambda: FockCutoff(n_max=4, tail_bound=1.0), id="cutoff-tail_bound"),
+    pytest.param(lambda: qubit_map.build_spin_operators(5), id="spin-odd-n_max"),
+    pytest.param(lambda: qubit_map.map_to_qubits(werner_state(
+        WernerParams(p=0.5, r=0.5, s=0.5), FockCutoff(n_max=5, tail_bound=0.999))),
+        id="map-odd-n_max"),
+])
+def test_out_of_range_inputs_raise_typed_errors(call):
+    # ParameterRangeError is a ValueError too, so callers catching either work.
+    with pytest.raises(CvWernerError) as info:
+        call()
+    assert isinstance(info.value, ParameterRangeError)
+    assert isinstance(info.value, ValueError)
 
 
 class TestNopaState:

@@ -145,9 +145,11 @@ class SweepSpec:
             raise ValueError("axis1 and axis2 must differ")
         if not self.outputs:
             raise ValueError("at least one output column is required")
-        for name in self.outputs:
+        for i, name in enumerate(self.outputs):
             if name not in COLUMNS:
                 raise ValueError(f"unknown output {name!r}; choose from {tuple(COLUMNS)}")
+            if name in self.outputs[:i]:
+                raise ValueError(f"output {name!r} given more than once")
         rest = self.remaining_axis()
         if self.fixed == R_EQUALS_S:
             if rest == "p":
@@ -254,17 +256,19 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
     p_values, rs_values = _validation_grid(grid_density)
     results: list[CheckResult] = []
 
-    def run_check(name, points, deviation_fn, tolerance):
+    def check(name, points, deviations, tolerance):
         worst, worst_pt = -math.inf, None
         passed = True
-        for params in points:
-            dev = deviation_fn(params)
+        for params, dev in zip(points, deviations):
             if dev > tolerance:
                 passed = False
             if dev > worst:
                 worst, worst_pt = dev, params
-        results.append(CheckResult(name=name, passed=passed, worst_deviation=worst,
-                                   worst_point=worst_pt, tolerance=tolerance))
+        return CheckResult(name=name, passed=passed, worst_deviation=worst,
+                           worst_point=worst_pt, tolerance=tolerance)
+
+    def run_check(name, points, deviation_fn, tolerance):
+        results.append(check(name, points, map(deviation_fn, points), tolerance))
 
     grid3 = [WernerParams(p=float(p), r=float(r), s=float(s))
              for p in p_values for r in rs_values for s in rs_values]
@@ -275,13 +279,18 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
 
     spectrum_cutoff = FockCutoff(n_max=VALIDATE_SPECTRUM_N_MAX, tail_bound=1.0 - 1e-15)
 
-    def spectrum_dev(params):
-        brute = cr.ppt_spectrum_bruteforce(params, spectrum_cutoff)
+    def spectrum_and_cells_devs(params):
+        # The spectrum and cell checks read the same state, built once per
+        # point and dropped on return.
+        rho = werner_state(params, spectrum_cutoff)
         analytic = cr.enumerate_ppt_spectrum(params, VALIDATE_SPECTRUM_N_MAX)
-        return float(np.abs(brute - analytic).max())
+        rebuilt = cr.reconstruct_from_cells(params, spectrum_cutoff)
+        return (float(np.abs(cr._ppt_spectrum(rho) - analytic).max()),
+                float(np.abs(rebuilt - rho.data).max()))
 
-    run_check("ppt_spectrum (analytic vs brute force)", grid3,
-              spectrum_dev, tol.PPT_SPECTRUM_TOL)
+    spectrum_devs, cells_devs = zip(*map(spectrum_and_cells_devs, grid3))
+    results.append(check("ppt_spectrum (analytic vs brute force)", grid3,
+                         spectrum_devs, tol.PPT_SPECTRUM_TOL))
 
     map_cutoff = FockCutoff(n_max=VALIDATE_MAP_N_MAX, tail_bound=1.0 - 1e-15)
 
@@ -339,13 +348,8 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
     run_check("squeezing variance (closed form vs matrix)", grid3,
               squeezing_dev, tol.SQUEEZING_CONSISTENCY_TOL)
 
-    def cells_dev(params):
-        rho = werner_state(params, spectrum_cutoff)
-        rebuilt = cr.reconstruct_from_cells(params, spectrum_cutoff)
-        return float(np.abs(rebuilt - rho.data).max())
-
-    run_check("cell decomposition (reconstruction)", grid3,
-              cells_dev, tol.MAP_CONSISTENCY_TOL)
+    results.append(check("cell decomposition (reconstruction)", grid3,
+                         cells_devs, tol.MAP_CONSISTENCY_TOL))
 
     ok = all(result.passed for result in results)
     return results, ok
@@ -437,11 +441,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             names = tuple(CRITERIA) if args.criteria == "all" else tuple(
                 args.criteria.split(","))
-            text = run_eval(params, names)
-            _emit(text, args.output)
-            return 0
+            text, code = run_eval(params, names), 0
 
-        if args.command == "sweep":
+        elif args.command == "sweep":
             pairs = _collect_tokens(args.spec)
             required = {"axis1", "axis2", "outputs"}
             missing = required - set(pairs)
@@ -454,20 +456,26 @@ def main(argv: list[str] | None = None) -> int:
                 fixed=fixed if fixed == R_EQUALS_S else float(fixed),
                 outputs=tuple(pairs["outputs"].split(",")),
             )
-            _emit(run_sweep(spec), args.output)
-            return 0
+            text, code = run_sweep(spec), 0
 
-        if args.command == "validate":
+        else:
             start = time.perf_counter()
             results, ok = run_validation(args.grid_density)
             lines = [result.line() for result in results]
             lines.append(f"elapsed: {(time.perf_counter() - start) * 1e3:.1f} ms")
             lines.append("validation: " + ("PASS" if ok else "FAIL"))
-            _emit("\n".join(lines) + "\n", args.output)
-            return 0 if ok else 1
+            text, code = "\n".join(lines) + "\n", 0 if ok else 1
     except (ValueError, CvWernerError) as exc:
         parser.error(str(exc))
-    return 2
+
+    try:
+        _emit(text, args.output)
+    except (OSError, ValueError) as exc:
+        # The --output path cannot be opened or written (open() raises
+        # ValueError on a path with a NUL byte).
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def _emit(text: str, output: str | None) -> None:

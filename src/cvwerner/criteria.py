@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError
-from .fock_core import FockCutoff, partial_transpose_A
+from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
 from .numerics import _bisect_threshold, _pattern_eigenvalues
 from .states import WernerParams, werner_state
 from .tolerances import SQUEEZING_CONSISTENCY_TOL
@@ -102,8 +102,13 @@ def ppt_spectrum_bruteforce(params: WernerParams, cutoff: FockCutoff) -> np.ndar
     eigensolver splits it into blocks, so the d x d matrix is scanned
     once and never copied.
     """
-    rho = werner_state(params, cutoff)
-    return _pattern_eigenvalues(cutoff.dim, *partial_transpose_A(rho)).eigenvalues
+    return _ppt_spectrum(werner_state(params, cutoff))
+
+
+def _ppt_spectrum(rho: TwoModeDensityMatrix) -> np.ndarray:
+    """``ppt_spectrum_bruteforce`` of a state already built; ``validate``
+    reads the same state for its cell check."""
+    return _pattern_eigenvalues(rho.cutoff.dim, *partial_transpose_A(rho)).eigenvalues
 
 
 def _entanglement_limit(l1: float, l2: float) -> float:

@@ -1,27 +1,32 @@
 """Self-contained numerical kernels.
 
-Two pieces: an eigensolver for complex Hermitian matrices and the one 1-D
-quadrature rule, ``integrate_line``. The eigensolver splits a matrix
+Two pieces: an eigensolver for complex Hermitian matrices and the one
+1-D quadrature rule, ``integrate_line``. The eigensolver splits a matrix
 exactly into the connected blocks of its nonzero pattern; 1x1 blocks are
 their diagonal entries, each 2x2 block takes one closed-form rotation,
 and a larger block is reduced to real tridiagonal form by complex
 Householder reflections and solved by Sturm-count bisection. The split
 runs on (rows, cols, values) triplets: ``hermitian_eigenvalues`` takes
-them from a dense matrix in one scan, and the brute-force
-partial-transpose spectrum passes them in directly from the state's own
-pattern. Every partial transpose the library builds splits into blocks of
-size at most 2. ``integrate_line`` owns the whole quadrature decision:
-from the variance of the integrand's narrowest Gaussian factor it sizes a
-uniform grid of fixed length, samples the integrand there, rejects it if
-it has not decayed at the ends, and applies the trapezoid rule.
-Multi-dimensional integrals in this library are separable and are built
-from products of these 1-D integrals. Both pieces avoid any external
-linear-algebra backend so every eigenvalue and integral produced by this
-library is reproducible from first principles. The root search in p
-that the two threshold cross-checks share lives here too: an ITP search
-(interpolate, truncate, project) that keeps bisection's bracket and,
-within three evaluations, its worst case, but lands on a smooth sign
-change in about a third of bisection's evaluations.
+them from a dense matrix in one scan, and the brute-force partial-
+transpose spectrum passes them in directly from the state's own pattern.
+The 1x1 and 2x2 blocks are read off a count of each index's off-diagonal
+entries: an index with none is a 1x1 block, and two indices whose only
+entries are each other's mirror pair are a 2x2 block. Only the indices
+left over are labelled into blocks by a propagation loop. Every matrix
+the library builds (the Fock partial transpose, the 4x4 qubit partial
+transpose, T^T T) splits into blocks of size at most 2, so none of them
+reaches that loop. ``integrate_line`` owns the whole quadrature
+decision: from the variance of the integrand's narrowest Gaussian factor
+it sizes a uniform grid of fixed length, samples the integrand there,
+rejects it if it has not decayed at the ends, and applies the trapezoid
+rule. Multi-dimensional integrals in this library are separable and are
+built from products of these 1-D integrals. Both pieces avoid any
+external linear-algebra backend so every eigenvalue and integral
+produced by this library is reproducible from first principles. The root
+search in p that the two threshold cross-checks share lives here too: an
+ITP search (interpolate, truncate, project) that keeps bisection's
+bracket and, within three evaluations, its worst case, but lands on a
+smooth sign change in about a third of bisection's evaluations.
 """
 
 from __future__ import annotations
@@ -40,12 +45,12 @@ class EigenResult:
     """Ascending eigenvalues plus an absolute bound on their error.
 
     ``max_residual`` bounds |computed - exact| over all eigenvalues. It is
-    0 when every block of the nonzero pattern has size 1 or 2, since
-    those are solved in closed form. For a larger block it is the largest
-    final Sturm-bisection half-width plus d * eps * ||block||_F, the
-    backward error of the d x d Householder reduction. The bound is
-    absolute: an eigenvalue much smaller than the block norm can carry a
-    large relative error.
+    0 when every block of the nonzero pattern is a 1x1 block or a mirrored
+    2x2 block, since those are solved in closed form. For a larger block
+    it is the largest final Sturm-bisection half-width plus d * eps *
+    ||block||_F, the backward error of the d x d Householder reduction.
+    The bound is absolute: an eigenvalue much smaller than the block norm
+    can carry a large relative error.
     """
 
     eigenvalues: np.ndarray
@@ -191,36 +196,48 @@ def _pattern_eigenvalues(n: int, rows: np.ndarray, cols: np.ndarray,
     ``values`` at (``rows``, ``cols``), block by block.
 
     The triplets may come in any order but must not repeat a position; the
-    caller has already checked that they are finite and Hermitian. Each
-    2x2 block {p, q}, p < q, reads its coupling from the (p, q) entry.
+    caller has already checked that they are finite and Hermitian. The
+    blocks of size 1 and 2 are read off the degree count of the pattern:
+    an index with no off-diagonal entry is a 1x1 block, and an upper entry
+    (p, q), p < q, whose two ends each hold only that entry and its mirror
+    is a 2x2 block with coupling a_pq. Only the indices left over are
+    labelled by ``_components``; where every entry's mirror is present
+    their blocks have size 3 or more, and a one-sided entry inside the
+    Hermiticity gate can leave a block of 2, which the same path solves.
     """
-    labels = _components(n, rows, cols)
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.r_[True, labels[order][1:] != labels[order][:-1]])
-    sizes = np.diff(np.r_[starts, n])
     on = rows == cols
     diag = np.zeros(n)
     diag[rows[on]] = values[on].real
-    eigs = [diag[order[starts[sizes == 1]]]]
-    p = order[starts[sizes == 2]]
-    q = order[starts[sizes == 2] + 1]
-    # Size of the block holding each index; a 2x2 block's (p, q) entry is
-    # its one upper triplet.
-    size_of = np.empty(n, dtype=np.intp)
-    size_of[order] = np.repeat(sizes, sizes)
-    upper = (rows < cols) & (size_of[rows] == 2)
-    coupling = np.zeros(n, dtype=values.dtype)
-    coupling[rows[upper]] = values[upper]
-    eigs.append(_two_by_two(diag[p], diag[q], coupling[p]))
+    off = ~on
+    r, c = rows[off], cols[off]
+    ends = np.concatenate([r, c])
+    degree = np.bincount(ends, minlength=n)
+    # Partners of the outgoing entries minus those of the incoming ones: 0
+    # at an index of degree 2 only when its two entries mirror each other.
+    balance = np.bincount(ends, weights=np.concatenate([c, -r]), minlength=n)
+    single = degree == 0
+    couple = (degree == 2) & (balance == 0)
+    upper = (r < c) & couple[r] & couple[c]
+    p, q = r[upper], c[upper]
+    eigs = [diag[single], _two_by_two(diag[p], diag[q], values[off][upper])]
     residual = 0.0
-    if (sizes > 2).any():
+    rest = ~single
+    rest[p] = rest[q] = False
+    if rest.any():
+        # A leftover index has only leftover partners, so its blocks are
+        # labelled from the leftover entries alone.
+        labels = _components(n, r[rest[r]], c[rest[r]])
+        members = np.flatnonzero(rest)
+        order = members[np.argsort(labels[members], kind="stable")]
+        starts = np.flatnonzero(np.r_[True, labels[order][1:] != labels[order][:-1]])
+        sizes = np.diff(np.r_[starts, order.size])
         # Position of each index inside its block, whose members come in
         # ascending order.
         local = np.empty(n, dtype=np.intp)
-        local[order] = np.arange(n) - np.repeat(starts, sizes)
+        local[order] = np.arange(order.size) - np.repeat(starts, sizes)
         eps = np.finfo(float).eps
         dtype = np.result_type(values.dtype, np.float64)
-        for label, size in zip(order[starts[sizes > 2]], sizes[sizes > 2]):
+        for label, size in zip(order[starts], sizes):
             mine = labels[rows] == label
             block = np.zeros((size, size), dtype=dtype)
             block[local[rows[mine]], local[cols[mine]]] = values[mine]

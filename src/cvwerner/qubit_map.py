@@ -51,6 +51,15 @@ def build_spin_operators(n_max: int) -> np.ndarray:
     return ops
 
 
+@functools.lru_cache(maxsize=None)
+def _moment_factors(n_max: int) -> np.ndarray:
+    """The factors (1, s1, s2, s3) on one mode, stacked read-only as one
+    (4, n_max, n_max) array."""
+    factors = np.stack([np.eye(n_max, dtype=np.complex128), *build_spin_operators(n_max)])
+    factors.setflags(write=False)
+    return factors
+
+
 def _moments(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
              factors: np.ndarray) -> np.ndarray:
     """Moments Tr(rho (f_i (x) f_j)) of the two-mode matrix with n levels per
@@ -81,8 +90,7 @@ def _map_via_moments(rho: TwoModeDensityMatrix) -> np.ndarray:
     trace's cross-check in ``cvwerner validate``.
     """
     n = rho.n_max
-    factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n)])
-    moments = _moments(n, *rho.pattern, factors)
+    moments = _moments(n, *rho.pattern, _moment_factors(n))
     return np.einsum("ij,ikK,jlL->klKL", moments, PAULI, PAULI).reshape(4, 4) / 4.0
 
 

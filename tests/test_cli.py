@@ -1,5 +1,6 @@
-"""Tests for the command-line front end: eval, sweep, validate, and the
-removed flags (--tail-bound, --n-max, --config), which exit 2."""
+"""Tests for the command-line front end: eval, sweep, validate, the
+removed flags (--tail-bound, --n-max, --config) and an --output path that
+cannot be written, which exit 2."""
 
 import math
 import re
@@ -7,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from cvwerner import cli
 from cvwerner import criteria as cr
 from cvwerner import qubit_map as qm
 from cvwerner import teleport as tp
@@ -68,6 +70,10 @@ class TestSweepSpec:
     def test_unknown_output_rejected(self):
         with pytest.raises(ValueError):
             self.make(outputs=("not_a_column",))
+
+    def test_repeated_output_rejected(self):
+        with pytest.raises(ValueError, match="output 'p_min_squeezed' given more than once"):
+            self.make(outputs=("p_min_squeezed", "p_max_separable", "p_min_squeezed"))
 
     def test_r_equals_s_requires_p_axis(self):
         with pytest.raises(ValueError):
@@ -159,6 +165,30 @@ class TestRunSweep:
                   "outputs=p_min_squeezed", "fixed=0.5", "fixed=0.7"])
         assert info.value.code == 2
         assert "key 'fixed' given more than once" in capsys.readouterr().err
+
+    def test_repeated_output_exits_2_and_names_it(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "axis1=r[0.5,1,2]", "axis2=s[0.5,1,2]", "fixed=0.5",
+                  "outputs=p_min_squeezed,p_min_squeezed"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "output 'p_min_squeezed' given more than once" in captured.err
+        assert captured.out == ""
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", [
+        ["eval", "p=0.5", "r=1", "s=1"],
+        ["sweep", "axis1=r[0.5,1,2]", "axis2=s[0.5,1,2]", "fixed=0.5", "outputs=p_min_squeezed"],
+        ["validate", "2"],
+    ], ids=["eval", "sweep", "validate"])
+    def test_unopenable_output_exits_2_with_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "missing" / "x.csv"
+        assert main(["--output", str(path), *command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cvwerner: error: [Errno 2] No such file or directory: '{path}'"]
 
 
 class TestEval:
@@ -402,6 +432,22 @@ class TestValidate:
         failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
                    if ": FAIL worst_deviation" in line]
         assert "ppt_spectrum (analytic vs brute force)" in failing
+
+    def test_one_spectrum_state_per_point(self, monkeypatch):
+        # The spectrum and cell checks share each n_max = 12 state: eight
+        # builds on the eight points of validate 2, not sixteen.
+        built = []
+        build = cli.werner_state
+
+        def counted(params, cutoff):
+            built.append(cutoff.n_max)
+            return build(params, cutoff)
+
+        monkeypatch.setattr(cli, "werner_state", counted)
+        monkeypatch.setattr(cr, "werner_state", counted)
+        _, ok = run_validation(2)
+        assert ok
+        assert built.count(cli.VALIDATE_SPECTRUM_N_MAX) == 8
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from cvwerner import numerics
+from cvwerner.cli import run_validation
+from cvwerner.criteria import ppt_spectrum_bruteforce
 from cvwerner.errors import DomainTooSmallError, HermiticityError
+from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import (
     _bisect_threshold,
     _nonzero_pattern,
@@ -20,6 +24,7 @@ from cvwerner.numerics import (
     hermitian_eigenvalues,
     integrate_line,
 )
+from cvwerner.states import WernerParams
 from cvwerner.tolerances import BISECTION_TOL_P
 
 
@@ -27,6 +32,20 @@ def random_hermitian(dim, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (g + g.conj().T) / 2.0
+
+
+def count_components(monkeypatch):
+    """Record the sorted indices of every entry that reaches the labelling
+    loop, one list per call of ``numerics._components``."""
+    calls = []
+    labelling = numerics._components
+
+    def recording(n, rows, cols):
+        calls.append(sorted(set(rows.tolist()) | set(cols.tolist())))
+        return labelling(n, rows, cols)
+
+    monkeypatch.setattr(numerics, "_components", recording)
+    return calls
 
 
 class TestHermitianEigenvalues:
@@ -146,6 +165,70 @@ class TestHermitianEigenvalues:
         dense = hermitian_eigenvalues(a)
         assert np.array_equal(result.eigenvalues, dense.eigenvalues)
         assert result.max_residual == dense.max_residual > 0.0
+
+    def test_one_sided_tiny_entry_merges_pairs(self, monkeypatch):
+        # An entry on one side only, within the Hermiticity gate, joins the
+        # two pairs: neither end of it holds just a mirrored couple, so all
+        # four indices go to the labelling loop as one block.
+        calls = count_components(monkeypatch)
+        pair = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+        a = np.zeros((4, 4), dtype=np.complex128)
+        a[:2, :2] = pair
+        a[2:, 2:] = pair
+        a[1, 2] = 1e-300
+        result = hermitian_eigenvalues(a)
+        assert calls == [[0, 1, 2, 3]]
+        assert result.max_residual > 0.0
+        assert np.abs(result.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-15
+
+    def test_one_sided_chain_is_not_taken_for_a_pair(self, monkeypatch):
+        # Indices 1 and 2 each have two off-diagonal entries and share an
+        # upper one, as a 2x2 block's ends do, but neither entry is
+        # mirrored: 0 -> 1 -> 2 -> 3 is one block.
+        calls = count_components(monkeypatch)
+        a = np.diag([0.4, 0.1, 0.3, 0.2]).astype(np.complex128)
+        a[0, 1] = a[1, 2] = a[2, 3] = 1e-300
+        result = hermitian_eigenvalues(a)
+        assert calls == [[0, 1, 2, 3]]
+        assert np.abs(result.eigenvalues - [0.1, 0.2, 0.3, 0.4]).max() < 1e-15
+
+    def test_pairs_and_singles_beside_a_larger_block(self, monkeypatch):
+        # Singles and pairs are read off the degree count; only the
+        # members of the size-3 and size-4 blocks reach the labelling loop.
+        calls = count_components(monkeypatch)
+        sizes = (1, 2, 3, 2, 1, 4, 2)
+        dim = sum(sizes)
+        a = np.zeros((dim, dim), dtype=np.complex128)
+        start = 0
+        for k, size in enumerate(sizes):
+            a[start:start + size, start:start + size] = random_hermitian(size, seed=30 + k)
+            start += size
+        perm = np.random.default_rng(31).permutation(dim)
+        a = a[np.ix_(perm, perm)]
+        result = hermitian_eigenvalues(a)
+        larger = np.r_[3:6, 9:13]  # the size-3 and size-4 blocks before the permutation
+        assert calls == [sorted(np.flatnonzero(np.isin(perm, larger)).tolist())]
+        assert np.abs(result.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-13
+        assert result.max_residual > 0.0
+
+    def test_dense_block_reaches_the_labelling_loop(self, monkeypatch):
+        calls = count_components(monkeypatch)
+        a = random_hermitian(3, seed=40)
+        result = hermitian_eigenvalues(a)
+        assert calls == [[0, 1, 2]]
+        assert np.abs(result.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-14
+
+    def test_production_inputs_skip_the_labelling_loop(self, monkeypatch):
+        # Every matrix the library builds (the Fock partial transpose, the
+        # 4x4 qubit partial transpose, T^T T) splits into blocks of size 1
+        # and 2, all read off the degree count.
+        calls = count_components(monkeypatch)
+        _, ok = run_validation(2)
+        assert ok
+        for n_max in range(2, 33):
+            params = WernerParams(p=0.3 + 0.02 * (n_max % 20), r=0.4 + 0.05 * n_max, s=1.1)
+            ppt_spectrum_bruteforce(params, FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15))
+        assert calls == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])

@@ -14,7 +14,6 @@ the CLI only parses, dispatches and formats.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 import time
@@ -34,12 +33,12 @@ from .states import WernerParams, werner_state
 AXES = ("p", "r", "s")
 R_EQUALS_S = "r_equals_s"
 
-# Cutoffs used by the validation suite's dense-matrix checks; small enough
-# to keep validate well under its time budget. Each check compares with the
-# closed form of the same truncated state, so no truncation slack enters
-# its tolerance.
-VALIDATE_SPECTRUM_N_MAX = 12
-VALIDATE_MAP_N_MAX = 16
+# Cutoff of the validation suite's one dense state per grid point, which
+# the PPT spectrum, qubit-map and cell checks all read; small enough to
+# keep validate well under its time budget, and even, as the qubit map
+# needs. Each check compares with the closed form of the same truncated
+# state, so no truncation slack enters its tolerance.
+VALIDATE_N_MAX = 12
 
 # ---------------------------------------------------------------------------
 # Criterion table
@@ -225,25 +224,60 @@ class CheckResult:
     name: str
     passed: bool
     worst_deviation: float
-    worst_point: WernerParams | None
+    worst_point: WernerParams
     tolerance: float
 
     def line(self) -> str:
         """The check's report line; it ends with the tolerance and its slack
         (tolerance - worst deviation), both as deterministic as the check."""
-        status = "pass" if self.passed else "FAIL"
-        where = ""
-        if self.worst_point is not None:
-            w = self.worst_point
-            where = f" at (p={w.p:.6g}, r={w.r:.6g}, s={w.s:.6g})"
-        return (f"{self.name}: {status} worst_deviation={self.worst_deviation:.3e}{where}"
+        status, w = "pass" if self.passed else "FAIL", self.worst_point
+        return (f"{self.name}: {status} worst_deviation={self.worst_deviation:.3e}"
+                f" at (p={w.p:.6g}, r={w.r:.6g}, s={w.s:.6g})"
                 f" tol={self.tolerance:.1e} slack={self.tolerance - self.worst_deviation:.3e}")
 
 
-def _validation_grid(grid_density: int):
-    p_values = np.linspace(0.2, 0.9, grid_density)
-    rs_values = np.linspace(0.5, 2.0, grid_density)
-    return p_values, rs_values
+def _check(name: str, points: list[WernerParams], deviations, tolerance: float) -> CheckResult:
+    """The check passes only if every deviation is <= tolerance, so a NaN
+    fails; a NaN is reported as the worst deviation."""
+    devs = np.array(deviations, dtype=np.float64)
+    worst = int(np.argmax(devs))  # the first NaN, else the first maximum
+    return CheckResult(name=name, passed=bool((devs <= tolerance).all()),
+                       worst_deviation=float(devs[worst]), worst_point=points[worst],
+                       tolerance=tolerance)
+
+
+def _matrix_deviations(params: WernerParams) -> tuple[float, float, float]:
+    """Deviations of one VALIDATE_N_MAX-level state, dropped on return: its
+    brute-force PPT spectrum from the enumerated one, its pair-index trace
+    from the truncated closed form and from the pseudo-spin moment route,
+    and its cell reconstruction from the state itself."""
+    cutoff = FockCutoff(n_max=VALIDATE_N_MAX, tail_bound=1.0 - 1e-15)
+    rho = werner_state(params, cutoff)
+    rho4 = qm.map_to_qubits(rho)
+    spectrum = cr._ppt_spectrum(rho) - cr.enumerate_ppt_spectrum(params, VALIDATE_N_MAX)
+    truncated = qm.closed_form_two_qubit(params, n_max=VALIDATE_N_MAX)
+    qubit = np.maximum(np.abs(rho4 - truncated).max(),
+                       np.abs(rho4 - qm._map_via_moments(rho)).max())
+    cells = cr.reconstruct_from_cells(params, cutoff) - rho.data
+    return float(np.abs(spectrum).max()), float(qubit), float(np.abs(cells).max())
+
+
+def _ordering_deviation(params: WernerParams) -> float:
+    names = (cr.SEPARABLE_SUFFICIENT, cr.ENTANGLED_PPT_DIRECT, cr.ENTANGLED_PPT_MAPPED,
+             cr.NONLOCAL)
+    thresholds = [CRITERIA[name].value(params) for name in names]
+    return float(np.subtract(thresholds[:-1], thresholds[1:]).max())
+
+
+def _direct_deviation(params: WernerParams) -> float:
+    # The root search explores the same finite eigenvalue horizon, so it is
+    # compared against the enumerated threshold; the closed form is
+    # compared against that enumeration closed by its regime's limit.
+    enumerated = cr.enumerated_entanglement_threshold(params.r, params.s)
+    brute = cr.bisect_direct_threshold(params.r, params.s)
+    closed = cr.direct_entanglement_threshold(params.r, params.s)
+    limit = cr._entanglement_limit(params.lambda1, params.lambda2)
+    return float(np.max([abs(enumerated - brute), abs(closed - min(enumerated, limit))]))
 
 
 def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
@@ -253,106 +287,40 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
     """
     if grid_density < 2:
         raise ValueError(f"grid_density must be >= 2, got {grid_density}")
-    p_values, rs_values = _validation_grid(grid_density)
-    results: list[CheckResult] = []
-
-    def check(name, points, deviations, tolerance):
-        worst, worst_pt = -math.inf, None
-        passed = True
-        for params, dev in zip(points, deviations):
-            if dev > tolerance:
-                passed = False
-            if dev > worst:
-                worst, worst_pt = dev, params
-        return CheckResult(name=name, passed=passed, worst_deviation=worst,
-                           worst_point=worst_pt, tolerance=tolerance)
-
-    def run_check(name, points, deviation_fn, tolerance):
-        results.append(check(name, points, map(deviation_fn, points), tolerance))
-
+    p_values = np.linspace(0.2, 0.9, grid_density)
+    rs_values = np.linspace(0.5, 2.0, grid_density)
     grid3 = [WernerParams(p=float(p), r=float(r), s=float(s))
              for p in p_values for r in rs_values for s in rs_values]
     grid_rs = [WernerParams(p=0.5, r=float(r), s=float(s))
                for r in rs_values for s in rs_values]
     grid_rr = [WernerParams(p=float(p), r=float(r), s=float(r))
                for p in p_values for r in rs_values]
+    spectrum, qubit, cells = zip(*map(_matrix_deviations, grid3))
 
-    spectrum_cutoff = FockCutoff(n_max=VALIDATE_SPECTRUM_N_MAX, tail_bound=1.0 - 1e-15)
-
-    def spectrum_and_cells_devs(params):
-        # The spectrum and cell checks read the same state, built once per
-        # point and dropped on return.
-        rho = werner_state(params, spectrum_cutoff)
-        analytic = cr.enumerate_ppt_spectrum(params, VALIDATE_SPECTRUM_N_MAX)
-        rebuilt = cr.reconstruct_from_cells(params, spectrum_cutoff)
-        return (float(np.abs(cr._ppt_spectrum(rho) - analytic).max()),
-                float(np.abs(rebuilt - rho.data).max()))
-
-    spectrum_devs, cells_devs = zip(*map(spectrum_and_cells_devs, grid3))
-    results.append(check("ppt_spectrum (analytic vs brute force)", grid3,
-                         spectrum_devs, tol.PPT_SPECTRUM_TOL))
-
-    map_cutoff = FockCutoff(n_max=VALIDATE_MAP_N_MAX, tail_bound=1.0 - 1e-15)
-
-    def map_dev(params):
-        # The pair-index trace against the truncated closed form and against
-        # the pseudo-spin moment route.
-        rho = werner_state(params, map_cutoff)
-        rho4 = qm.map_to_qubits(rho)
-        truncated = qm.closed_form_two_qubit(params, n_max=VALIDATE_MAP_N_MAX)
-        return float(max(np.abs(rho4 - truncated).max(),
-                         np.abs(rho4 - qm._map_via_moments(rho)).max()))
-
-    run_check("qubit_map consistency (pair trace vs moments vs closed form)", grid3,
-              map_dev, tol.MAP_CONSISTENCY_TOL)
-
-    run_check("teleport fidelity (closed form vs numeric)", grid_rr,
-              lambda params: tp.fidelity_report(params).method_agreement,
-              tol.FIDELITY_AGREEMENT_TOL)
-
-    def ordering_dev(params):
-        names = (cr.SEPARABLE_SUFFICIENT, cr.ENTANGLED_PPT_DIRECT, cr.ENTANGLED_PPT_MAPPED,
-                 cr.NONLOCAL)
-        thresholds = [CRITERIA[name].value(params) for name in names]
-        return max(low - high for low, high in zip(thresholds, thresholds[1:]))
-
-    run_check("threshold ordering (separable <= direct <= mapped <= nonlocal)", grid_rs,
-              ordering_dev, 0.0)
-
-    def mapped_bisect_dev(params):
-        closed = qm.mapped_entanglement_threshold(params.r, params.s)
-        brute = qm.mapped_threshold_bisection(params.r, params.s)
-        return abs(closed - brute)
-
-    run_check("mapped threshold (closed form vs bisection)", grid_rs,
-              mapped_bisect_dev, tol.BISECTION_CHECK_TOL)
-
-    def direct_dev(params):
-        # The root search explores the same finite eigenvalue horizon, so it is
-        # compared against the enumerated threshold; the closed form is
-        # compared against that enumeration closed by its regime's limit.
-        enumerated = cr.enumerated_entanglement_threshold(params.r, params.s)
-        brute = cr.bisect_direct_threshold(params.r, params.s)
-        closed = cr.direct_entanglement_threshold(params.r, params.s)
-        limit = cr._entanglement_limit(params.lambda1, params.lambda2)
-        return max(abs(enumerated - brute), abs(closed - min(enumerated, limit)))
-
-    run_check("direct threshold (closed form vs enumeration vs bisection)", grid_rs,
-              direct_dev, tol.BISECTION_CHECK_TOL)
-
-    def squeezing_dev(params):
+    checks = [
+        ("ppt_spectrum (analytic vs brute force)", grid3, spectrum, tol.PPT_SPECTRUM_TOL),
+        ("qubit_map consistency (pair trace vs moments vs closed form)", grid3, qubit,
+         tol.MAP_CONSISTENCY_TOL),
+        ("teleport fidelity (closed form vs numeric)", grid_rr,
+         [tp.fidelity_report(w).method_agreement for w in grid_rr],
+         tol.FIDELITY_AGREEMENT_TOL),
+        ("threshold ordering (separable <= direct <= mapped <= nonlocal)", grid_rs,
+         [_ordering_deviation(w) for w in grid_rs], 0.0),
+        ("mapped threshold (closed form vs bisection)", grid_rs,
+         [abs(qm.mapped_entanglement_threshold(w.r, w.s)
+              - qm.mapped_threshold_bisection(w.r, w.s)) for w in grid_rs],
+         tol.BISECTION_CHECK_TOL),
+        ("direct threshold (closed form vs enumeration vs bisection)", grid_rs,
+         [_direct_deviation(w) for w in grid_rs], tol.BISECTION_CHECK_TOL),
         # The banded variance against the closed form of the same truncation.
-        truncated = cr._truncated_squeezing_variance(params, cr.SQUEEZING_CHECK_LEVELS)
-        return abs(cr.squeezing_variance_direct(params) - truncated)
-
-    run_check("squeezing variance (closed form vs matrix)", grid3,
-              squeezing_dev, tol.SQUEEZING_CONSISTENCY_TOL)
-
-    results.append(check("cell decomposition (reconstruction)", grid3,
-                         cells_devs, tol.MAP_CONSISTENCY_TOL))
-
-    ok = all(result.passed for result in results)
-    return results, ok
+        ("squeezing variance (closed form vs matrix)", grid3,
+         [abs(cr.squeezing_variance_direct(w)
+              - cr._truncated_squeezing_variance(w, cr.SQUEEZING_CHECK_LEVELS)) for w in grid3],
+         tol.SQUEEZING_CONSISTENCY_TOL),
+        ("cell decomposition (reconstruction)", grid3, cells, tol.MAP_CONSISTENCY_TOL),
+    ]
+    results = [_check(*check) for check in checks]
+    return results, all(result.passed for result in results)
 
 
 # ---------------------------------------------------------------------------

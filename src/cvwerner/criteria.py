@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericalConsistencyError
 from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
 from .numerics import _bisect_threshold, _pattern_eigenvalues
-from .states import WernerParams, werner_state
+from .states import WernerParams, _check_rs, werner_state
 from .tolerances import SQUEEZING_CONSISTENCY_TOL
 
 # Number of pair blocks (m+n = 1 .. DEFAULT_HORIZON) that the validate
@@ -49,7 +49,7 @@ class CriterionVerdict:
     decision: bool
     threshold_p: float | None
     margin: float
-    method: str  # "analytic", "brute_force" or "both"
+    method: str  # "analytic" (closed form) or "both" (closed form, matrix-checked)
 
 
 def _block_weights(l1: float, l2: float, k, cell=False, thermal=1.0, nopa=1.0):
@@ -148,6 +148,7 @@ def direct_entanglement_threshold(r: float, s: float) -> float:
     limit of ``_entanglement_limit``: 0 for q > 1, which covers the whole
     r = s family.
     """
+    _check_rs(r, s)
     l1, l2 = math.tanh(r), math.tanh(s)
     limit = _entanglement_limit(l1, l2)
     # A zero limit is the infimum without the k = 1 block.
@@ -163,6 +164,7 @@ def enumerated_entanglement_threshold(r: float, s: float) -> float:
     distance above the true infimum 0. Blocks whose weights both underflow
     take the limit instead.
     """
+    _check_rs(r, s)
     l1, l2 = math.tanh(r), math.tanh(s)
     therm, nopa = _block_weights(l1, l2, np.arange(1, DEFAULT_HORIZON + 1))
     total = therm + nopa
@@ -263,6 +265,7 @@ def largest_separable_p(r: float, s: float) -> float:
     and falls after it, so over k >= 1 the least bound lies at k = 1,
     floor(k*) or ceil(k*).
     """
+    _check_rs(r, s)
     l1, l2 = math.tanh(r), math.tanh(s)
     if l1 == 0.0:
         return 1.0  # diagonal mixture of products for every p
@@ -302,6 +305,7 @@ def squeezing_threshold(r: float, s: float) -> float:
     Returns 0 when the thermal part is vacuum (any p > 0 squeezes) and 1
     when r = 0 (no mixing probability squeezes).
     """
+    _check_rs(r, s)
     if r == 0.0:
         return 1.0
     # (cosh 2s - 1) / (cosh 2s - e^{-2r}) without cancellation: both

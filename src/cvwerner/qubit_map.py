@@ -21,7 +21,7 @@ from . import tolerances as tol
 from .errors import NumericalConsistencyError, ParameterRangeError
 from .fock_core import TwoModeDensityMatrix
 from .numerics import _bisect_threshold, hermitian_eigenvalues
-from .states import WernerParams
+from .states import WernerParams, _check_rs
 
 # The 2x2 factors (1, sigma1, sigma2, sigma3), stacked.
 PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -159,8 +159,7 @@ def mapped_entanglement_threshold(r: float, s: float) -> float:
     (any p > 0 entangles for r > 0) and r = 0 removes the coherence
     entirely (no p entangles).
     """
-    if r < 0 or s < 0:
-        raise ParameterRangeError("r and s must be >= 0")
+    _check_rs(r, s)
     if r == 0.0:
         return 1.0
     noise = math.tanh(2.0 * s) ** 2
@@ -210,8 +209,7 @@ def nonlocality_threshold(r: float, s: float) -> float:
     is (2 - g^2) / (1 - g^2 + hypot(sqrt(1 - b^2), sqrt(2) b / g)), a sum
     of positive terms.
     """
-    if r < 0 or s < 0:
-        raise ParameterRangeError("r and s must be >= 0")
+    _check_rs(r, s)
     if r == 0.0:
         return 1.0
     g = math.tanh(2.0 * s)

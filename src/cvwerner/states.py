@@ -32,6 +32,21 @@ from .errors import CutoffTooSmallError, ParameterRangeError
 from .fock_core import FockCutoff, TwoModeDensityMatrix
 
 
+def _check_rs(r: float, s: float = 0.0) -> None:
+    """Raise ParameterRangeError unless r and s are finite, >= 0 and below
+    the point where tanh rounds to 1; every public function of r or s
+    calls it."""
+    if not (math.isfinite(r) and math.isfinite(s)):
+        raise ParameterRangeError(f"r and s must be finite, got r={r}, s={s}")
+    if r < 0.0 or s < 0.0:
+        raise ParameterRangeError(f"r and s must be >= 0, got r={r}, s={s}")
+    # Past r or s ~ 19.1, tanh rounds to 1: every (1 - lambda^2) factor
+    # is then 0 and the thresholds divide by it.
+    if math.tanh(r) == 1.0 or math.tanh(s) == 1.0:
+        raise ParameterRangeError(
+            f"tanh saturates to 1 at r={r}, s={s}; r and s must stay below about 19.1")
+
+
 @dataclass(frozen=True)
 class WernerParams:
     """Parameter point (p, r, s) of the Werner mixture.
@@ -45,19 +60,9 @@ class WernerParams:
     s: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.p, self.r, self.s)):
-            raise ParameterRangeError(
-                f"p, r and s must be finite, got p={self.p}, r={self.r}, s={self.s}")
         if not 0.0 <= self.p <= 1.0:
             raise ParameterRangeError(f"p must lie in [0, 1], got {self.p}")
-        if self.r < 0.0 or self.s < 0.0:
-            raise ParameterRangeError(f"r and s must be >= 0, got r={self.r}, s={self.s}")
-        # Past r or s ~ 19.1, tanh rounds to 1: every (1 - lambda^2) factor
-        # is then 0 and the thresholds divide by it.
-        if math.tanh(self.r) == 1.0 or math.tanh(self.s) == 1.0:
-            raise ParameterRangeError(
-                f"tanh saturates to 1 at r={self.r}, s={self.s}; "
-                "r and s must stay below about 19.1")
+        _check_rs(self.r, self.s)
 
     @property
     def lambda1(self) -> float:

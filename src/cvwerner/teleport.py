@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ParameterRangeError
 from .numerics import integrate_line
-from .states import WernerParams
+from .states import WernerParams, _check_rs
 
 # Variance of the input autocorrelation exp(-u^2 / 2) / sqrt(2 pi) of a
 # coherent state in either quadrature.
@@ -91,8 +91,7 @@ class FidelityReport:
 
 def fidelity_nopa(r: float) -> float:
     """Coherent-state fidelity through the pure squeezed-vacuum channel."""
-    if r < 0:
-        raise ParameterRangeError("squeezing parameter must be >= 0")
+    _check_rs(r)
     return 1.0 / (1.0 + math.exp(-2.0 * r))
 
 

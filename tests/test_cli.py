@@ -363,8 +363,8 @@ class TestValidate:
         assert any("qubit_map" in r.name for r in failing)
 
     def test_small_fault_is_detected_where_truncation_is_largest(self, monkeypatch):
-        # At r = s = 2 the 16-level state misses a third of its trace; the
-        # check compares with the truncated closed form, so no slack of
+        # At r = s = 2 the 12-level state misses about half of its trace;
+        # the check compares with the truncated closed form, so no slack of
         # that size is left to hide the fault.
         fault = corrupted_closed_form(1e-9, where=lambda w: w.r == w.s == 2.0)
         monkeypatch.setattr(qm, "closed_form_two_qubit", fault)
@@ -433,9 +433,24 @@ class TestValidate:
                    if ": FAIL worst_deviation" in line]
         assert "ppt_spectrum (analytic vs brute force)" in failing
 
+    def test_nan_deviation_fails(self, monkeypatch, capsys):
+        # dev > tolerance is false for NaN; the check must still fail and
+        # report the NaN as its worst deviation.
+        monkeypatch.setattr(cr, "enumerate_ppt_spectrum",
+                            lambda params, n_max: np.full(n_max * n_max, np.nan))
+        results, ok = run_validation(2)
+        assert not ok
+        failing = [r.line() for r in results if not r.passed]
+        assert len(failing) == 1
+        assert failing[0].startswith(
+            "ppt_spectrum (analytic vs brute force): FAIL worst_deviation=nan ")
+        assert main(["validate", "2"]) == 1
+        assert "validation: FAIL" in capsys.readouterr().out
+
     def test_one_spectrum_state_per_point(self, monkeypatch):
-        # The spectrum and cell checks share each n_max = 12 state: eight
-        # builds on the eight points of validate 2, not sixteen.
+        # The spectrum, qubit-map and cell checks share each n_max = 12
+        # state: eight builds on the eight points of validate 2, and no
+        # other state is built.
         built = []
         build = cli.werner_state
 
@@ -447,7 +462,7 @@ class TestValidate:
         monkeypatch.setattr(cr, "werner_state", counted)
         _, ok = run_validation(2)
         assert ok
-        assert built.count(cli.VALIDATE_SPECTRUM_N_MAX) == 8
+        assert built == [cli.VALIDATE_N_MAX] * 8
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

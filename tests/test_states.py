@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvwerner import qubit_map, states, teleport
+from cvwerner import criteria, qubit_map, states, teleport
 from cvwerner.errors import CutoffTooSmallError, CvWernerError, ParameterRangeError
 from cvwerner.fock_core import FockCutoff
 from cvwerner.states import WernerParams, werner_state
@@ -110,6 +110,31 @@ def test_out_of_range_inputs_raise_typed_errors(call):
         call()
     assert isinstance(info.value, ParameterRangeError)
     assert isinstance(info.value, ValueError)
+
+
+RS_FUNCTIONS = {
+    "direct": criteria.direct_entanglement_threshold,
+    "enumerated": criteria.enumerated_entanglement_threshold,
+    "separable": criteria.largest_separable_p,
+    "squeezing": criteria.squeezing_threshold,
+    "mapped": qubit_map.mapped_entanglement_threshold,
+    "nonlocal": qubit_map.nonlocality_threshold,
+    "fidelity_nopa": lambda r, s: teleport.fidelity_nopa(r),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 20.0])
+@pytest.mark.parametrize("name", list(RS_FUNCTIONS))
+def test_rs_functions_share_the_params_range(name, value):
+    # The range WernerParams accepts for r and s, no wider: NaN, inf, a
+    # negative value or a saturating tanh raise instead of returning a
+    # number (NaN, a negative p, or 1.0 for every p).
+    function = RS_FUNCTIONS[name]
+    with pytest.raises(ParameterRangeError):
+        function(value, 1.0)
+    if name != "fidelity_nopa":
+        with pytest.raises(ParameterRangeError):
+            function(1.0, value)
 
 
 class TestNopaState:

@@ -149,16 +149,8 @@ class SweepSpec:
                 raise ValueError(f"unknown output {name!r}; choose from {tuple(COLUMNS)}")
             if name in self.outputs[:i]:
                 raise ValueError(f"output {name!r} given more than once")
-        rest = self.remaining_axis()
-        if self.fixed == R_EQUALS_S:
-            if rest == "p":
-                raise ValueError("r_equals_s requires that p is a sweep axis")
-        else:
-            value = float(self.fixed)
-            if rest == "p" and not 0.0 <= value <= 1.0:
-                raise ValueError(f"fixed p must lie in [0, 1], got {value}")
-            if rest in ("r", "s") and value < 0.0:
-                raise ValueError(f"fixed {rest} must be >= 0, got {value}")
+        if self.fixed == R_EQUALS_S and self.remaining_axis() == "p":
+            raise ValueError("r_equals_s requires that p is a sweep axis")
 
     def remaining_axis(self) -> str:
         return next(a for a in AXES if a not in (self.axis1.name, self.axis2.name))
@@ -170,7 +162,6 @@ class SweepSpec:
             values[rest] = values["r" if rest == "s" else "s"]
         else:
             values[rest] = float(self.fixed)
-        values.setdefault("p", 0.0)
         return WernerParams(p=values["p"], r=values["r"], s=values["s"])
 
 

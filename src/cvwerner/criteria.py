@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError
+from .errors import NumericalConsistencyError, ParameterRangeError
 from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
 from .numerics import _bisect_threshold, _pattern_eigenvalues
 from .states import WernerParams, _check_rs, werner_state
@@ -321,11 +321,16 @@ def published_squeezing_threshold(r: float, n_thermal: float) -> float:
     mixture variance (see ``squeezing_threshold``), which the direct
     matrix computation confirms.
     """
+    _check_rs(r)
+    if not (math.isfinite(n_thermal) and n_thermal >= 0.0):
+        raise ParameterRangeError(f"n_thermal must be finite and >= 0, got {n_thermal}")
     return 1.0 / (1.0 + (1.0 - math.exp(-2.0 * r)) / (1.0 + 4.0 * n_thermal))
 
 
 def published_squeezing_threshold_lambda_form(lam: float) -> float:
     """Equal-parameter (r = s) lambda form of the printed threshold."""
+    if not 0.0 <= lam < 1.0:
+        raise ParameterRangeError(f"lambda must lie in [0, 1), got {lam}")
     return 1.0 / (1.0 + 2.0 * lam * (1.0 - lam * lam) / ((1.0 + lam) * (1.0 + 3.0 * lam * lam)))
 
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .errors import (DimensionMismatchError, HermiticityError, NumericalConsistencyError,
-                     ParameterRangeError)
+from .errors import DimensionMismatchError, NumericalConsistencyError, ParameterRangeError
 from .numerics import _nonzero_pattern
 
 
@@ -64,12 +63,8 @@ class TwoModeDensityMatrix:
             raise DimensionMismatchError(
                 f"expected {(d, d)} matrix for n_max={self.cutoff.n_max}, got {self.data.shape}"
             )
-        *pattern, herm = _nonzero_pattern(self.data)
-        if herm >= tol.HERMITICITY_TOL:
-            raise HermiticityError(f"matrix is not Hermitian: max deviation {herm:.3e}")
+        pattern = _nonzero_pattern(self.data)
         diag = np.diagonal(self.data)
-        if np.abs(diag.imag).max() >= tol.HERMITICITY_TOL:
-            raise HermiticityError("diagonal entries must be real")
         if diag.real.min() < -tol.POSITIVITY_TOL:
             raise NumericalConsistencyError(
                 f"negative diagonal entry {diag.real.min():.3e}"
@@ -82,7 +77,7 @@ class TwoModeDensityMatrix:
         self.data.setflags(write=False)
         for part in pattern:
             part.setflags(write=False)
-        object.__setattr__(self, "pattern", tuple(pattern))
+        object.__setattr__(self, "pattern", pattern)
 
     @property
     def n_max(self) -> int:

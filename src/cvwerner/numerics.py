@@ -1,32 +1,32 @@
 """Self-contained numerical kernels.
 
 Two pieces: an eigensolver for complex Hermitian matrices and the one
-1-D quadrature rule, ``integrate_line``. The eigensolver splits a matrix
-exactly into the connected blocks of its nonzero pattern; 1x1 blocks are
-their diagonal entries, each 2x2 block takes one closed-form rotation,
-and a larger block is reduced to real tridiagonal form by complex
-Householder reflections and solved by Sturm-count bisection. The split
-runs on (rows, cols, values) triplets: ``hermitian_eigenvalues`` takes
-them from a dense matrix in one scan, and the brute-force partial-
-transpose spectrum passes them in directly from the state's own pattern.
-The 1x1 and 2x2 blocks are read off a count of each index's off-diagonal
-entries: an index with none is a 1x1 block, and two indices whose only
-entries are each other's mirror pair are a 2x2 block. Only the indices
-left over are labelled into blocks by a propagation loop. Every matrix
-the library builds (the Fock partial transpose, the 4x4 qubit partial
-transpose, T^T T) splits into blocks of size at most 2, so none of them
-reaches that loop. ``integrate_line`` owns the whole quadrature
-decision: from the variance of the integrand's narrowest Gaussian factor
-it sizes a uniform grid of fixed length, samples the integrand there,
-rejects it if it has not decayed at the ends, and applies the trapezoid
-rule. Multi-dimensional integrals in this library are separable and are
-built from products of these 1-D integrals. Both pieces avoid any
-external linear-algebra backend so every eigenvalue and integral
-produced by this library is reproducible from first principles. The root
-search in p that the two threshold cross-checks share lives here too: an
-ITP search (interpolate, truncate, project) that keeps bisection's
-bracket and, within three evaluations, its worst case, but lands on a
-smooth sign change in about a third of bisection's evaluations.
+1-D quadrature rule, ``integrate_line``. The eigensolver works in two
+tiers on (rows, cols, values) triplets: ``hermitian_eigenvalues`` takes
+them from a dense matrix in one scan, which is also the library's one
+Hermiticity gate, and the brute-force partial-transpose spectrum passes
+them in directly from the state's own pattern. The first tier reads the
+1x1 and 2x2 blocks off a count of each index's off-diagonal entries: an
+index with none is a 1x1 block, its diagonal entry, and two indices
+whose only entries are each other's mirror pair are a 2x2 block, solved
+by one closed-form rotation. The second tier takes every index left over
+as one dense block, reduces it to real tridiagonal form by complex
+Householder reflections and solves it by Sturm-count bisection. Every
+matrix the library builds (the Fock partial transpose, the 4x4 qubit
+partial transpose, T^T T) splits into blocks of size at most 2, so none
+of them reaches the second tier. ``integrate_line`` owns the whole
+quadrature decision: from the variance of the integrand's narrowest
+Gaussian factor it sizes a uniform grid of fixed length, samples the
+integrand there, rejects it if it has not decayed at the ends, and
+applies the trapezoid rule. Multi-dimensional integrals in this library
+are separable and are built from products of these 1-D integrals. Both
+pieces avoid any external linear-algebra backend so every eigenvalue and
+integral produced by this library is reproducible from first principles.
+The root search in p that the two threshold cross-checks share lives
+here too: an ITP search (interpolate, truncate, project) that keeps
+bisection's bracket and, within three evaluations, its worst case, but
+lands on a smooth sign change in about a third of bisection's
+evaluations.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ class EigenResult:
 
     ``max_residual`` bounds |computed - exact| over all eigenvalues. It is
     0 when every block of the nonzero pattern is a 1x1 block or a mirrored
-    2x2 block, since those are solved in closed form. For a larger block
-    it is the largest final Sturm-bisection half-width plus d * eps *
-    ||block||_F, the backward error of the d x d Householder reduction.
-    The bound is absolute: an eigenvalue much smaller than the block norm
-    can carry a large relative error.
+    2x2 block, since those are solved in closed form. Otherwise it is the
+    final Sturm-bisection half-width of the one d x d block of leftover
+    indices plus d * eps * ||block||_F, the backward error of its
+    Householder reduction. The bound is absolute: an eigenvalue much
+    smaller than the block norm can carry a large relative error.
     """
 
     eigenvalues: np.ndarray
@@ -60,46 +60,29 @@ class EigenResult:
 # Underscored for the same reason as _bisect_threshold below: the time of
 # the check stays charged to the eigensolve or state construction calling it.
 def _nonzero_pattern(a: np.ndarray):
-    """Nonzero pattern of a square matrix and its deviation from Hermiticity.
+    """Nonzero pattern ``(rows, cols, values)`` of a square matrix, gated.
 
-    Returns ``(rows, cols, values, deviation)`` with ``deviation`` the
-    largest |a_rc - conj(a_cr)| over the pattern, which equals the dense
-    maximum since an entry outside the pattern and its mirror both vanish.
-    Raises HermiticityError on a non-finite entry.
+    The one Hermiticity gate of the library. Raises HermiticityError on a
+    non-finite entry, and when the largest |a_rc - conj(a_cr)| exceeds
+    HERMITICITY_TOL times max(1, max |a|). Taken over the pattern, that
+    deviation equals the dense maximum, since an entry outside the pattern
+    and its mirror both vanish; on the diagonal it is 2 |Im a_rr|.
     """
     # flatnonzero of the mask is several times faster than 2-D np.nonzero
     # on a sparse pattern; NaN != 0, so non-finite entries are kept.
     rows, cols = np.divmod(np.flatnonzero(a != 0), a.shape[1])
     values = a[rows, cols]
+    if not values.size:
+        return rows, cols, values
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
         raise HermiticityError(
             f"matrix entry ({rows[i]}, {cols[i]}) is not finite: {values[i]}")
-    deviation = float(np.abs(values - a[cols, rows].conj()).max()) if values.size else 0.0
-    return rows, cols, values, deviation
-
-
-def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Connected-component label (the smallest member index) of each index.
-
-    Min-label propagation over the off-diagonal edges, each round followed
-    by pointer jumping; the labels only decrease, so the loop ends.
-    """
-    off = rows != cols
-    r, c = rows[off], cols[off]
-    labels = np.arange(n)
-    while True:
-        before = labels.copy()
-        np.minimum.at(labels, r, labels[c])
-        np.minimum.at(labels, c, labels[r])
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        if np.array_equal(labels, before):
-            return labels
+    deviation = float(np.abs(values - a[cols, rows].conj()).max())
+    if deviation > tol.HERMITICITY_TOL * max(1.0, float(np.abs(values).max())):
+        raise HermiticityError(f"matrix is not Hermitian: max deviation {deviation:.3e}")
+    return rows, cols, values
 
 
 def _two_by_two(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray) -> np.ndarray:
@@ -200,10 +183,11 @@ def _pattern_eigenvalues(n: int, rows: np.ndarray, cols: np.ndarray,
     blocks of size 1 and 2 are read off the degree count of the pattern:
     an index with no off-diagonal entry is a 1x1 block, and an upper entry
     (p, q), p < q, whose two ends each hold only that entry and its mirror
-    is a 2x2 block with coupling a_pq. Only the indices left over are
-    labelled by ``_components``; where every entry's mirror is present
-    their blocks have size 3 or more, and a one-sided entry inside the
-    Hermiticity gate can leave a block of 2, which the same path solves.
+    is a 2x2 block with coupling a_pq. The indices left over form one
+    dense block for Householder reduction and Sturm bisection. It may hold
+    several blocks of the pattern (of size 3 or more where every entry's
+    mirror is present; a one-sided entry inside the Hermiticity gate can
+    leave one of size 2), and its eigenvalues are the union of theirs.
     """
     on = rows == cols
     diag = np.zeros(n)
@@ -224,48 +208,31 @@ def _pattern_eigenvalues(n: int, rows: np.ndarray, cols: np.ndarray,
     rest = ~single
     rest[p] = rest[q] = False
     if rest.any():
-        # A leftover index has only leftover partners, so its blocks are
-        # labelled from the leftover entries alone.
-        labels = _components(n, r[rest[r]], c[rest[r]])
-        members = np.flatnonzero(rest)
-        order = members[np.argsort(labels[members], kind="stable")]
-        starts = np.flatnonzero(np.r_[True, labels[order][1:] != labels[order][:-1]])
-        sizes = np.diff(np.r_[starts, order.size])
-        # Position of each index inside its block, whose members come in
-        # ascending order.
-        local = np.empty(n, dtype=np.intp)
-        local[order] = np.arange(order.size) - np.repeat(starts, sizes)
-        eps = np.finfo(float).eps
-        dtype = np.result_type(values.dtype, np.float64)
-        for label, size in zip(order[starts], sizes):
-            mine = labels[rows] == label
-            block = np.zeros((size, size), dtype=dtype)
-            block[local[rows[mine]], local[cols[mine]]] = values[mine]
-            vals, half_width = _sturm_bisection(*_tridiagonalize(block))
-            eigs.append(vals)
-            frob = float(np.sqrt((np.abs(block) ** 2).sum()))
-            residual = max(residual, half_width + size * eps * frob)
+        # A leftover index has only leftover partners, so the leftover
+        # entries alone make one block, block-diagonal up to a permutation.
+        size = int(rest.sum())
+        local = np.cumsum(rest) - 1
+        mine = rest[rows]
+        block = np.zeros((size, size), dtype=np.result_type(values.dtype, np.float64))
+        block[local[rows[mine]], local[cols[mine]]] = values[mine]
+        vals, half_width = _sturm_bisection(*_tridiagonalize(block))
+        eigs.append(vals)
+        frob = float(np.sqrt((np.abs(block) ** 2).sum()))
+        residual = half_width + size * np.finfo(float).eps * frob
     return EigenResult(eigenvalues=np.sort(np.concatenate(eigs)), max_residual=residual)
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> EigenResult:
     """Eigenvalues of a dense complex Hermitian matrix, block by block.
 
-    One scan takes the nonzero pattern and gates it: every entry must be
-    finite and the matrix Hermitian to HERMITICITY_TOL relative to its
-    largest entry. The pattern then splits the matrix exactly into
-    connected blocks. 1x1 blocks are their diagonal entries, 2x2 blocks
-    take one plane rotation each, and larger blocks go through Householder
-    reduction to real tridiagonal form and Sturm bisection.
+    One scan takes the nonzero pattern and gates it (``_nonzero_pattern``:
+    finite, and Hermitian to HERMITICITY_TOL relative to the largest
+    entry); ``_pattern_eigenvalues`` then solves it.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise HermiticityError(f"expected a square matrix, got shape {a.shape}")
-    rows, cols, values, herm_dev = _nonzero_pattern(a)
-    scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
-    if herm_dev > tol.HERMITICITY_TOL * scale:
-        raise HermiticityError(f"matrix is not Hermitian: max deviation {herm_dev:.3e}")
-    return _pattern_eigenvalues(a.shape[0], rows, cols, values)
+    return _pattern_eigenvalues(a.shape[0], *_nonzero_pattern(a))
 
 
 # Sizing of every 1-D grid: the integrand's narrowest Gaussian factor has

@@ -4,7 +4,8 @@ Test thresholds reference these constants so there is exactly one place
 where a tolerance can be tightened or relaxed.
 """
 
-# Structural Hermiticity of stored density matrices.
+# Hermiticity gate of every matrix stored or solved, relative to
+# max(1, largest entry).
 HERMITICITY_TOL = 1e-12
 
 # Agreement between closed-form criteria and brute-force matrix computation.

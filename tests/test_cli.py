@@ -175,6 +175,26 @@ class TestRunSweep:
         assert "output 'p_min_squeezed' given more than once" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("axis, value, message", [
+        ("p", "-1", "p must lie in [0, 1], got -1.0"),
+        ("p", "nan", "p must lie in [0, 1], got nan"),
+        ("p", "1.5", "p must lie in [0, 1], got 1.5"),
+        ("r", "-2", "r and s must be >= 0"),
+        ("r", "nan", "r and s must be finite"),
+        ("r", "inf", "r and s must be finite"),
+    ])
+    def test_fixed_value_out_of_range_exits_2(self, capsys, axis, value, message):
+        # The fixed value meets the same range rule as every point:
+        # WernerParams's.
+        axes = [a for a in ("p", "r", "s") if a != axis]
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", f"axis1={axes[0]}[0.5,1,2]", f"axis2={axes[1]}[0.5,1,2]",
+                  f"fixed={value}", "outputs=p_min_squeezed"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
 
 class TestOutputPath:
     @pytest.mark.parametrize("command", [

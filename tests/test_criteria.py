@@ -27,6 +27,7 @@ from cvwerner.criteria import (
 )
 from cvwerner import criteria
 from cvwerner.cli import CRITERIA
+from cvwerner.errors import ParameterRangeError
 from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import hermitian_eigenvalues
 from cvwerner.qubit_map import mapped_entanglement_threshold
@@ -491,6 +492,16 @@ class TestSqueezing:
         a = published_squeezing_threshold(r, math.sinh(s) ** 2)
         b = published_squeezing_threshold_lambda_form(lam)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("r, n_thermal", [(-1.0, 0.0), (math.nan, 0.0), (1.0, -0.5)])
+    def test_published_threshold_range(self, r, n_thermal):
+        with pytest.raises(ParameterRangeError):
+            published_squeezing_threshold(r, n_thermal)
+
+    @pytest.mark.parametrize("lam", [-0.5, 1.0, math.nan])
+    def test_published_lambda_form_range(self, lam):
+        with pytest.raises(ParameterRangeError):
+            published_squeezing_threshold_lambda_form(lam)
 
     def test_verdict(self):
         squeezed = squeezing_criterion(WernerParams(p=0.9, r=1.0, s=0.3))

@@ -56,6 +56,14 @@ class TestTwoModeDensityMatrix:
         with pytest.raises(HermiticityError):
             TwoModeDensityMatrix(cutoff=FockCutoff(n_max=2), data=data, trace_deficit=0.0)
 
+    def test_rejects_imaginary_diagonal(self):
+        # On the diagonal the Hermiticity deviation is 2 |Im a|, so the one
+        # gate rejects an imaginary diagonal entry.
+        data = np.eye(4, dtype=np.complex128) / 4.0
+        data[0, 0] = 0.25 + 1e-9j
+        with pytest.raises(HermiticityError, match="not Hermitian"):
+            TwoModeDensityMatrix(cutoff=FockCutoff(n_max=2), data=data, trace_deficit=0.0)
+
     def test_rejects_non_finite_off_diagonal(self):
         data = np.eye(4, dtype=np.complex128) / 4.0
         data[1, 2] = data[2, 1] = np.nan

@@ -1,10 +1,13 @@
-"""Tests for the block-split eigensolver, the 1-D quadrature rule and the
+"""Tests for the two-tier eigensolver, the 1-D quadrature rule and the
 root search in p.
 
-The eigensolver splits a matrix into the connected blocks of its nonzero
-pattern, solves 1x1 and 2x2 blocks in closed form and larger ones by
-Householder tridiagonalisation and Sturm bisection. numpy.linalg.eigvalsh
-serves as an independent oracle for it; the library itself never calls it.
+The eigensolver reads the 1x1 and 2x2 blocks of a matrix's nonzero
+pattern off its degree count and solves them in closed form; every index
+left over goes, as one dense block, through Householder tridiagonalisation
+and Sturm bisection. Tests that pin which block reaches that second tier
+record the calls of ``numerics._tridiagonalize``. numpy.linalg.eigvalsh
+serves as an independent oracle for the eigensolver; the library itself
+never calls it.
 """
 
 import math
@@ -34,18 +37,37 @@ def random_hermitian(dim, seed, scale=1.0):
     return scale * (g + g.conj().T) / 2.0
 
 
-def count_components(monkeypatch):
-    """Record the sorted indices of every entry that reaches the labelling
-    loop, one list per call of ``numerics._components``."""
-    calls = []
-    labelling = numerics._components
+def block_diagonal(sizes, seed):
+    """Random Hermitian blocks of the given sizes down the diagonal, the
+    k-th drawn with seed ``seed + k``."""
+    dim = sum(sizes)
+    a = np.zeros((dim, dim), dtype=np.complex128)
+    start = 0
+    for k, size in enumerate(sizes):
+        a[start:start + size, start:start + size] = random_hermitian(size, seed=seed + k)
+        start += size
+    return a
 
-    def recording(n, rows, cols):
-        calls.append(sorted(set(rows.tolist()) | set(cols.tolist())))
-        return labelling(n, rows, cols)
 
-    monkeypatch.setattr(numerics, "_components", recording)
-    return calls
+def record_blocks(monkeypatch):
+    """Record a copy of every block that reaches the dense tier, one per
+    call of ``numerics._tridiagonalize``."""
+    blocks = []
+    tridiagonalize = numerics._tridiagonalize
+
+    def recording(block):
+        blocks.append(block.copy())
+        return tridiagonalize(block)
+
+    monkeypatch.setattr(numerics, "_tridiagonalize", recording)
+    return blocks
+
+
+def assert_blocks(blocks, a, *index_sets):
+    """Each recorded block is ``a`` restricted to the next index set."""
+    assert len(blocks) == len(index_sets)
+    for block, idx in zip(blocks, index_sets):
+        assert np.array_equal(block, a[np.ix_(idx, idx)])
 
 
 class TestHermitianEigenvalues:
@@ -93,6 +115,12 @@ class TestHermitianEigenvalues:
         with pytest.raises(HermiticityError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_imaginary_diagonal(self):
+        a = np.eye(4, dtype=np.complex128) / 4.0
+        a[0, 0] = 0.25 + 1e-9j
+        with pytest.raises(HermiticityError, match="not Hermitian"):
+            hermitian_eigenvalues(a)
+
     def test_rejects_non_square(self):
         with pytest.raises(HermiticityError):
             hermitian_eigenvalues(np.ones((2, 3)))
@@ -119,17 +147,31 @@ class TestHermitianEigenvalues:
     def test_permuted_block_diagonal(self):
         sizes = (1, 2, 3, 7, 2, 1)
         dim = sum(sizes)
-        a = np.zeros((dim, dim), dtype=np.complex128)
-        start = 0
-        for k, size in enumerate(sizes):
-            a[start:start + size, start:start + size] = random_hermitian(size, seed=10 + k)
-            start += size
+        a = block_diagonal(sizes, seed=10)
         perm = np.random.default_rng(11).permutation(dim)
         a = a[np.ix_(perm, perm)]
         result = hermitian_eigenvalues(a)
         oracle = np.linalg.eigvalsh(a)
         assert np.abs(result.eigenvalues - oracle).max() < 1e-13
         assert 0.0 < result.max_residual < 1e-12 * math.sqrt(float((np.abs(a) ** 2).sum()))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_leftover_of_several_blocks_is_one_dense_block(self, seed, monkeypatch):
+        # Six blocks of sizes 3 to 11 among singles and pairs: the leftover
+        # indices form one dense block, block-diagonal up to a permutation,
+        # and its eigenvalues are the union of its blocks'.
+        blocks = record_blocks(monkeypatch)
+        sizes = (3, 1, 5, 2, 11, 4, 2, 8, 1, 6)
+        dim = sum(sizes)
+        a = block_diagonal(sizes, seed=100 * seed)
+        perm = np.random.default_rng(seed).permutation(dim)
+        a = a[np.ix_(perm, perm)]
+        result = hermitian_eigenvalues(a)
+        leftover = np.flatnonzero(np.isin(perm, np.flatnonzero(np.repeat(sizes, sizes) >= 3)))
+        assert_blocks(blocks, a, leftover)
+        error = np.abs(result.eigenvalues - np.linalg.eigvalsh(a)).max()
+        assert error < 1e-13 * math.sqrt(float((np.abs(a) ** 2).sum()))
+        assert error <= result.max_residual
 
     def test_tiny_coupling_merges_blocks(self):
         pair = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
@@ -151,15 +193,11 @@ class TestHermitianEigenvalues:
         # row-sorted either.
         sizes = (1, 2, 3, 7, 2, 1, 4)
         dim = sum(sizes)
-        a = np.zeros((dim, dim), dtype=np.complex128)
-        start = 0
-        for k, size in enumerate(sizes):
-            a[start:start + size, start:start + size] = random_hermitian(size, seed=20 + k)
-            start += size
+        a = block_diagonal(sizes, seed=20)
         rng = np.random.default_rng(seed)
         perm = rng.permutation(dim)
         a = a[np.ix_(perm, perm)]
-        rows, cols, values, _ = _nonzero_pattern(a)
+        rows, cols, values = _nonzero_pattern(a)
         shuffle = rng.permutation(values.size)
         result = _pattern_eigenvalues(dim, rows[shuffle], cols[shuffle], values[shuffle])
         dense = hermitian_eigenvalues(a)
@@ -169,15 +207,15 @@ class TestHermitianEigenvalues:
     def test_one_sided_tiny_entry_merges_pairs(self, monkeypatch):
         # An entry on one side only, within the Hermiticity gate, joins the
         # two pairs: neither end of it holds just a mirrored couple, so all
-        # four indices go to the labelling loop as one block.
-        calls = count_components(monkeypatch)
+        # four indices go to the dense tier as one block.
+        blocks = record_blocks(monkeypatch)
         pair = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
         a = np.zeros((4, 4), dtype=np.complex128)
         a[:2, :2] = pair
         a[2:, 2:] = pair
         a[1, 2] = 1e-300
         result = hermitian_eigenvalues(a)
-        assert calls == [[0, 1, 2, 3]]
+        assert_blocks(blocks, a, [0, 1, 2, 3])
         assert result.max_residual > 0.0
         assert np.abs(result.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-15
 
@@ -185,50 +223,47 @@ class TestHermitianEigenvalues:
         # Indices 1 and 2 each have two off-diagonal entries and share an
         # upper one, as a 2x2 block's ends do, but neither entry is
         # mirrored: 0 -> 1 -> 2 -> 3 is one block.
-        calls = count_components(monkeypatch)
+        blocks = record_blocks(monkeypatch)
         a = np.diag([0.4, 0.1, 0.3, 0.2]).astype(np.complex128)
         a[0, 1] = a[1, 2] = a[2, 3] = 1e-300
         result = hermitian_eigenvalues(a)
-        assert calls == [[0, 1, 2, 3]]
+        assert_blocks(blocks, a, [0, 1, 2, 3])
         assert np.abs(result.eigenvalues - [0.1, 0.2, 0.3, 0.4]).max() < 1e-15
 
     def test_pairs_and_singles_beside_a_larger_block(self, monkeypatch):
         # Singles and pairs are read off the degree count; only the
-        # members of the size-3 and size-4 blocks reach the labelling loop.
-        calls = count_components(monkeypatch)
+        # members of the size-3 and size-4 blocks reach the dense tier,
+        # together as one block.
+        blocks = record_blocks(monkeypatch)
         sizes = (1, 2, 3, 2, 1, 4, 2)
         dim = sum(sizes)
-        a = np.zeros((dim, dim), dtype=np.complex128)
-        start = 0
-        for k, size in enumerate(sizes):
-            a[start:start + size, start:start + size] = random_hermitian(size, seed=30 + k)
-            start += size
+        a = block_diagonal(sizes, seed=30)
         perm = np.random.default_rng(31).permutation(dim)
         a = a[np.ix_(perm, perm)]
         result = hermitian_eigenvalues(a)
         larger = np.r_[3:6, 9:13]  # the size-3 and size-4 blocks before the permutation
-        assert calls == [sorted(np.flatnonzero(np.isin(perm, larger)).tolist())]
+        assert_blocks(blocks, a, np.flatnonzero(np.isin(perm, larger)))
         assert np.abs(result.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-13
         assert result.max_residual > 0.0
 
-    def test_dense_block_reaches_the_labelling_loop(self, monkeypatch):
-        calls = count_components(monkeypatch)
+    def test_dense_block_reaches_the_dense_tier(self, monkeypatch):
+        blocks = record_blocks(monkeypatch)
         a = random_hermitian(3, seed=40)
         result = hermitian_eigenvalues(a)
-        assert calls == [[0, 1, 2]]
+        assert_blocks(blocks, a, [0, 1, 2])
         assert np.abs(result.eigenvalues - np.linalg.eigvalsh(a)).max() < 1e-14
 
-    def test_production_inputs_skip_the_labelling_loop(self, monkeypatch):
+    def test_production_inputs_skip_the_dense_block(self, monkeypatch):
         # Every matrix the library builds (the Fock partial transpose, the
         # 4x4 qubit partial transpose, T^T T) splits into blocks of size 1
         # and 2, all read off the degree count.
-        calls = count_components(monkeypatch)
+        blocks = record_blocks(monkeypatch)
         _, ok = run_validation(2)
         assert ok
         for n_max in range(2, 33):
             params = WernerParams(p=0.3 + 0.02 * (n_max % 20), r=0.4 + 0.05 * n_max, s=1.1)
             ppt_spectrum_bruteforce(params, FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15))
-        assert calls == []
+        assert blocks == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])

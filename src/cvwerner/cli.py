@@ -33,7 +33,7 @@ from .states import WernerParams, werner_state
 AXES = ("p", "r", "s")
 R_EQUALS_S = "r_equals_s"
 
-# Cutoff of the validation suite's one dense state per grid point, which
+# Cutoff of the validation suite's one state per grid point, which
 # the PPT spectrum, qubit-map and cell checks all read; small enough to
 # keep validate well under its time budget, and even, as the qubit map
 # needs. Each check compares with the closed form of the same truncated
@@ -151,6 +151,10 @@ class SweepSpec:
                 raise ValueError(f"output {name!r} given more than once")
         if self.fixed == R_EQUALS_S and self.remaining_axis() == "p":
             raise ValueError("r_equals_s requires that p is a sweep axis")
+        # Each range rule of WernerParams is an interval per parameter and
+        # the grid ends are exact, so its two corners hold every grid point.
+        self.point(self.axis1.minimum, self.axis2.minimum)
+        self.point(self.axis1.maximum, self.axis2.maximum)
 
     def remaining_axis(self) -> str:
         return next(a for a in AXES if a not in (self.axis1.name, self.axis2.name))
@@ -242,14 +246,16 @@ def _matrix_deviations(params: WernerParams) -> tuple[float, float, float]:
     brute-force PPT spectrum from the enumerated one, its pair-index trace
     from the truncated closed form and from the pseudo-spin moment route,
     and its cell reconstruction from the state itself."""
-    cutoff = FockCutoff(n_max=VALIDATE_N_MAX, tail_bound=1.0 - 1e-15)
-    rho = werner_state(params, cutoff)
+    rho = werner_state(params, FockCutoff(n_max=VALIDATE_N_MAX, tail_bound=1.0 - 1e-15))
     rho4 = qm.map_to_qubits(rho)
     spectrum = cr._ppt_spectrum(rho) - cr.enumerate_ppt_spectrum(params, VALIDATE_N_MAX)
     truncated = qm.closed_form_two_qubit(params, n_max=VALIDATE_N_MAX)
     qubit = np.maximum(np.abs(rho4 - truncated).max(),
                        np.abs(rho4 - qm._map_via_moments(rho)).max())
-    cells = cr.reconstruct_from_cells(params, cutoff) - rho.data
+    # An entry of the reconstruction off the state's pattern stays as it is.
+    rows, cols, values = rho.pattern
+    cells = cr.reconstruct_from_cells(params, VALIDATE_N_MAX)
+    cells[rows, cols] -= values
     return float(np.abs(spectrum).max()), float(qubit), float(np.abs(cells).max())
 
 

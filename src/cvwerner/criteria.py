@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, ParameterRangeError
-from .fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
+from .fock_core import FockCutoff, TwoModeDensityMatrix, _check_n_max, partial_transpose_A
 from .numerics import _bisect_threshold, _pattern_eigenvalues
 from .states import WernerParams, _check_rs, werner_state
 from .tolerances import SQUEEZING_CONSISTENCY_TOL
@@ -88,6 +88,7 @@ def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
     """All analytic eigenvalues of the truncated partial transpose, sorted:
     base + off at m+n = 2l for each level |l,l>, and base +- off for each
     pair m < n."""
+    n_max = _check_n_max(n_max)
     diag = np.add(*_pair_terms(params, 2 * np.arange(n_max)))
     m, n = np.triu_indices(n_max, 1)
     base, off = _pair_terms(params, m + n)
@@ -97,10 +98,9 @@ def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
 def ppt_spectrum_bruteforce(params: WernerParams, cutoff: FockCutoff) -> np.ndarray:
     """Eigenvalues of the partially transposed truncated state, sorted.
 
-    The state is built as a matrix, and its construction checks keep its
-    nonzero pattern; the partial transpose permutes that pattern and the
-    eigensolver splits it into blocks, so the d x d matrix is scanned
-    once and never copied.
+    The state is built as a dense matrix, scanned once by its construction
+    checks and kept only as its nonzero pattern; the partial transpose
+    permutes that pattern and the eigensolver splits it into blocks.
     """
     return _ppt_spectrum(werner_state(params, cutoff))
 
@@ -192,8 +192,9 @@ def threshold_verdict(criterion: str, params: WernerParams, threshold: float) ->
                             margin=margin, method="analytic")
 
 
-def reconstruct_from_cells(params: WernerParams, cutoff: FockCutoff) -> np.ndarray:
-    """Rebuild the truncated Werner matrix from its cell decomposition.
+def reconstruct_from_cells(params: WernerParams, n_max: int) -> np.ndarray:
+    """Rebuild the Werner matrix truncated to n_max levels per mode from its
+    cell decomposition.
 
     The state is the sum of weights P_m on |m,m><m,m| and of 4x4 cells on
     span{|mm>, |mn>, |nm>, |nn>} over ordered pairs m != n. With k = m + n,
@@ -203,7 +204,7 @@ def reconstruct_from_cells(params: WernerParams, cutoff: FockCutoff) -> np.ndarr
     partners beyond the cutoff included: a geometric series over k >= m for
     each cell weight, whose ratio is that of its values at k = 1 and k = 0.
     """
-    n_max = cutoff.n_max
+    n_max = _check_n_max(n_max)
     d = n_max * n_max
     data = np.zeros((d, d), dtype=np.complex128)
 
@@ -345,6 +346,7 @@ def squeezing_variance_direct(params: WernerParams, n_max: int = SQUEEZING_CHECK
     diag(x^2)_k = e_{k-1}^2 + e_k^2, whose last entry is cut at the
     truncation edge, since diag(x) = 0. Every sum is O(n_max) on vectors.
     """
+    n_max = _check_n_max(n_max)
     levels = np.arange(n_max, dtype=np.float64)
     l1 = params.lambda1
     amps = math.sqrt(1.0 - l1 * l1) * l1 ** levels

@@ -1,26 +1,42 @@
 """Truncated two-mode Fock-space tensor algebra.
 
 Basis ordering is row-major with mode A as the slow index: the composite
-state |m>_A |n>_B sits at flat index m * n_max + n. With this fixed
-convention the partial transpose is a pure index permutation, applied to
-the (rows, cols, values) nonzero pattern that each state keeps from its
-construction checks, so it never forms a second dense matrix.
+state |m>_A |n>_B sits at flat index m * n_max + n. A truncated state is
+given as a dense matrix, checked once, and kept only as its
+(rows, cols, values) nonzero pattern; every reader (partial transpose,
+qubit map, moments, cell check) gathers from that pattern, and with the
+fixed index convention the partial transpose is a pure permutation of it.
 
 Truncated states are never renormalized; the probability mass lost to the
 cutoff is carried as ``trace_deficit`` metadata so that eigenvalues of the
-stored matrix can be compared directly against infinite-dimensional
-closed forms.
+state can be compared directly against infinite-dimensional closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatchError, NumericalConsistencyError, ParameterRangeError
 from .numerics import _nonzero_pattern
+
+
+def _check_n_max(n_max, paired: bool = False) -> int:
+    """The cutoff rule: ``n_max`` as an int, or ParameterRangeError unless it
+    is an integer (numpy integers included) >= 2, and even where ``paired``
+    levels (2m, 2m+1) are read as one qubit; every public function of a
+    level count calls it."""
+    try:
+        n = operator.index(n_max)
+    except TypeError:
+        n = None
+    if n is None or n < 2 or paired and n % 2:
+        rule = "an even integer >= 2" if paired else "an integer >= 2"
+        raise ParameterRangeError(f"n_max must be {rule}, got {n_max!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -31,8 +47,7 @@ class FockCutoff:
     tail_bound: float = tol.DEFAULT_TAIL_BOUND
 
     def __post_init__(self):
-        if self.n_max < 2:
-            raise ParameterRangeError(f"n_max must be >= 2, got {self.n_max}")
+        _check_n_max(self.n_max)
         if not 0.0 < self.tail_bound < 1.0:
             raise ParameterRangeError(f"tail_bound must lie in (0, 1), got {self.tail_bound}")
 
@@ -42,39 +57,39 @@ class FockCutoff:
         return self.n_max * self.n_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeDensityMatrix:
-    """Hermitian matrix on the truncated two-mode Fock space.
+    """Hermitian matrix on the truncated two-mode Fock space, kept as its
+    nonzero pattern.
 
-    ``data`` is the dense matrix. ``pattern`` is its nonzero pattern
-    ``(rows, cols, values)``, row-sorted, taken by the one scan that also
-    checks the matrix finite and Hermitian. Both are read-only.
+    ``data``, the dense matrix, is a construction input only: one scan
+    checks it finite and Hermitian and takes ``pattern``, its read-only
+    nonzeros ``(rows, cols, values)``, row-sorted; the diagonal and trace
+    checks read it too, and then it is dropped.
     """
 
     cutoff: FockCutoff
-    data: np.ndarray
+    data: InitVar[np.ndarray]
     trace_deficit: float
-    pattern: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
+    pattern: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, data: np.ndarray):
         d = self.cutoff.dim
-        if self.data.shape != (d, d):
+        if data.shape != (d, d):
             raise DimensionMismatchError(
-                f"expected {(d, d)} matrix for n_max={self.cutoff.n_max}, got {self.data.shape}"
+                f"expected {(d, d)} matrix for n_max={self.cutoff.n_max}, got {data.shape}"
             )
-        pattern = _nonzero_pattern(self.data)
-        diag = np.diagonal(self.data)
+        pattern = _nonzero_pattern(data)
+        diag = np.diagonal(data)
         if diag.real.min() < -tol.POSITIVITY_TOL:
             raise NumericalConsistencyError(
                 f"negative diagonal entry {diag.real.min():.3e}"
             )
-        tr = np.trace(self.data).real
+        tr = np.trace(data).real
         if abs(tr - (1.0 - self.trace_deficit)) > tol.TRACE_CONSISTENCY_TOL:
             raise NumericalConsistencyError(
                 f"trace {tr} inconsistent with trace_deficit {self.trace_deficit}"
             )
-        self.data.setflags(write=False)
         for part in pattern:
             part.setflags(write=False)
         object.__setattr__(self, "pattern", pattern)
@@ -82,11 +97,6 @@ class TwoModeDensityMatrix:
     @property
     def n_max(self) -> int:
         return self.cutoff.n_max
-
-    def as_tensor(self) -> np.ndarray:
-        """View of the data as a 4-index tensor [m, n, m', n']."""
-        n = self.n_max
-        return self.data.reshape(n, n, n, n)
 
 
 def partial_transpose_A(rho: TwoModeDensityMatrix):

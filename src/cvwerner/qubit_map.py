@@ -2,10 +2,11 @@
 
 Each mode is reduced to a qubit by pairing Fock levels (2m, 2m+1): level
 2m + k is read as pair m, qubit state k, and the mapped 4x4 state is the
-partial trace over both pair indices, which ``map_to_qubits`` returns as
-a plain 4x4 array. The pseudo-spin operators of the pairing satisfy the
-Pauli algebra exactly; their moments rebuild the same 4x4 along an
-independent route, which ``cvwerner validate`` checks against the trace.
+partial trace over both pair indices, which ``map_to_qubits`` sums from
+the state's nonzero pattern into a plain 4x4 array. The pseudo-spin
+operators of the pairing satisfy the Pauli algebra exactly; their moments
+rebuild the same 4x4 from the same pattern along an independent route,
+which ``cvwerner validate`` checks against the trace.
 The mapped state is analyzed for entanglement (partial transpose) and
 nonlocality (CHSH via the correlation-tensor criterion).
 """
@@ -18,8 +19,8 @@ import math
 import numpy as np
 
 from . import tolerances as tol
-from .errors import NumericalConsistencyError, ParameterRangeError
-from .fock_core import TwoModeDensityMatrix
+from .errors import NumericalConsistencyError
+from .fock_core import TwoModeDensityMatrix, _check_n_max
 from .numerics import _bisect_threshold, hermitian_eigenvalues
 from .states import WernerParams, _check_rs
 
@@ -28,7 +29,9 @@ PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 
                  dtype=np.complex128)
 
 
-@functools.lru_cache(maxsize=None)
+# Typed, so that a float level count such as 4.0 misses the cache of 4 and
+# meets the cutoff rule.
+@functools.lru_cache(maxsize=None, typed=True)
 def build_spin_operators(n_max: int) -> np.ndarray:
     """Pseudo-spin operators pairing Fock levels (2m, 2m+1), stacked
     read-only as (s1, s2, s3) in one (3, n_max, n_max) array.
@@ -38,8 +41,7 @@ def build_spin_operators(n_max: int) -> np.ndarray:
     normalization lives in the combination s1 + i s2 = 2 L, which is the
     unique reading under which each operator squares to the identity.
     """
-    if n_max < 2 or n_max % 2:
-        raise ParameterRangeError(f"n_max must be even and >= 2, got {n_max}")
+    n_max = _check_n_max(n_max, paired=True)
     ladder = np.zeros((n_max, n_max), dtype=np.complex128)
     for m in range(0, n_max - 1, 2):
         ladder[m, m + 1] = 1.0
@@ -98,14 +100,24 @@ def map_to_qubits(rho: TwoModeDensityMatrix) -> np.ndarray:
     """The 4x4 two-qubit image of a two-mode state: the trace over the pair indices.
 
     With level 2m + k read as (m, k) on each mode, rho4[(k, l), (K, L)] is
-    the sum over m, m' of rho[(2m+k, 2m'+l), (2m+K, 2m'+L)].
-    ``_map_via_moments`` builds the same 4x4 from the pseudo-spin operators;
-    ``cvwerner validate`` compares the two.
+    the sum over m, m' of rho[(2m+k, 2m'+l), (2m+K, 2m'+L)]. It is summed
+    from the state's nonzero pattern: an entry whose row and column share
+    the pair index on both modes goes to rho4[2 (a%2) + b%2, 2 (a'%2) + b'%2],
+    for row (a, b) and column (a', b'). ``_map_via_moments`` builds the
+    same 4x4 from the pseudo-spin operators; ``cvwerner validate``
+    compares the two.
     """
-    n = rho.n_max
-    if n % 2:
-        raise ParameterRangeError("qubit map requires an even n_max")
-    return np.einsum("ikjliKjL->klKL", rho.as_tensor().reshape((n // 2, 2) * 4)).reshape(4, 4)
+    n = _check_n_max(rho.n_max, paired=True)
+    rows, cols, values = rho.pattern
+    a, b = np.divmod(rows, n)
+    a_, b_ = np.divmod(cols, n)
+    # Levels a and a' share the pair index a // 2 exactly when a ^ a' < 2,
+    # and a & 1 is the qubit state.
+    kept = ((a ^ a_) | (b ^ b_)) < 2
+    cell = (8 * (a & 1) + 4 * (b & 1) + 2 * (a_ & 1) + (b_ & 1))[kept]
+    values = values[kept]
+    rho4 = np.bincount(cell, values.real, 16) + 1j * np.bincount(cell, values.imag, 16)
+    return rho4.reshape(4, 4)
 
 
 def closed_form_two_qubit(params: WernerParams, n_max: int | None = None) -> np.ndarray:
@@ -121,6 +133,7 @@ def closed_form_two_qubit(params: WernerParams, n_max: int | None = None) -> np.
     w1 = p / (1.0 + l1 * l1)
     w2 = (1.0 - p) / (1.0 + l2 * l2) ** 2
     if n_max is not None:
+        n_max = _check_n_max(n_max, paired=True)
         w1 *= 1.0 - l1 ** (2 * n_max)
         w2 *= (1.0 - l2 ** (2 * n_max)) ** 2
     m = np.zeros((4, 4), dtype=np.complex128)

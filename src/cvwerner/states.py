@@ -18,7 +18,9 @@ The matrix comes from one builder, which fills a single zeroed
 n_max^2 x n_max^2 buffer: the squeezed-vacuum coherences go into the
 n_max x n_max sub-block of the |m,m> rows and columns, and the thermal
 product is added onto the diagonal. No other entry is nonzero, so no
-dense temporary of the full size is made.
+dense temporary of the full size is made. The buffer is the state's
+construction input only: the returned state keeps its nonzero pattern,
+2 n_max^2 - n_max entries, and the buffer is dropped.
 """
 
 from __future__ import annotations

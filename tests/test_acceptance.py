@@ -22,6 +22,7 @@ from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import GRID_POINTS, WIDTH_SIGMAS, hermitian_eigenvalues
 from cvwerner.qubit_map import build_spin_operators
 from cvwerner.states import WernerParams, werner_state
+from densify import dense
 
 P_VALUES = (0.2, 0.5, 0.9)
 RS_VALUES = (0.5, 1.0, 2.0)
@@ -171,8 +172,8 @@ def test_criterion_08_cell_decomposition_reconstruction():
     cutoff = FockCutoff(n_max=12, tail_bound=0.999)
     for params in GRID_27:
         rho = werner_state(params, cutoff)
-        rebuilt = cr.reconstruct_from_cells(params, cutoff)
-        assert np.abs(rebuilt - rho.data).max() < 1e-10, f"{params}"
+        rebuilt = cr.reconstruct_from_cells(params, cutoff.n_max)
+        assert np.abs(rebuilt - dense(rho.pattern, cutoff.dim)).max() < 1e-10, f"{params}"
         separable = params.p <= cr.largest_separable_p(params.r, params.s)
         entangled = params.p > cr.direct_entanglement_threshold(params.r, params.s)
         assert not (separable and entangled), f"{params}"
@@ -205,7 +206,7 @@ def test_criterion_09_property_suites():
                    WernerParams(p=0.2, r=0.5, s=2.0),
                    WernerParams(p=0.9, r=2.0, s=0.5)):
         rho = werner_state(params, cutoff)
-        eig = hermitian_eigenvalues(rho.data).eigenvalues
+        eig = hermitian_eigenvalues(dense(rho.pattern, cutoff.dim)).eigenvalues
         assert eig.min() > -1e-10
 
 

@@ -195,6 +195,21 @@ class TestRunSweep:
         assert f"error: {message}" in captured.err
         assert captured.out == ""
 
+    def test_out_of_range_axis_exits_2_before_any_row(self, monkeypatch, capsys):
+        # The grid's two corners hold every point to WernerParams's range
+        # rules, so p up to 2 fails before the rows with p <= 1 are computed.
+        calls = []
+        monkeypatch.setattr(cr, "direct_entanglement_threshold",
+                            lambda r, s: calls.append((r, s)) or 0.5)
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "axis1=p[0,2,200]", "axis2=r[0.1,2,200]", "fixed=0.5",
+                  "outputs=p_min_entangled_direct,p_min_nonlocal"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: p must lie in [0, 1], got 2.0" in captured.err
+        assert captured.out == ""
+        assert calls == []
+
 
 class TestOutputPath:
     @pytest.mark.parametrize("command", [
@@ -452,6 +467,22 @@ class TestValidate:
         failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
                    if ": FAIL worst_deviation" in line]
         assert "ppt_spectrum (analytic vs brute force)" in failing
+
+    def test_cell_fault_off_the_pattern_is_detected(self, monkeypatch):
+        # |0,0><0,1| is zero in the Werner state, so it is not in its
+        # pattern; a fault there alone still fails the cell check.
+        reconstruct = cr.reconstruct_from_cells
+
+        def faulty(params, n_max):
+            cells = reconstruct(params, n_max)
+            cells[0, 1] += 1e-9
+            return cells
+
+        monkeypatch.setattr(cr, "reconstruct_from_cells", faulty)
+        results, ok = run_validation(2)
+        assert not ok
+        failing = [r.name for r in results if not r.passed]
+        assert failing == ["cell decomposition (reconstruction)"]
 
     def test_nan_deviation_fails(self, monkeypatch, capsys):
         # dev > tolerance is false for NaN; the check must still fail and

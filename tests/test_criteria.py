@@ -33,6 +33,7 @@ from cvwerner.numerics import hermitian_eigenvalues
 from cvwerner.qubit_map import mapped_entanglement_threshold
 from cvwerner.states import WernerParams, werner_state
 from cvwerner.tolerances import ORACLE_TOL, SQUEEZING_CONSISTENCY_TOL
+from densify import dense
 
 CUTOFF = FockCutoff(n_max=10, tail_bound=0.999)
 
@@ -88,7 +89,7 @@ def dense_partial_transpose(rho):
     """The dense reshape-transpose partial_transpose_A replaced:
     result[(m,n),(m',n')] = rho[(m',n),(m,n')]."""
     d = rho.cutoff.dim
-    return rho.as_tensor().transpose(2, 1, 0, 3).reshape(d, d)
+    return dense(rho.pattern, d).reshape((rho.n_max,) * 4).transpose(2, 1, 0, 3).reshape(d, d)
 
 
 def same_bits(a, b):
@@ -134,8 +135,8 @@ class TestPptSpectrum:
         cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
         for p in (0.0, 0.37, 1.0):
             params = WernerParams(p=p, r=r, s=s)
-            dense = dense_partial_transpose(werner_state(params, cutoff))
-            reference = hermitian_eigenvalues(dense).eigenvalues
+            transposed = dense_partial_transpose(werner_state(params, cutoff))
+            reference = hermitian_eigenvalues(transposed).eigenvalues
             assert same_bits(ppt_spectrum_bruteforce(params, cutoff), reference), p
 
     @pytest.mark.parametrize("p, r, s", SEEDED_POINTS)
@@ -384,15 +385,14 @@ class TestSeparabilityCells:
     def test_reconstruction_is_exact(self):
         params = WernerParams(p=0.5, r=1.0, s=1.0)
         rho = werner_state(params, CUTOFF)
-        rebuilt = reconstruct_from_cells(params, CUTOFF)
-        assert np.abs(rebuilt - rho.data).max() < 1e-10
+        rebuilt = reconstruct_from_cells(params, CUTOFF.n_max)
+        assert np.abs(rebuilt - dense(rho.pattern, CUTOFF.dim)).max() < 1e-10
 
     @pytest.mark.parametrize("p, r, s", SEEDED_POINTS)
     def test_reconstruction_matches_scalar_loop(self, p, r, s):
         params = WernerParams(p=p, r=r, s=s)
         for n_max in (2, 7, 12):
-            cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
-            rebuilt = reconstruct_from_cells(params, cutoff)
+            rebuilt = reconstruct_from_cells(params, n_max)
             assert np.abs(rebuilt - reconstruct_from_cells_reference(params, n_max)).max() <= 1e-15
 
     def test_cell_weights_sum_to_one(self):

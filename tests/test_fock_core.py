@@ -12,24 +12,21 @@ from cvwerner.errors import (
 )
 from cvwerner.fock_core import FockCutoff, TwoModeDensityMatrix, partial_transpose_A
 from cvwerner.states import WernerParams, werner_state
+from densify import dense
 
 
-def dense(triplets, dim):
-    """The dim x dim matrix with the given (rows, cols, values) entries."""
-    rows, cols, values = triplets
-    out = np.zeros((dim, dim), dtype=values.dtype)
-    out[rows, cols] = values
-    return out
-
-
-def random_density(n_max, seed):
+def random_matrix(n_max, seed):
     rng = np.random.default_rng(seed)
     dim = n_max * n_max
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    return rho / np.trace(rho).real
+
+
+def random_density(n_max, seed):
     return TwoModeDensityMatrix(
-        cutoff=FockCutoff(n_max=n_max, tail_bound=0.5), data=rho, trace_deficit=0.0
+        cutoff=FockCutoff(n_max=n_max, tail_bound=0.5), data=random_matrix(n_max, seed),
+        trace_deficit=0.0
     )
 
 
@@ -46,9 +43,12 @@ class TestFockCutoff:
 
 class TestTwoModeDensityMatrix:
     def test_valid_state_is_read_only(self):
+        # The state keeps its pattern only, read-only, and not the matrix
+        # it was built from.
         rho = random_density(3, seed=0)
-        with pytest.raises(ValueError):
-            rho.data[0, 0] = 2.0
+        assert not hasattr(rho, "data")
+        for part in rho.pattern:
+            assert not part.flags.writeable
 
     def test_rejects_non_hermitian(self):
         data = np.eye(4, dtype=np.complex128) / 4.0
@@ -101,10 +101,14 @@ class TestTwoModeDensityMatrix:
             with pytest.raises(ValueError):
                 part[0] = 0
 
-    def test_as_tensor_matches_flat_convention(self):
-        rho = random_density(4, seed=1)
-        t = rho.as_tensor()
-        assert t[1, 2, 3, 0] == rho.data[1 * 4 + 2, 3 * 4 + 0]
+    def test_pattern_matches_flat_convention(self):
+        # Entry [m, n, m', n'] of the 4-index tensor sits at row m n_max + n
+        # and column m' n_max + n' of the pattern.
+        data = random_matrix(4, seed=1)
+        rows, cols, values = TwoModeDensityMatrix(
+            cutoff=FockCutoff(n_max=4), data=data, trace_deficit=0.0).pattern
+        at = np.flatnonzero((rows == 1 * 4 + 2) & (cols == 3 * 4 + 0))
+        assert values[at] == data.reshape(4, 4, 4, 4)[1, 2, 3, 0]
 
 
 class TestPartialOperations:
@@ -130,7 +134,7 @@ class TestPartialOperations:
         # The transpose keeps the diagonal and trace, so it is a valid state.
         once = TwoModeDensityMatrix(cutoff=rho.cutoff, data=once, trace_deficit=0.0)
         twice = dense(partial_transpose_A(once), 16)
-        assert np.abs(twice - rho.data).max() == 0.0
+        assert np.abs(twice - dense(rho.pattern, 16)).max() == 0.0
 
 
 class TestExpectation:
@@ -140,6 +144,7 @@ class TestExpectation:
         n_max = 40
         rho = werner_state(WernerParams(p=1.0, r=1.0, s=0.0),
                            FockCutoff(n_max=n_max, tail_bound=1e-8))
-        mean_n_a = np.einsum("m,mnmn->", np.arange(n_max), rho.as_tensor())
+        tensor = dense(rho.pattern, n_max * n_max).reshape((n_max,) * 4)
+        mean_n_a = np.einsum("m,mnmn->", np.arange(n_max), tensor)
         assert abs(mean_n_a.imag) == 0.0
         assert mean_n_a.real == pytest.approx(math.sinh(1.0) ** 2, abs=1e-6)

@@ -23,8 +23,17 @@ from cvwerner.qubit_map import (
     partial_transpose_qubit,
 )
 from cvwerner.states import WernerParams, werner_state
+from densify import dense
 
 CUTOFF = FockCutoff(n_max=16, tail_bound=0.999)
+
+
+def dense_pair_trace(rho):
+    """The pair-index trace as the einsum over the dense n^4 tensor that
+    map_to_qubits replaced: level 2m + k read as (m, k) on all four indices."""
+    n = rho.n_max
+    tensor = dense(rho.pattern, n * n).reshape((n // 2, 2) * 4)
+    return np.einsum("ikjliKjL->klKL", tensor).reshape(4, 4)
 
 
 def mapped(params):
@@ -124,13 +133,22 @@ class TestMapToQubits:
         with pytest.raises(ValueError):
             map_to_qubits(rho)
 
+    @pytest.mark.parametrize("n_max", [2, 4, 6, 12, 16, 24, 32])
+    def test_bit_identical_to_dense_pair_trace(self, n_max):
+        cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
+        rng = np.random.default_rng(n_max)
+        for p, r, s in zip(rng.uniform(0, 1, 20), rng.uniform(0, 3, 20), rng.uniform(0, 3, 20)):
+            rho = werner_state(WernerParams(p=p, r=r, s=s), cutoff)
+            assert np.array_equal(map_to_qubits(rho), dense_pair_trace(rho)), (p, r, s)
+
 
 def dense_moment_route(rho):
     """The pseudo-spin route as a dense two-step contraction of the n^4
     tensor t[a, b, a', b'] with f_i[a', a] and f_j[b', b]."""
     n = rho.n_max
     factors = np.stack([np.eye(n, dtype=np.complex128), *build_spin_operators(n)])
-    half = np.einsum("abcd,ica->ibd", rho.as_tensor(), factors)
+    tensor = dense(rho.pattern, n * n).reshape((n,) * 4)
+    half = np.einsum("abcd,ica->ibd", tensor, factors)
     moments = np.einsum("ibd,jdb->ij", half, factors).real
     return np.einsum("ij,ikK,jlL->klKL", moments, qm.PAULI, qm.PAULI).reshape(4, 4) / 4.0
 
@@ -163,9 +181,10 @@ class TestMapOnGenericState:
         rho = random_density(n_max, seed)
         eye = np.eye(n_max)
         spins = build_spin_operators(n_max)
+        matrix = dense(rho.pattern, n_max * n_max)
 
         def mean(obs):
-            return np.trace(rho.data @ obs).real
+            return np.trace(matrix @ obs).real
 
         bloch_A = np.array([mean(np.kron(s, eye)) for s in spins])
         bloch_B = np.array([mean(np.kron(eye, s)) for s in spins])
@@ -177,6 +196,11 @@ class TestMapOnGenericState:
         assert np.abs(moments[1:, 0] - bloch_A).max() <= 1e-14
         assert np.abs(moments[0, 1:] - bloch_B).max() <= 1e-14
         assert np.abs(moments[1:, 1:] - corr).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_max, seed", [(4, 11), (6, 12), (4, 13), (6, 14)])
+    def test_bit_identical_to_dense_pair_trace_on_generic_state(self, n_max, seed):
+        rho = random_density(n_max, seed)
+        assert np.array_equal(map_to_qubits(rho), dense_pair_trace(rho))
 
     @pytest.mark.parametrize("n_max, seed", [(4, 13), (6, 14)])
     def test_trace_matches_moment_route(self, n_max, seed):

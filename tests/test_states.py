@@ -9,8 +9,10 @@ from cvwerner import criteria, qubit_map, states, teleport
 from cvwerner.errors import CutoffTooSmallError, CvWernerError, ParameterRangeError
 from cvwerner.fock_core import FockCutoff
 from cvwerner.states import WernerParams, werner_state
+from densify import dense
 
 LOOSE = FockCutoff(n_max=12, tail_bound=0.999)
+POINT = WernerParams(p=0.5, r=0.7, s=0.4)
 
 
 def nopa(r, cutoff):
@@ -103,6 +105,19 @@ class TestWernerParams:
     pytest.param(lambda: qubit_map.map_to_qubits(werner_state(
         WernerParams(p=0.5, r=0.5, s=0.5), FockCutoff(n_max=5, tail_bound=0.999))),
         id="map-odd-n_max"),
+    # Every level count meets one cutoff rule: an integer >= 2, even where
+    # levels are paired into qubits.
+    pytest.param(lambda: werner_state(POINT, FockCutoff(n_max=2.5)), id="cutoff-float"),
+    pytest.param(lambda: FockCutoff(n_max="4"), id="cutoff-str"),
+    pytest.param(lambda: FockCutoff(n_max=True), id="cutoff-bool"),
+    pytest.param(lambda: criteria.enumerate_ppt_spectrum(POINT, 1.5), id="enumerate-float"),
+    pytest.param(lambda: criteria.enumerate_ppt_spectrum(POINT, 0), id="enumerate-0"),
+    pytest.param(lambda: criteria.reconstruct_from_cells(POINT, 1), id="cells-1"),
+    pytest.param(lambda: qubit_map.closed_form_two_qubit(POINT, n_max=3), id="closed-form-odd"),
+    pytest.param(lambda: qubit_map.closed_form_two_qubit(POINT, n_max=0), id="closed-form-0"),
+    pytest.param(lambda: criteria.squeezing_variance_direct(POINT, n_max=1), id="squeezing-1"),
+    pytest.param(lambda: criteria.squeezing_variance_direct(POINT, n_max=0), id="squeezing-0"),
+    pytest.param(lambda: qubit_map.build_spin_operators(4.0), id="spin-float"),
 ])
 def test_out_of_range_inputs_raise_typed_errors(call):
     # ParameterRangeError is a ValueError too, so callers catching either work.
@@ -110,6 +125,16 @@ def test_out_of_range_inputs_raise_typed_errors(call):
         call()
     assert isinstance(info.value, ParameterRangeError)
     assert isinstance(info.value, ValueError)
+
+
+def test_cutoff_rule_accepts_numpy_integers():
+    n = np.int64(4)
+    assert FockCutoff(n_max=n).dim == 16
+    assert criteria.enumerate_ppt_spectrum(POINT, n).size == 16
+    assert np.array_equal(qubit_map.closed_form_two_qubit(POINT, n_max=n),
+                          qubit_map.closed_form_two_qubit(POINT, n_max=4))
+    assert (criteria.squeezing_variance_direct(POINT, n_max=n)
+            == criteria.squeezing_variance_direct(POINT, n_max=4))
 
 
 RS_FUNCTIONS = {
@@ -142,17 +167,16 @@ class TestNopaState:
 
     def test_entries(self):
         # <m,m| rho |n,n> = (1 - lam^2) lam^(m+n) with lam = tanh r.
-        rho = nopa(1.0, LOOSE)
+        rho = dense(nopa(1.0, LOOSE).pattern, LOOSE.dim)
         lam = math.tanh(1.0)
         i12 = 1 * 12 + 1
         j12 = 2 * 12 + 2
-        assert rho.data[i12, j12].real == pytest.approx((1 - lam ** 2) * lam ** 3)
-        assert rho.data[i12, j12].real == pytest.approx(0.18552, abs=1e-5)
+        assert rho[i12, j12].real == pytest.approx((1 - lam ** 2) * lam ** 3)
+        assert rho[i12, j12].real == pytest.approx(0.18552, abs=1e-5)
 
     def test_off_diagonal_support(self):
         # Only |m,m><n,n| entries are populated.
-        rho = nopa(0.8, LOOSE)
-        mask = np.abs(rho.data) > 0
+        mask = np.abs(dense(nopa(0.8, LOOSE).pattern, LOOSE.dim)) > 0
         for flat_i in range(LOOSE.dim):
             for flat_j in range(LOOSE.dim):
                 if mask[flat_i, flat_j]:
@@ -161,13 +185,14 @@ class TestNopaState:
     def test_trace_deficit_is_geometric_tail(self):
         rho = nopa(1.0, LOOSE)
         assert rho.trace_deficit == pytest.approx(math.tanh(1.0) ** 24, rel=1e-12)
-        assert np.trace(rho.data).real == pytest.approx(1.0 - rho.trace_deficit)
+        assert np.trace(dense(rho.pattern, LOOSE.dim)).real == pytest.approx(
+            1.0 - rho.trace_deficit)
 
     def test_vacuum_limit(self):
         rho = nopa(0.0, FockCutoff(n_max=4, tail_bound=1e-12))
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
-        assert np.abs(rho.data - expected).max() == 0.0
+        assert np.abs(dense(rho.pattern, 16) - expected).max() == 0.0
 
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffTooSmallError, match="tail"):
@@ -186,18 +211,18 @@ class TestThermalStates:
     def test_product_entry(self):
         # diagonal (m, n) entry is (1 - lam^2)^2 lam^(2(m+n)).
         s = math.atanh(0.5)
-        rho = thermal_product(s, LOOSE)
+        rho = dense(thermal_product(s, LOOSE).pattern, LOOSE.dim)
         i11 = 1 * 12 + 1
-        assert rho.data[i11, i11].real == pytest.approx(0.03515625)
+        assert rho[i11, i11].real == pytest.approx(0.03515625)
 
     def test_product_entry_at_s_one(self):
-        rho = thermal_product(1.0, LOOSE)
+        rho = dense(thermal_product(1.0, LOOSE).pattern, LOOSE.dim)
         i01 = 0 * 12 + 1
-        assert rho.data[i01, i01].real == pytest.approx(0.102304, abs=1e-6)
+        assert rho[i01, i01].real == pytest.approx(0.102304, abs=1e-6)
 
     def test_is_diagonal(self):
-        rho = thermal_product(0.7, LOOSE)
-        assert np.abs(rho.data - np.diag(np.diagonal(rho.data))).max() == 0.0
+        rho = dense(thermal_product(0.7, LOOSE).pattern, LOOSE.dim)
+        assert np.abs(rho - np.diag(np.diagonal(rho))).max() == 0.0
 
     def test_trace_deficit(self):
         rho = thermal_product(1.0, LOOSE)
@@ -209,12 +234,12 @@ class TestThermalStates:
 class TestWernerState:
     def test_mixture_entries(self):
         params = WernerParams(p=0.5, r=1.0, s=1.0)
-        rho = werner_state(params, LOOSE)
+        rho = dense(werner_state(params, LOOSE).pattern, LOOSE.dim)
         lam = math.tanh(1.0)
         i00, i11, i01 = 0 * 12 + 0, 1 * 12 + 1, 0 * 12 + 1
-        assert rho.data[i00, i11].real == pytest.approx(0.5 * (1 - lam ** 2) * lam)
-        assert rho.data[i00, i11].real == pytest.approx(0.15993, abs=1e-5)
-        assert rho.data[i01, i01].real == pytest.approx(0.051152, abs=1e-6)
+        assert rho[i00, i11].real == pytest.approx(0.5 * (1 - lam ** 2) * lam)
+        assert rho[i00, i11].real == pytest.approx(0.15993, abs=1e-5)
+        assert rho[i01, i01].real == pytest.approx(0.051152, abs=1e-6)
 
     def test_deficit_is_weighted_sum(self):
         params = WernerParams(p=0.3, r=0.8, s=1.1)
@@ -227,9 +252,11 @@ class TestWernerState:
         # At p = 1 the thermal parameter drops out, at p = 0 the squeezing.
         cutoff = FockCutoff(n_max=10, tail_bound=0.999)
         pure = werner_state(WernerParams(p=1.0, r=0.9, s=1.7), cutoff)
-        assert np.abs(pure.data - nopa(0.9, cutoff).data).max() == 0.0
+        assert np.abs(dense(pure.pattern, cutoff.dim)
+                      - dense(nopa(0.9, cutoff).pattern, cutoff.dim)).max() == 0.0
         thermal = werner_state(WernerParams(p=0.0, r=0.9, s=1.7), cutoff)
-        assert np.abs(thermal.data - thermal_product(1.7, cutoff).data).max() == 0.0
+        assert np.abs(dense(thermal.pattern, cutoff.dim)
+                      - dense(thermal_product(1.7, cutoff).pattern, cutoff.dim)).max() == 0.0
 
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffTooSmallError):
@@ -242,7 +269,8 @@ class TestWernerState:
         cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
         for p in (0.0, 0.37, 1.0):
             nopa, thermal, mixture = dense_reference(p, r, s, n_max)
-            assert same_bits(werner_state(WernerParams(p=p, r=r, s=s), cutoff).data, mixture)
+            rho = werner_state(WernerParams(p=p, r=r, s=s), cutoff)
+            assert same_bits(dense(rho.pattern, cutoff.dim), mixture)
             if p == 1.0:
                 assert same_bits(mixture, nopa)
             if p == 0.0:

@@ -38,7 +38,6 @@ from .states import WernerParams, werner_state
 from .teleport import (
     FidelityReport,
     channel_components,
-    fidelity_nopa,
     fidelity_numeric_oracle,
     fidelity_report,
     fidelity_werner,

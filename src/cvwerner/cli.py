@@ -26,7 +26,7 @@ from . import criteria as cr
 from . import qubit_map as qm
 from . import teleport as tp
 from . import tolerances as tol
-from .errors import CvWernerError, ParameterRangeError
+from .errors import CvWernerError
 from .fock_core import FockCutoff
 from .states import WernerParams, werner_state
 
@@ -68,13 +68,8 @@ def _threshold_criterion(name: str, column: str,
     return Criterion(name, column, value, line)
 
 
-def _fidelity_value(params: WernerParams) -> float:
-    if params.r != params.s:
-        raise ParameterRangeError("fidelity_w requires r = s")
-    return tp.fidelity_werner(params.p, params.r)
-
-
 def _fidelity_line(params: WernerParams) -> str:
+    # perfbench's EvalPoints.check requires this line at r != s (ROADMAP item 7).
     if params.r != params.s:
         return "fidelity_w: requires r = s, skipped"
     report = tp.fidelity_report(params)
@@ -98,9 +93,22 @@ CRITERIA = {criterion.name: criterion for criterion in (
     Criterion(cr.SQUEEZED, "p_min_squeezed",
               lambda w: cr.squeezing_threshold(w.r, w.s),
               lambda w: _verdict_line(cr.squeezing_criterion(w))),
-    Criterion("fidelity_w", "fidelity_w", _fidelity_value, _fidelity_line),
+    Criterion("fidelity_w", "fidelity_w", lambda w: tp.fidelity_werner(w.p, w.r, w.s),
+              _fidelity_line),
 )}
 COLUMNS = {criterion.column: criterion for criterion in CRITERIA.values()}
+
+
+def _check_names(kind: str, names: tuple[str, ...], known: dict[str, Criterion]) -> None:
+    """The one rule for a list of criterion or column names: at least one,
+    each of them in ``known`` and none given twice."""
+    if not names:
+        raise ValueError(f"at least one {kind} is required")
+    for i, name in enumerate(names):
+        if name not in known:
+            raise ValueError(f"unknown {kind} {name!r}; choose from {tuple(known)}")
+        if name in names[:i]:
+            raise ValueError(f"{kind} {name!r} given more than once")
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +150,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis1.name == self.axis2.name:
             raise ValueError("axis1 and axis2 must differ")
-        if not self.outputs:
-            raise ValueError("at least one output column is required")
-        for i, name in enumerate(self.outputs):
-            if name not in COLUMNS:
-                raise ValueError(f"unknown output {name!r}; choose from {tuple(COLUMNS)}")
-            if name in self.outputs[:i]:
-                raise ValueError(f"output {name!r} given more than once")
+        _check_names("output", self.outputs, COLUMNS)
         if self.fixed == R_EQUALS_S and self.remaining_axis() == "p":
             raise ValueError("r_equals_s requires that p is a sweep axis")
         # Each range rule of WernerParams is an interval per parameter and
@@ -201,12 +203,8 @@ def run_eval(params: WernerParams, names: tuple[str, ...]) -> str:
     """Textual report: two header lines, then one line per requested criterion."""
     lines = [f"point: p={params.p:.12g} r={params.r:.12g} s={params.s:.12g}",
              "thresholds: closed forms in (p, r, s), no Fock truncation"]
-    for i, name in enumerate(names):
-        if name not in CRITERIA:
-            raise ValueError(f"unknown criterion {name!r}")
-        if name in names[:i]:
-            raise ValueError(f"criterion {name!r} given more than once")
-        lines.append(CRITERIA[name].line(params))
+    _check_names("criterion", names, CRITERIA)
+    lines += [CRITERIA[name].line(params) for name in names]
     return "\n".join(lines) + "\n"
 
 
@@ -290,16 +288,14 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
              for p in p_values for r in rs_values for s in rs_values]
     grid_rs = [WernerParams(p=0.5, r=float(r), s=float(s))
                for r in rs_values for s in rs_values]
-    grid_rr = [WernerParams(p=float(p), r=float(r), s=float(r))
-               for p in p_values for r in rs_values]
     spectrum, qubit, cells = zip(*map(_matrix_deviations, grid3))
 
     checks = [
         ("ppt_spectrum (analytic vs brute force)", grid3, spectrum, tol.PPT_SPECTRUM_TOL),
         ("qubit_map consistency (pair trace vs moments vs closed form)", grid3, qubit,
          tol.MAP_CONSISTENCY_TOL),
-        ("teleport fidelity (closed form vs numeric)", grid_rr,
-         [tp.fidelity_report(w).method_agreement for w in grid_rr],
+        ("teleport fidelity (closed form vs numeric)", grid3,
+         [tp.fidelity_report(w).method_agreement for w in grid3],
          tol.FIDELITY_AGREEMENT_TOL),
         ("threshold ordering (separable <= direct <= mapped <= nonlocal)", grid_rs,
          [_ordering_deviation(w) for w in grid_rs], 0.0),
@@ -334,16 +330,23 @@ def _parse_axis(token: str) -> AxisSpec:
     return AxisSpec(name=name, minimum=float(lo), maximum=float(hi), steps=int(steps))
 
 
-def _collect_tokens(tokens: list[str]) -> dict[str, str]:
-    """key=value tokens as a dict; a key given twice is an error."""
+def _collect_tokens(tokens: list[str], allowed: tuple[str, ...],
+                    required: tuple[str, ...] = ()) -> dict[str, str]:
+    """key=value tokens as a dict; a key that is not ``allowed``, given
+    twice, or ``required`` and absent is an error that names it."""
     pairs = {}
     for token in tokens:
         if "=" not in token:
             raise ValueError(f"expected key=value token, got {token!r}")
         key, value = token.split("=", 1)
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r}; expected one of {', '.join(allowed)}")
         if key in pairs:
             raise ValueError(f"key {key!r} given more than once")
         pairs[key] = value
+    for key in required:
+        if key not in pairs:
+            raise ValueError(f"key {key!r} is required")
     return pairs
 
 
@@ -395,10 +398,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "eval":
-            pairs = _collect_tokens(args.point)
-            unknown = set(pairs) - set(AXES)
-            if unknown:
-                parser.error(f"unknown parameters {sorted(unknown)}; expected p, r, s")
+            pairs = _collect_tokens(args.point, AXES)
             params = WernerParams(
                 p=float(pairs.get("p", 0.0)),
                 r=float(pairs.get("r", 0.0)),
@@ -409,11 +409,8 @@ def main(argv: list[str] | None = None) -> int:
             text, code = run_eval(params, names), 0
 
         elif args.command == "sweep":
-            pairs = _collect_tokens(args.spec)
-            required = {"axis1", "axis2", "outputs"}
-            missing = required - set(pairs)
-            if missing:
-                parser.error(f"sweep spec missing {sorted(missing)}")
+            pairs = _collect_tokens(args.spec, ("axis1", "axis2", "outputs", "fixed"),
+                                    required=("axis1", "axis2", "outputs"))
             fixed = pairs.get("fixed", R_EQUALS_S)
             spec = SweepSpec(
                 axis1=_parse_axis(pairs["axis1"]),

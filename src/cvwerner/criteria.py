@@ -47,7 +47,7 @@ SQUEEZED = "squeezed"
 class CriterionVerdict:
     criterion: str
     decision: bool
-    threshold_p: float | None
+    threshold_p: float
     margin: float
     method: str  # "analytic" (closed form) or "both" (closed form, matrix-checked)
 

@@ -17,7 +17,8 @@ fidelity integral is a sum over components of two distinct 1-D integrals,
 each squared. Each goes to ``numerics.integrate_line`` with the variance
 of its narrowest factor (a channel factor, or the input autocorrelation
 when that is narrower), which sizes the grid; the result is independent
-of the closed-form fidelity expressions it cross-checks.
+of the closed form it cross-checks, ``fidelity_werner``, which holds at
+every (r, s).
 
 The autocorrelation of a coherent-state marginal w(x) = exp(-(x - c)^2)
 / sqrt(pi) factorises: with z = x - c + u/2,
@@ -89,23 +90,17 @@ class FidelityReport:
     method_agreement: float
 
 
-def fidelity_nopa(r: float) -> float:
-    """Coherent-state fidelity through the pure squeezed-vacuum channel."""
-    _check_rs(r)
-    return 1.0 / (1.0 + math.exp(-2.0 * r))
-
-
-def fidelity_werner(p: float, r: float) -> float:
-    """Closed-form Werner-channel fidelity for the symmetric family (s = r).
-
-    F = p * F_nopa + (1 - p) / d with d = 2 cosh^2 r the effective
-    dimension of the thermal component. The general (r, s) fidelity is
-    only available through the numeric oracle.
+def fidelity_werner(p: float, r: float, s: float) -> float:
+    """Closed-form Werner-channel fidelity at any (r, s),
+    F = p / (1 + e^{-2r}) + (1 - p) / (2 cosh^2 s)
+    (Braunstein & Kimble, PRL 80, 869 (1998)): the squeezed-vacuum
+    channel's fidelity weighted by p, plus 1/d for the thermal product,
+    whose effective dimension is d = 2 cosh^2 s.
     """
     if not 0.0 <= p <= 1.0:
         raise ParameterRangeError("p must lie in [0, 1]")
-    d = 2.0 * math.cosh(r) ** 2
-    return p * fidelity_nopa(r) + (1.0 - p) / d
+    _check_rs(r, s)
+    return p * (1.0 / (1.0 + math.exp(-2.0 * r))) + (1.0 - p) / (2.0 * math.cosh(s) ** 2)
 
 
 def _input_overlap() -> float:
@@ -147,10 +142,8 @@ def fidelity_numeric_oracle(params: WernerParams) -> float:
 
 
 def fidelity_report(params: WernerParams) -> FidelityReport:
-    """Closed form (requires s = r) next to the numeric oracle."""
-    if params.r != params.s:
-        raise ParameterRangeError("closed-form fidelity is only defined for r = s")
-    closed = fidelity_werner(params.p, params.r)
+    """Closed form next to the numeric oracle."""
+    closed = fidelity_werner(params.p, params.r, params.s)
     numeric = fidelity_numeric_oracle(params)
     return FidelityReport(fidelity_closed_form=closed, fidelity_numeric=numeric,
                           method_agreement=abs(closed - numeric))

@@ -1,9 +1,11 @@
 """Tests for the command-line front end: eval, sweep, validate, the
-removed flags (--tail-bound, --n-max, --config) and an --output path that
-cannot be written, which exit 2."""
+README's examples, the removed flags (--tail-bound, --n-max, --config) and
+an --output path that cannot be written, which exit 2."""
 
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from cvwerner.cli import (
     run_validation,
 )
 from cvwerner.states import WernerParams
+from test_teleport import closed_form_fidelity
 
 
 class TestAxisSpec:
@@ -70,6 +73,10 @@ class TestSweepSpec:
     def test_unknown_output_rejected(self):
         with pytest.raises(ValueError):
             self.make(outputs=("not_a_column",))
+
+    def test_empty_outputs_rejected(self):
+        with pytest.raises(ValueError, match="at least one output is required"):
+            self.make(outputs=())
 
     def test_repeated_output_rejected(self):
         with pytest.raises(ValueError, match="output 'p_min_squeezed' given more than once"):
@@ -149,15 +156,22 @@ class TestRunSweep:
                   "outputs=p_min_entangled_direct,p_max_separable", "fixed=0.5"])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_fidelity_requires_r_equals_s(self):
-        spec = SweepSpec(
-            axis1=AxisSpec(name="r", minimum=0.1, maximum=1.0, steps=3),
-            axis2=AxisSpec(name="s", minimum=0.1, maximum=1.0, steps=3),
-            fixed=0.5,
-            outputs=("fidelity_w",),
-        )
-        with pytest.raises(Exception):
-            run_sweep(spec)
+    def test_fidelity_column_off_diagonal(self, tmp_path):
+        # The fidelity_w column holds at r != s: each value is the closed
+        # form to rounding, the numeric oracle agrees with it, and the CSV
+        # cell is the value to 12 digits.
+        out = tmp_path / "fidelity.csv"
+        assert main(["--output", str(out), "sweep", "axis1=r[0.1,2,3]", "axis2=s[0.1,2,3]",
+                     "fixed=0.5", "outputs=fidelity_w"]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 9
+        for row in rows:
+            r, s, fidelity = map(float, row.split(","))
+            params = WernerParams(p=0.5, r=r, s=s)
+            value = cli.COLUMNS["fidelity_w"].value(params)
+            assert abs(value - closed_form_fidelity(0.5, r, s)) <= 1e-15
+            assert abs(value - tp.fidelity_numeric_oracle(params)) <= tol.FIDELITY_AGREEMENT_TOL
+            assert row.split(",")[2] == f"{value:.12g}"
 
     def test_repeated_key_exits_2_and_names_it(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -165,6 +179,21 @@ class TestRunSweep:
                   "outputs=p_min_squeezed", "fixed=0.5", "fixed=0.7"])
         assert info.value.code == 2
         assert "key 'fixed' given more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        (["fixed=0.5", "outputs=p_min_squeezed", "fixd=0.9"], "unknown key 'fixd'"),
+        (["fixed=0.5"], "key 'outputs' is required"),
+        (["outputs=p_min_squeezed", "outputs=p_min_nonlocal"], "key 'outputs' given more than once"),
+    ], ids=["unknown", "missing", "repeated"])
+    def test_key_rule_exits_2_and_names_the_key(self, capsys, spec, message):
+        # One key rule for eval and sweep: a misspelt fixed= must not fall
+        # back to r_equals_s.
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "axis1=r[0.1,2,2]", "axis2=s[0.1,2,2]", *spec])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
 
     def test_repeated_output_exits_2_and_names_it(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -333,6 +362,26 @@ class TestEval:
         assert info.value.code == 2
         assert "key 'p' given more than once" in capsys.readouterr().err
 
+    def test_unknown_key_exits_2_and_names_it(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "p=0.5", "r=1", "q=1"])
+        assert info.value.code == 2
+        assert "error: unknown key 'q'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names, message", [
+        ((), "at least one criterion is required"),
+        (("squeezed", "nonlocal", "squeezed"), "criterion 'squeezed' given more than once"),
+        (("nonlocal", "bell"), "unknown criterion 'bell'"),
+    ])
+    def test_name_rule(self, monkeypatch, names, message):
+        # eval's criteria and sweep's outputs meet one rule; a bad name
+        # anywhere in the list raises before any line is computed.
+        calls = []
+        monkeypatch.setattr(qm, "nonlocality_threshold", lambda r, s: calls.append(r) or 0.5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.run_eval(WernerParams(p=0.5, r=1.0, s=1.0), names)
+        assert calls == []
+
     def test_repeated_criterion_exits_2_and_names_it(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["eval", "p=0.5", "r=1", "s=1", "--criteria", "nonlocal,squeezed,squeezed"])
@@ -340,6 +389,30 @@ class TestEval:
         captured = capsys.readouterr()
         assert "criterion 'squeezed' given more than once" in captured.err
         assert captured.out == ""
+
+
+def readme_commands():
+    """Each `cvwerner ...` command of README.md's sh blocks, continuation
+    lines joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("cvwerner ")]
+
+
+class TestReadmeExamples:
+    def test_every_subcommand_has_an_example(self):
+        words = {word for command in readme_commands() for word in shlex.split(command)}
+        assert {"eval", "sweep", "validate"} <= words
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_runs(self, tmp_path, command):
+        argv = shlex.split(command)[1:]
+        if "--output" in argv:
+            argv[argv.index("--output") + 1] = str(tmp_path / argv[argv.index("--output") + 1])
+        else:
+            argv = ["--output", str(tmp_path / "out.txt"), *argv]
+        assert main(argv) == 0
 
 
 class TestRemovedFlags:

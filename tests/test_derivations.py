@@ -1,4 +1,4 @@
-"""Symbolic checks of the closed forms behind two matrix checks of `validate`.
+"""Symbolic checks of the closed forms behind three checks of `validate`.
 
 `closed_form_two_qubit(params, n_max)` is the pair-index trace of the Werner
 state truncated to n_max levels per mode, and the diagonal of
@@ -10,8 +10,13 @@ next term. The library's float functions are then held to the exact
 rational value of the definition at seeded points, so a closed form in
 the code that drifts from its derivation (a dropped square, an exponent
 off by one) fails here.
+
+The teleport fidelity's closed form, `fidelity_werner(p, r, s)`, is
+derived from the numeric oracle's factorised sum of Gaussian integrals,
+and the library is held to that sum at 30 digits.
 """
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -19,6 +24,7 @@ import sympy as sp
 from cvwerner.criteria import reconstruct_from_cells
 from cvwerner.qubit_map import closed_form_two_qubit
 from cvwerner.states import WernerParams
+from cvwerner.teleport import fidelity_werner
 
 lam, lam1, lam2, p = sp.symbols("lambda lambda1 lambda2 p", positive=True)
 h, k, m = sp.symbols("h k m", integer=True, nonnegative=True)
@@ -128,3 +134,60 @@ class TestCellDiagonal:
             assert (np.abs(diagonal.real - exact) <= 1e-13 * exact).all()
             assert not diagonal.imag.any()
 
+
+
+r_sym, s_sym, u, v = sp.symbols("r s u v", positive=True)
+
+
+def gaussian_integral(variance):
+    """int exp(-u^2 / (2 variance)) du over the real line."""
+    return sp.sqrt(2 * sp.pi * variance)
+
+
+class TestTeleportFidelity:
+    """The numeric oracle's factorised sum, F = (pi/2) sum_c w_c norm_c a_c^2 b_c^2,
+    rebuilt term by term: a_c is the anti-squeezed Gaussian integral, and b_c
+    the squeezed factor times the input autocorrelation T exp(-u^2 / 2), a
+    Gaussian of variance v / (v + 1) for squeezed variance v, with T the
+    integral of exp(-2 z^2) / pi, a Gaussian of variance 1/4. The sum is the
+    general (r, s) closed form p / (1 + e^{-2r}) + (1 - p) / (2 cosh^2 s)."""
+
+    components = ((p, sp.exp(-2 * r_sym), sp.exp(2 * r_sym)),
+                  (1 - p, sp.cosh(2 * s_sym), sp.cosh(2 * s_sym)))
+    overlap = gaussian_integral(sp.Rational(1, 4)) / sp.pi
+    closed = p / (1 + sp.exp(-2 * r_sym)) + (1 - p) / (2 * sp.cosh(s_sym) ** 2)
+
+    @classmethod
+    def oracle_sum(cls):
+        total = 0
+        for weight, squeezed, anti in cls.components:
+            norm = 4 / ((2 * sp.pi) ** 2 * sp.sqrt(squeezed * anti * anti * squeezed))
+            a = gaussian_integral(anti)
+            b = cls.overlap * gaussian_integral(squeezed / (squeezed + 1))
+            total += weight * norm * a * a * b * b
+        return sp.pi / 2 * total
+
+    def test_integral_rules(self):
+        assert sp.simplify(sp.integrate(sp.exp(-u ** 2 / (2 * v)), (u, -sp.oo, sp.oo))
+                           - gaussian_integral(v)) == 0
+        # exp(-u^2 / 2v) exp(-u^2 / 2) is one Gaussian of variance v / (v + 1).
+        assert sp.simplify(-u ** 2 / (2 * v) - u ** 2 / 2
+                           + u ** 2 / (2 * (v / (v + 1)))) == 0
+        assert sp.simplify(sp.integrate(sp.exp(-2 * u ** 2) / sp.pi, (u, -sp.oo, sp.oo))
+                           - self.overlap) == 0
+
+    def test_oracle_sum_is_the_general_closed_form(self):
+        difference = (self.oracle_sum() - self.closed).rewrite(sp.exp)
+        assert sp.simplify(difference) == 0
+
+    def test_library_matches_the_oracle_sum(self):
+        # fidelity_werner against the symbolic sum at 30 digits, half of the
+        # seeded points with r = s, to two ulps of 1 (the worst of 6000
+        # seeded points is one).
+        rng = np.random.default_rng(23)
+        exact = sp.lambdify((p, r_sym, s_sym), self.oracle_sum(), "mpmath")
+        for p_, r, s in zip(rng.uniform(0, 1, 12), rng.uniform(0, 19, 12), rng.uniform(0, 19, 12)):
+            for point in ((p_, r, s), (p_, r, r)):
+                with mpmath.workdps(30):
+                    reference = float(exact(*map(mpmath.mpf, point)))
+                assert abs(fidelity_werner(*point) - reference) <= 4.5e-16, point

@@ -93,10 +93,7 @@ class TestWernerParams:
     pytest.param(lambda: WernerParams(p=-0.1, r=1.0, s=1.0), id="p-below-0"),
     pytest.param(lambda: WernerParams(p=0.5, r=-0.1, s=1.0), id="r-negative"),
     pytest.param(lambda: WernerParams(p=0.5, r=1.0, s=-0.1), id="s-negative"),
-    pytest.param(lambda: teleport.fidelity_werner(2, 1), id="fidelity_werner-p"),
-    pytest.param(lambda: teleport.fidelity_nopa(-1), id="fidelity_nopa-r"),
-    pytest.param(lambda: teleport.fidelity_report(WernerParams(p=0.5, r=1.0, s=0.5)),
-                 id="fidelity_report-r-ne-s"),
+    pytest.param(lambda: teleport.fidelity_werner(2, 1, 1), id="fidelity_werner-p"),
     pytest.param(lambda: qubit_map.nonlocality_threshold(-1, 1), id="nonlocality-r"),
     pytest.param(lambda: qubit_map.mapped_entanglement_threshold(1, -1), id="mapped-s"),
     pytest.param(lambda: FockCutoff(n_max=1), id="cutoff-n_max"),
@@ -144,7 +141,7 @@ RS_FUNCTIONS = {
     "squeezing": criteria.squeezing_threshold,
     "mapped": qubit_map.mapped_entanglement_threshold,
     "nonlocal": qubit_map.nonlocality_threshold,
-    "fidelity_nopa": lambda r, s: teleport.fidelity_nopa(r),
+    "fidelity_werner": lambda r, s: teleport.fidelity_werner(0.5, r, s),
 }
 
 
@@ -157,9 +154,8 @@ def test_rs_functions_share_the_params_range(name, value):
     function = RS_FUNCTIONS[name]
     with pytest.raises(ParameterRangeError):
         function(value, 1.0)
-    if name != "fidelity_nopa":
-        with pytest.raises(ParameterRangeError):
-            function(1.0, value)
+    with pytest.raises(ParameterRangeError):
+        function(1.0, value)
 
 
 class TestNopaState:

@@ -8,9 +8,9 @@ import pytest
 from cvwerner.numerics import GRID_POINTS, WIDTH_SIGMAS, integrate_line
 from cvwerner.states import WernerParams
 from cvwerner import teleport as tp
+from cvwerner import tolerances as tol
 from cvwerner.teleport import (
     channel_components,
-    fidelity_nopa,
     fidelity_numeric_oracle,
     fidelity_report,
     fidelity_werner,
@@ -19,30 +19,33 @@ from cvwerner.teleport import (
 
 class TestClosedForms:
     def test_nopa_anchors(self):
-        assert fidelity_nopa(0.0) == 0.5
-        assert fidelity_nopa(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
-        assert fidelity_nopa(1.0) == pytest.approx(0.880797, abs=1e-6)
+        # At p = 1 the channel is the squeezed vacuum, whatever s.
+        assert fidelity_werner(1.0, 0.0, 0.0) == 0.5
+        assert fidelity_werner(1.0, 1.0, 0.3) == 1.0 / (1.0 + math.exp(-2.0))
+        assert fidelity_werner(1.0, 1.0, 1.0) == pytest.approx(0.880797, abs=1e-6)
 
     def test_nopa_is_increasing(self):
-        values = [fidelity_nopa(r) for r in np.linspace(0, 3, 13)]
+        values = [fidelity_werner(1.0, r, r) for r in np.linspace(0, 3, 13)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_werner_mixture(self):
-        fidelity = fidelity_werner(0.5, 1.0)
+        fidelity = fidelity_werner(0.5, 1.0, 1.0)
         d_eff = 2.0 * math.cosh(1.0) ** 2
-        expected = 0.5 * fidelity_nopa(1.0) + 0.5 / d_eff
+        expected = 0.5 / (1.0 + math.exp(-2.0)) + 0.5 / d_eff
         assert fidelity == pytest.approx(expected, rel=1e-14)
         assert fidelity == pytest.approx(0.545392, abs=1e-6)
 
     def test_werner_approaches_p_at_large_squeezing(self):
-        # The thermal contribution 1/(2 cosh^2 r) dies off, leaving F -> p.
-        assert fidelity_werner(0.5, 6.0) == pytest.approx(0.5, abs=2e-5)
+        # The thermal contribution 1/(2 cosh^2 s) dies off, leaving F -> p.
+        assert fidelity_werner(0.5, 6.0, 6.0) == pytest.approx(0.5, abs=2e-5)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            fidelity_nopa(-0.5)
+            fidelity_werner(1.0, -0.5, 0.0)
         with pytest.raises(ValueError):
-            fidelity_werner(1.2, 1.0)
+            fidelity_werner(0.5, 1.0, -0.5)
+        with pytest.raises(ValueError):
+            fidelity_werner(1.2, 1.0, 1.0)
 
 
 class TestWignerChannel:
@@ -175,7 +178,7 @@ class TestNumericOracle:
 
     def test_pure_squeezing_anchor(self):
         value = fidelity_numeric_oracle(WernerParams(p=1.0, r=1.0, s=1.0))
-        assert value == pytest.approx(fidelity_nopa(1.0), abs=1e-6)
+        assert value == pytest.approx(fidelity_werner(1.0, 1.0, 1.0), abs=1e-6)
 
     def test_mixture_anchor(self):
         value = fidelity_numeric_oracle(WernerParams(p=0.5, r=1.0, s=1.0))
@@ -240,6 +243,10 @@ class TestNumericOracle:
         assert math.isfinite(value)
         assert abs(value - closed_form_fidelity(0.7, 19.0, 19.0)) <= 1e-9
 
-    def test_report_requires_equal_parameters(self):
-        with pytest.raises(ValueError):
-            fidelity_report(WernerParams(p=0.5, r=1.0, s=0.5))
+    def test_report_off_diagonal(self):
+        for p, r, s in [(0.5, 1.0, 0.5), (0.2, 0.1, 2.0), (0.9, 19.0, 0.0)]:
+            params = WernerParams(p=p, r=r, s=s)
+            report = fidelity_report(params)
+            assert abs(report.fidelity_closed_form - closed_form_fidelity(p, r, s)) <= 1e-15
+            assert report.fidelity_numeric == fidelity_numeric_oracle(params)
+            assert report.method_agreement <= tol.FIDELITY_AGREEMENT_TOL

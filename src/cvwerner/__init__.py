@@ -8,12 +8,10 @@ brute-force matrix computation.
 
 from .criteria import (
     CriterionVerdict,
-    bisect_direct_threshold,
     direct_entanglement_threshold,
+    direct_threshold_pencil,
     enumerate_ppt_spectrum,
-    enumerated_entanglement_threshold,
     largest_separable_p,
-    ppt_spectrum_analytic,
     ppt_spectrum_bruteforce,
     reconstruct_from_cells,
     squeezing_criterion,
@@ -31,7 +29,7 @@ from .qubit_map import (
     correlation_tensor_closed_form,
     map_to_qubits,
     mapped_entanglement_threshold,
-    mapped_threshold_bisection,
+    mapped_threshold_pencil,
     nonlocality_threshold,
 )
 from .states import WernerParams, werner_state

@@ -34,10 +34,11 @@ AXES = ("p", "r", "s")
 R_EQUALS_S = "r_equals_s"
 
 # Cutoff of the validation suite's one state per grid point, which
-# the PPT spectrum, qubit-map and cell checks all read; small enough to
-# keep validate well under its time budget, and even, as the qubit map
-# needs. Each check compares with the closed form of the same truncated
-# state, so no truncation slack enters its tolerance.
+# the PPT spectrum, qubit-map and cell checks all read, and of the direct
+# threshold's pencil; small enough to keep validate well under its time
+# budget, and even, as the qubit map needs. Each check compares with the
+# closed form of the same truncated state, so no truncation slack enters
+# its tolerance.
 VALIDATE_N_MAX = 12
 
 # ---------------------------------------------------------------------------
@@ -264,17 +265,6 @@ def _ordering_deviation(params: WernerParams) -> float:
     return float(np.subtract(thresholds[:-1], thresholds[1:]).max())
 
 
-def _direct_deviation(params: WernerParams) -> float:
-    # The root search explores the same finite eigenvalue horizon, so it is
-    # compared against the enumerated threshold; the closed form is
-    # compared against that enumeration closed by its regime's limit.
-    enumerated = cr.enumerated_entanglement_threshold(params.r, params.s)
-    brute = cr.bisect_direct_threshold(params.r, params.s)
-    closed = cr.direct_entanglement_threshold(params.r, params.s)
-    limit = cr._entanglement_limit(params.lambda1, params.lambda2)
-    return float(np.max([abs(enumerated - brute), abs(closed - min(enumerated, limit))]))
-
-
 def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
     """Run every cross-module consistency check on a grid_density^3 grid.
 
@@ -299,12 +289,14 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
          tol.FIDELITY_AGREEMENT_TOL),
         ("threshold ordering (separable <= direct <= mapped <= nonlocal)", grid_rs,
          [_ordering_deviation(w) for w in grid_rs], 0.0),
-        ("mapped threshold (closed form vs bisection)", grid_rs,
-         [abs(qm.mapped_entanglement_threshold(w.r, w.s)
-              - qm.mapped_threshold_bisection(w.r, w.s)) for w in grid_rs],
-         tol.BISECTION_CHECK_TOL),
-        ("direct threshold (closed form vs enumeration vs bisection)", grid_rs,
-         [_direct_deviation(w) for w in grid_rs], tol.BISECTION_CHECK_TOL),
+        ("mapped threshold (closed form vs pencil)", grid_rs,
+         [abs(qm.mapped_entanglement_threshold(w.r, w.s) - qm.mapped_threshold_pencil(w.r, w.s))
+          for w in grid_rs], tol.PENCIL_THRESHOLD_TOL),
+        # The truncation's closed form against the pencil of the same truncation.
+        ("direct threshold (closed form vs pencil)", grid_rs,
+         [abs(cr.direct_entanglement_threshold(w.r, w.s, VALIDATE_N_MAX)
+              - cr.direct_threshold_pencil(w.r, w.s, VALIDATE_N_MAX)) for w in grid_rs],
+         tol.PENCIL_THRESHOLD_TOL),
         # The banded variance against the closed form of the same truncation.
         ("squeezing variance (closed form vs matrix)", grid3,
          [abs(cr.squeezing_variance_direct(w)
@@ -398,12 +390,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "eval":
-            pairs = _collect_tokens(args.point, AXES)
-            params = WernerParams(
-                p=float(pairs.get("p", 0.0)),
-                r=float(pairs.get("r", 0.0)),
-                s=float(pairs.get("s", 0.0)),
-            )
+            pairs = _collect_tokens(args.point, AXES, required=AXES)
+            params = WernerParams(p=float(pairs["p"]), r=float(pairs["r"]), s=float(pairs["s"]))
             names = tuple(CRITERIA) if args.criteria == "all" else tuple(
                 args.criteria.split(","))
             text, code = run_eval(params, names), 0

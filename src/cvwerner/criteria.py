@@ -8,12 +8,15 @@ cross-checkable against brute-force computation on the truncated matrix.
 The weights of those blocks and of the separability cells live in one
 table, ``_block_weights``; the k -> infinity regime rules live in
 ``_entanglement_limit`` (q = lambda1 / lambda2^2) and ``_positivity_limit``
-(q_tilde = lambda1 / lambda2^4). The printed thresholds and their
-``validate`` partners (enumerated spectrum, cell reconstruction, enumerated
-threshold and bisection) all read them, so ``validate`` checks against
-the brute-force state the weights the thresholds use. The per-(m,n)
-inequalities of the cell decomposition are authoritative where the
-reference closed forms for the regime bounds are inconsistent.
+(q_tilde = lambda1 / lambda2^4). The printed thresholds and the
+``validate`` partners of the enumerated spectrum and the cell
+reconstruction all read them, so ``validate`` checks against the
+brute-force state the weights the thresholds use. The direct threshold's
+partner, ``direct_threshold_pencil``, reads no weight: it solves the
+pencil of the truncated state's partial transpose at p = 1 against its
+diagonal at p = 0 once, for the closed form of the same truncation.
+The per-(m,n) inequalities of the cell decomposition are authoritative
+where the reference closed forms for the regime bounds are inconsistent.
 """
 
 from __future__ import annotations
@@ -25,15 +28,9 @@ import numpy as np
 
 from .errors import NumericalConsistencyError, ParameterRangeError
 from .fock_core import FockCutoff, TwoModeDensityMatrix, _check_n_max, partial_transpose_A
-from .numerics import _bisect_threshold, _pattern_eigenvalues
+from .numerics import _pattern_eigenvalues, _pencil_threshold
 from .states import WernerParams, _check_rs, werner_state
 from .tolerances import SQUEEZING_CONSISTENCY_TOL
-
-# Number of pair blocks (m+n = 1 .. DEFAULT_HORIZON) that the validate
-# partners of the direct threshold enumerate: the analytic spectrum's
-# infimum, the enumerated threshold and its bisection. The production
-# thresholds are closed forms and read no horizon.
-DEFAULT_HORIZON = 200
 
 # Criterion identifiers used in verdicts and CLI output.
 ENTANGLED_PPT_DIRECT = "entangled_ppt_direct"
@@ -75,13 +72,6 @@ def _pair_terms(params: WernerParams, k):
     """Thermal diagonal (1 - p) t_k and NOPA coherence p c_k of the pair
     blocks with m+n = k, for an int k or elementwise for an integer array k."""
     return _block_weights(params.lambda1, params.lambda2, k, thermal=1 - params.p, nopa=params.p)
-
-
-def ppt_spectrum_analytic(params: WernerParams) -> float:
-    """Infimum of the closed-form partial-transpose spectrum over the pair
-    blocks m+n = 1 .. DEFAULT_HORIZON."""
-    base, off = _pair_terms(params, np.arange(1, DEFAULT_HORIZON + 1))
-    return float((base - off).min())
 
 
 def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
@@ -140,44 +130,41 @@ def _entanglement_p_k(l1: float, l2: float, k: int) -> float:
     return therm / total
 
 
-def direct_entanglement_threshold(r: float, s: float) -> float:
+def direct_entanglement_threshold(r: float, s: float, n_max: int | None = None) -> float:
     """Infimum over m+n = k >= 1 of the pair-block negativity thresholds.
 
     The block thresholds fall or rise monotonically in k, so the infimum
     is min(p_1, limit), with the k = 1 block p_1 and the k -> infinity
     limit of ``_entanglement_limit``: 0 for q > 1, which covers the whole
-    r = s family.
+    r = s family. With ``n_max``, it is the threshold of the state
+    truncated to n_max levels per mode, min(p_1, p_K): the largest pair
+    block m < n < n_max has K = 2 n_max - 3. K = 2 n_max - 2 is a trap:
+    that k is held only by the 1x1 block |n_max - 1, n_max - 1>, which is
+    never negative.
     """
     _check_rs(r, s)
     l1, l2 = math.tanh(r), math.tanh(s)
+    if n_max is not None:
+        k = 2 * _check_n_max(n_max) - 3
+        return min(_entanglement_p_k(l1, l2, 1), _entanglement_p_k(l1, l2, k))
     limit = _entanglement_limit(l1, l2)
     # A zero limit is the infimum without the k = 1 block.
     return min(_entanglement_p_k(l1, l2, 1), limit) if limit else limit
 
 
-def enumerated_entanglement_threshold(r: float, s: float) -> float:
-    """Minimum pair-block threshold over m+n <= DEFAULT_HORIZON, without the
-    limit.
-
-    This is the finite object that bisection on the enumerated spectrum
-    converges to; in the q > 1 regime it stays a horizon-dependent
-    distance above the true infimum 0. Blocks whose weights both underflow
-    take the limit instead.
-    """
-    _check_rs(r, s)
-    l1, l2 = math.tanh(r), math.tanh(s)
-    therm, nopa = _block_weights(l1, l2, np.arange(1, DEFAULT_HORIZON + 1))
-    total = therm + nopa
-    live = total > 0.0
-    low = float((therm[live] / total[live]).min(initial=1.0))
-    return low if live.all() else min(low, _entanglement_limit(l1, l2))
-
-
-def bisect_direct_threshold(r: float, s: float) -> float:
-    """Brute-force direct threshold: the ITP root search of
-    ``numerics._bisect_threshold`` in p on the sign of the enumerated
-    spectrum's infimum, to BISECTION_TOL_P."""
-    return _bisect_threshold(lambda p: ppt_spectrum_analytic(WernerParams(p=p, r=r, s=s)))
+def direct_threshold_pencil(r: float, s: float, n_max: int) -> float:
+    """Brute-force direct threshold of the state truncated to n_max levels
+    per mode: the partial transpose of the mixture is p PT(NOPA) +
+    (1 - p) thermal (x) thermal, whose thermal part is diagonal, so the
+    threshold is one eigensolve of that pencil (``numerics._pencil_threshold``)
+    on the states at p = 1 and p = 0."""
+    cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
+    nopa = werner_state(WernerParams(p=1.0, r=r, s=s), cutoff)
+    # The thermal product is diagonal, so its pattern holds only diagonal entries.
+    rows, _, values = werner_state(WernerParams(p=0.0, r=r, s=s), cutoff).pattern
+    floor = np.zeros(cutoff.dim)
+    floor[rows] = values.real
+    return _pencil_threshold(cutoff.dim, *partial_transpose_A(nopa), floor)
 
 
 def threshold_verdict(criterion: str, params: WernerParams, threshold: float) -> CriterionVerdict:

@@ -22,11 +22,10 @@ applies the trapezoid rule. Multi-dimensional integrals in this library
 are separable and are built from products of these 1-D integrals. Both
 pieces avoid any external linear-algebra backend so every eigenvalue and
 integral produced by this library is reproducible from first principles.
-The root search in p that the two threshold cross-checks share lives
-here too: an ITP search (interpolate, truncate, project) that keeps
-bisection's bracket and, within three evaluations, its worst case, but
-lands on a smooth sign change in about a third of bisection's
-evaluations.
+The two brute-force threshold partners share ``_pencil_threshold``: the
+Werner mixture is affine in p, so where a truncation or the qubit map
+first loses positivity under partial transpose is one generalized
+eigenvalue of the pencil p A + (1 - p) diag(floor), not a root search.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainTooSmallError, HermiticityError
+from .errors import DomainTooSmallError, HermiticityError, NumericalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class EigenResult:
     max_residual: float
 
 
-# Underscored for the same reason as _bisect_threshold below: the time of
+# Underscored: perfbench's tracer wraps only public names, so the time of
 # the check stays charged to the eigensolve or state construction calling it.
 def _nonzero_pattern(a: np.ndarray):
     """Nonzero pattern ``(rows, cols, values)`` of a square matrix, gated.
@@ -267,60 +266,43 @@ def integrate_line(variance: float, integrand) -> float:
     return float(np.trapezoid(values, dx=2.0 * half_width / (GRID_POINTS - 1)))
 
 
-# ITP parameters (Oliveira and Takahashi, ACM TOMS 47(1), 2020): the
-# truncation kappa1 * width^kappa2 and the slack n0 of the bisection budget,
-# the values the paper recommends for a unit bracket.
-ITP_KAPPA1 = 0.2
-ITP_KAPPA2 = 2.0
-ITP_SLACK = 1
+# Underscored, like _nonzero_pattern: perfbench's tracer wraps only public
+# names, so the eigensolve stays charged to the threshold partner calling it.
+def _pencil_threshold(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                      floor: np.ndarray) -> float:
+    """Least p in [0, 1] at which p A + (1 - p) diag(floor) has a negative
+    eigenvalue, for the n x n Hermitian A with nonzero entries ``values`` at
+    (``rows``, ``cols``) and a non-negative ``floor``; 1.0 if there is none.
 
-
-# Underscored: perfbench's tracer wraps only public names, so the time of a
-# root search stays charged to the threshold cross-check that calls it.
-def _bisect_threshold(min_eig) -> float:
-    """The p in [0, 1] where ``min_eig(p)`` turns negative, to BISECTION_TOL_P.
-
-    ``min_eig`` is non-negative below the threshold and negative above it.
-    Returns 1.0 when it is not negative even at p = 1, and 0.0 when it is
-    negative already at p = 0. Otherwise the bracket [lo, hi] keeps
-    min_eig(lo) >= 0 > min_eig(hi) and shrinks by ITP steps until it is
-    at most BISECTION_TOL_P wide; its midpoint is returned.
-
-    Each ITP step interpolates the regula falsi point between the bracket
-    ends, truncates it ITP_KAPPA1 * width^ITP_KAPPA2 towards the midpoint,
-    and projects it into a ball about the midpoint whose radius shrinks
-    with the remaining budget of ceil(log2(1 / BISECTION_TOL_P)) + ITP_SLACK
-    steps. The projection bounds the step count by plain bisection's plus
-    ITP_SLACK (and a last step where rounding leaves the width a hair above
-    the tolerance), whatever ``min_eig`` does: at most 34 evaluations
-    against bisection's 31. The interpolation lands on a linear or smooth
-    sign change in about 10; a near-step, whose values either side differ
-    by orders of magnitude, still takes the worst case.
+    Where the floor is positive the pencil is congruent to
+    p F^-1/2 A F^-1/2 + (1 - p) 1, F = diag(floor), which turns indefinite
+    at p = 1 / (1 - nu) for the least eigenvalue nu < 0 of F^-1/2 A F^-1/2:
+    one eigensolve, no search in p. An index i with floor 0 is settled
+    first. A_ii < 0, or an off-diagonal entry with A_ii = 0 (a zero
+    diagonal with a nonzero partner is never PSD), gives 0.0. A_ii > 0
+    with a partner would need a Schur complement and raises
+    NumericalConsistencyError, since no Werner truncation reaches it. Any
+    other such index is PSD for every p and drops out.
     """
-    lo, hi = 0.0, 1.0
-    f_hi = min_eig(hi)
-    if f_hi >= 0.0:
-        return 1.0
-    f_lo = min_eig(lo)
-    if f_lo < 0.0:
+    on = rows == cols
+    diag = np.zeros(n)
+    diag[rows[on]] = values[on].real
+    partnered = np.zeros(n, dtype=bool)
+    partnered[rows[~on]] = True
+    zero = floor == 0.0
+    if (zero & partnered & (diag > 0.0)).any():
+        raise NumericalConsistencyError(
+            "pencil has a zero floor under a positive diagonal entry with a partner")
+    if (zero & (partnered | (diag < 0.0))).any():
         return 0.0
-    eps = 0.5 * tol.BISECTION_TOL_P
-    budget = math.ceil(math.log2((hi - lo) / tol.BISECTION_TOL_P)) + ITP_SLACK
-    step = 0
-    while hi - lo > tol.BISECTION_TOL_P:
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        falsi = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
-        toward = math.copysign(1.0, mid - falsi)
-        delta = ITP_KAPPA1 * width ** ITP_KAPPA2
-        x = falsi + toward * delta if delta <= abs(mid - falsi) else mid
-        radius = max(eps * 2.0 ** (budget - step) - 0.5 * width, 0.0)
-        if abs(x - mid) > radius:
-            x = mid - toward * radius
-        f_x = min_eig(x)
-        if f_x < 0.0:
-            hi, f_hi = x, f_x
-        else:
-            lo, f_lo = x, f_x
-        step += 1
-    return 0.5 * (lo + hi)
+    # A dropped index has no partner, so no kept entry reaches it.
+    kept = ~zero[rows]
+    root = np.sqrt(floor)
+    rows, cols = rows[kept], cols[kept]
+    # A ratio past the float range (a subnormal floor) is a threshold below
+    # 1e-308: it becomes inf, a pair block holding it has the eigenvalue
+    # -inf, and p is 0.0. A NaN eigenvalue is passed on as NaN.
+    with np.errstate(over="ignore"):
+        scaled = values[kept] / root[rows] / root[cols]
+    nu = float(_pattern_eigenvalues(n, rows, cols, scaled).eigenvalues[0])
+    return 1.0 if nu >= 0.0 else 1.0 / (1.0 - nu)

@@ -21,7 +21,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import NumericalConsistencyError
 from .fock_core import TwoModeDensityMatrix, _check_n_max
-from .numerics import _bisect_threshold, hermitian_eigenvalues
+from .numerics import _nonzero_pattern, _pencil_threshold, hermitian_eigenvalues
 from .states import WernerParams, _check_rs
 
 # The 2x2 factors (1, sigma1, sigma2, sigma3), stacked.
@@ -158,12 +158,6 @@ def partial_transpose_qubit(rho4: np.ndarray) -> np.ndarray:
     return rho4.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
 
 
-def min_eigenvalue_ppt(rho4: np.ndarray) -> float:
-    """Smallest eigenvalue of the partially transposed 4x4 state."""
-    res = hermitian_eigenvalues(partial_transpose_qubit(rho4))
-    return float(res.eigenvalues[0])
-
-
 def mapped_entanglement_threshold(r: float, s: float) -> float:
     """Probability above which the mapped two-qubit state is entangled.
 
@@ -181,12 +175,13 @@ def mapped_entanglement_threshold(r: float, s: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.tanh(2.0 * r) / noise)
 
 
-def mapped_threshold_bisection(r: float, s: float) -> float:
-    """Brute-force mapped threshold: the ITP root search of
-    ``numerics._bisect_threshold`` in p on the 4x4 PPT minimum eigenvalue,
-    to BISECTION_TOL_P (about ten eigensolves, where bisection took 31)."""
-    return _bisect_threshold(
-        lambda p: min_eigenvalue_ppt(closed_form_two_qubit(WernerParams(p=p, r=r, s=s))))
+def mapped_threshold_pencil(r: float, s: float) -> float:
+    """Brute-force mapped threshold: one eigensolve of the pencil of the
+    partially transposed 4x4 at p = 1 against the diagonal of the 4x4 at
+    p = 0 (``numerics._pencil_threshold``)."""
+    nopa = partial_transpose_qubit(closed_form_two_qubit(WernerParams(p=1.0, r=r, s=s)))
+    floor = np.diagonal(closed_form_two_qubit(WernerParams(p=0.0, r=r, s=s))).real
+    return _pencil_threshold(4, *_nonzero_pattern(nopa), floor)
 
 
 def bell_max(corr_tensor: np.ndarray) -> float:

@@ -69,13 +69,13 @@ def test_criterion_02_two_qubit_map_consistency():
 
 
 def test_criterion_03_mapped_entanglement_threshold():
-    """Bisection on the 4x4 PPT minimum eigenvalue reproduces the closed-form
+    """The pencil of the 4x4 partial transpose reproduces the closed-form
     threshold to 1e-6; the threshold approaches 1/3 at large squeezing."""
     for r in RS_VALUES:
         for s in RS_VALUES:
             closed = qm.mapped_entanglement_threshold(r, s)
-            bisected = qm.mapped_threshold_bisection(r, s)
-            assert abs(closed - bisected) < 1e-6, f"(r={r}, s={s})"
+            pencil = qm.mapped_threshold_pencil(r, s)
+            assert abs(closed - pencil) < 1e-6, f"(r={r}, s={s})"
     assert abs(qm.mapped_entanglement_threshold(5.0, 5.0) - 1.0 / 3.0) < 1e-3
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from cvwerner import cli
 from cvwerner import criteria as cr
+from cvwerner import numerics
 from cvwerner import qubit_map as qm
 from cvwerner import teleport as tp
 from cvwerner import tolerances as tol
@@ -368,6 +369,17 @@ class TestEval:
         assert info.value.code == 2
         assert "error: unknown key 'q'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point, key", [(["r=1", "s=1"], "p"), (["p=0.5", "s=1"], "r"),
+                                            (["p=0.5", "r=1"], "s")])
+    def test_missing_key_exits_2_and_names_it(self, capsys, point, key):
+        # A missing parameter is an error, not 0.
+        with pytest.raises(SystemExit) as info:
+            main(["eval", *point, "--criteria", "fidelity_w,squeezed"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: key '{key}' is required" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("names, message", [
         ((), "at least one criterion is required"),
         (("squeezed", "nonlocal", "squeezed"), "criterion 'squeezed' given more than once"),
@@ -473,13 +485,16 @@ class TestValidate:
     def test_small_fault_is_detected_where_truncation_is_largest(self, monkeypatch):
         # At r = s = 2 the 12-level state misses about half of its trace;
         # the check compares with the truncated closed form, so no slack of
-        # that size is left to hide the fault.
+        # that size is left to hide the fault. The mapped threshold's pencil
+        # reads the untruncated closed form at p = 1 and p = 0, where the
+        # fault moves its threshold by ~1e-9, so that line fails too.
         fault = corrupted_closed_form(1e-9, where=lambda w: w.r == w.s == 2.0)
         monkeypatch.setattr(qm, "closed_form_two_qubit", fault)
         results, ok = run_validation(2)
         assert not ok
         failing = [r.name for r in results if not r.passed]
-        assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)"]
+        assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)",
+                           "mapped threshold (closed form vs pencil)"]
 
     def test_moment_route_fault_is_detected(self, monkeypatch):
         # The pseudo-spin moment route is the qubit-map check's second
@@ -573,20 +588,24 @@ class TestValidate:
 
     def test_one_spectrum_state_per_point(self, monkeypatch):
         # The spectrum, qubit-map and cell checks share each n_max = 12
-        # state: eight builds on the eight points of validate 2, and no
-        # other state is built.
+        # state: eight builds on the eight points of validate 2. The direct
+        # threshold's pencil builds the two components, p = 1 and p = 0, at
+        # each of the four (r, s) points, and no other state is built.
         built = []
         build = cli.werner_state
 
         def counted(params, cutoff):
-            built.append(cutoff.n_max)
+            built.append((params.p, cutoff.n_max))
             return build(params, cutoff)
 
         monkeypatch.setattr(cli, "werner_state", counted)
         monkeypatch.setattr(cr, "werner_state", counted)
         _, ok = run_validation(2)
         assert ok
-        assert built == [cli.VALIDATE_N_MAX] * 8
+        shared = [entry for entry in built if entry[0] not in (0.0, 1.0)]
+        assert shared == [(p, cli.VALIDATE_N_MAX) for p in (0.2,) * 4 + (0.9,) * 4]
+        assert sorted(built) == sorted(shared + [(0.0, cli.VALIDATE_N_MAX),
+                                                 (1.0, cli.VALIDATE_N_MAX)] * 4)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
@@ -599,9 +618,8 @@ class TestValidate:
                 tol.MAP_CONSISTENCY_TOL,
             "teleport fidelity (closed form vs numeric)": tol.FIDELITY_AGREEMENT_TOL,
             "threshold ordering (separable <= direct <= mapped <= nonlocal)": 0.0,
-            "mapped threshold (closed form vs bisection)": tol.BISECTION_CHECK_TOL,
-            "direct threshold (closed form vs enumeration vs bisection)":
-                tol.BISECTION_CHECK_TOL,
+            "mapped threshold (closed form vs pencil)": tol.PENCIL_THRESHOLD_TOL,
+            "direct threshold (closed form vs pencil)": tol.PENCIL_THRESHOLD_TOL,
             "squeezing variance (closed form vs matrix)": tol.SQUEEZING_CONSISTENCY_TOL,
             "cell decomposition (reconstruction)": tol.MAP_CONSISTENCY_TOL,
         }
@@ -620,21 +638,45 @@ class TestValidate:
         assert len(elapsed) == 1
         assert re.fullmatch(r"elapsed: \d+\.\d ms", elapsed[0])
 
-    def test_threshold_searches_take_few_probes(self, monkeypatch):
-        # Plain bisection took 31 evaluations per point, 124 per search
-        # over the four points of validate 2.
-        calls = {"mapped": 0, "direct": 0}
+    def test_each_threshold_partner_is_one_eigensolve(self, monkeypatch):
+        # Each pencil partner makes exactly one eigensolve per (r, s) point:
+        # four points in validate 2, no search in p.
+        active, solves = [], {"mapped": [], "direct": []}
+        solve = numerics._pattern_eigenvalues
 
-        def counted(name, f):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return f(*args, **kwargs)
+        def recorded(n, *pattern):
+            if active:
+                solves[active[-1]].append(n)
+            return solve(n, *pattern)
+
+        def partner(name, f):
+            def wrapper(*args):
+                active.append(name)
+                try:
+                    return f(*args)
+                finally:
+                    active.pop()
             return wrapper
 
-        monkeypatch.setattr(qm, "min_eigenvalue_ppt", counted("mapped", qm.min_eigenvalue_ppt))
-        monkeypatch.setattr(cr, "ppt_spectrum_analytic",
-                            counted("direct", cr.ppt_spectrum_analytic))
+        monkeypatch.setattr(numerics, "_pattern_eigenvalues", recorded)
+        monkeypatch.setattr(qm, "mapped_threshold_pencil",
+                            partner("mapped", qm.mapped_threshold_pencil))
+        monkeypatch.setattr(cr, "direct_threshold_pencil",
+                            partner("direct", cr.direct_threshold_pencil))
         _, ok = run_validation(2)
         assert ok
-        assert 0 < calls["mapped"] <= 64
-        assert 0 < calls["direct"] <= 64
+        assert solves == {"mapped": [4] * 4, "direct": [cli.VALIDATE_N_MAX ** 2] * 4}
+
+    @pytest.mark.parametrize("shift", [1, -1], ids=["2n_max-2", "2n_max-4"])
+    def test_wrong_largest_pair_block_is_detected(self, monkeypatch, shift):
+        # The truncation's closed form reads p_K at K = 2 n_max - 3. Read one
+        # block too far (2 n_max - 2 is only the 1x1 block |n_max-1, n_max-1>)
+        # or one too short, it misses the truncated state's pencil by ~1e-3.
+        p_k = cr._entanglement_p_k
+        last = 2 * cli.VALIDATE_N_MAX - 3
+        monkeypatch.setattr(cr, "_entanglement_p_k",
+                            lambda l1, l2, k: p_k(l1, l2, k + shift if k == last else k))
+        results, ok = run_validation(2)
+        assert not ok
+        failing = [r.name for r in results if not r.passed]
+        assert failing == ["direct threshold (closed form vs pencil)"]

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from cvwerner.criteria import (
     SQUEEZING_CHECK_LEVELS,
-    bisect_direct_threshold,
     direct_entanglement_threshold,
+    direct_threshold_pencil,
     enumerate_ppt_spectrum,
-    enumerated_entanglement_threshold,
     largest_separable_p,
-    ppt_spectrum_analytic,
     ppt_spectrum_bruteforce,
     published_squeezing_threshold,
     published_squeezing_threshold_lambda_form,
@@ -66,23 +64,6 @@ def enumerate_ppt_spectrum_reference(params, n_max):
             vals.append(base + off)
             vals.append(base - off)
     return np.sort(np.array(vals))
-
-
-def analytic_infimum_reference(params):
-    """The scalar loop over k that ppt_spectrum_analytic replaced."""
-    return min(base - off for base, off in (criteria._pair_terms(params, k)
-                                            for k in range(1, criteria.DEFAULT_HORIZON + 1)))
-
-
-def enumerated_threshold_reference(r, s):
-    """The scalar loop over k that enumerated_entanglement_threshold replaced."""
-    l1, l2 = math.tanh(r), math.tanh(s)
-    if l1 == 0.0:
-        return 1.0
-    if l2 == 0.0:
-        return 0.0
-    return min(criteria._entanglement_p_k(l1, l2, k)
-               for k in range(1, criteria.DEFAULT_HORIZON + 1))
 
 
 def dense_partial_transpose(rho):
@@ -147,16 +128,6 @@ class TestPptSpectrum:
             reference = enumerate_ppt_spectrum_reference(params, n_max)
             assert enumerated.shape == reference.shape == (n_max * n_max,)
             assert np.abs(enumerated - reference).max() <= LOOP_REFERENCE_TOL
-        low = ppt_spectrum_analytic(params)
-        assert abs(low - analytic_infimum_reference(params)) <= LOOP_REFERENCE_TOL
-        assert abs(enumerated_entanglement_threshold(r, s)
-                   - enumerated_threshold_reference(r, s)) <= LOOP_REFERENCE_TOL
-
-    def test_negative_eigenvalue_detects_entanglement(self):
-        entangled = ppt_spectrum_analytic(WernerParams(p=0.9, r=1.0, s=0.5))
-        separable = ppt_spectrum_analytic(WernerParams(p=0.0, r=1.0, s=0.5))
-        assert entangled < 0.0
-        assert separable >= 0.0
 
 
 class TestDirectThreshold:
@@ -189,13 +160,11 @@ class TestDirectThreshold:
     def test_enumeration_where_tanh_s_squared_underflows(self, r, s):
         # tanh(s)^2 and every block weight past the first underflow to 0, so
         # q = tanh r / tanh^2 s is infinite and the limit is the q > 1 one.
-        assert enumerated_entanglement_threshold(r, s) == 0.0
+        # The truncation's pencil sees a zero thermal floor under the k = 1
+        # pair's coherence.
         assert direct_entanglement_threshold(r, s) == 0.0
-
-    def test_bisection_matches_enumeration(self):
-        for r, s in [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)]:
-            enumerated = enumerated_entanglement_threshold(r, s)
-            assert bisect_direct_threshold(r, s) == pytest.approx(enumerated, abs=1e-6)
+        assert direct_entanglement_threshold(r, s, 4) == 0.0
+        assert direct_threshold_pencil(r, s, 4) == 0.0
 
     def test_verdict(self):
         decision, threshold, margin = table_verdict("entangled_ppt_direct",
@@ -203,6 +172,63 @@ class TestDirectThreshold:
         assert decision
         assert margin == pytest.approx(0.5 - threshold)
         assert not table_verdict("entangled_ppt_direct", WernerParams(p=0.1, r=0.5, s=1.0))[0]
+
+
+# r and s on both sides of q = tanh r / tanh^2 s = 1, with the edges where
+# tanh s or tanh^2 s underflows (a zero thermal floor).
+PENCIL_RS = [0.0, 1e-200, 1e-10, 0.05, 0.3, 0.7, 1.0, 1.6, 2.5, 5.0]
+
+
+class TestTruncatedDirectThreshold:
+    """The truncation's closed form min(p_1, p_K), K = 2 n_max - 3, against
+    the pencil of the truncated state's partial transpose."""
+
+    @pytest.mark.parametrize("n_max", [4, 12, 24])
+    def test_pencil_equals_closed_form(self, n_max):
+        regimes = set()
+        for r in PENCIL_RS:
+            for s in PENCIL_RS:
+                closed = direct_entanglement_threshold(r, s, n_max)
+                assert abs(direct_threshold_pencil(r, s, n_max) - closed) <= 2.3e-16, (r, s)
+                l1, l2 = math.tanh(r), math.tanh(s)
+                if l1 and l2 * l2:
+                    regimes.add(l1 / (l2 * l2) > 1.0)
+        assert regimes == {False, True}
+
+    @pytest.mark.parametrize("n_max, s", [(4, 4.75e-33), (12, 2.04e-8)])
+    def test_subnormal_floor(self, n_max, s):
+        # The thermal weight of the last pair block is subnormal, and its
+        # coherence over it overflows: the threshold is below 1e-308.
+        assert direct_threshold_pencil(2.0, s, n_max) == 0.0
+        assert direct_entanglement_threshold(2.0, s, n_max) <= 1e-307
+
+    def test_truncation_bounds_the_infinite_threshold(self):
+        # The truncation drops the blocks past K, so its threshold is never
+        # below the infimum over all blocks, and in the q > 1 regime it
+        # falls towards the limit 0 as n_max grows.
+        for r, s in [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)]:
+            infinite = direct_entanglement_threshold(r, s)
+            truncated = [direct_entanglement_threshold(r, s, n) for n in (4, 12, 24)]
+            assert all(value >= infinite for value in truncated)
+            assert truncated == sorted(truncated, reverse=True)
+        assert direct_entanglement_threshold(0.5, 1.0, 12) == direct_entanglement_threshold(0.5, 1.0)
+
+    def test_k_counts_only_pair_blocks(self):
+        # K = 2 n_max - 3 is the largest m + n over pairs m < n < n_max;
+        # the 1x1 block at 2 n_max - 2 never goes negative.
+        l1, l2 = math.tanh(2.0), math.tanh(0.5)
+        for n_max in (4, 12):
+            expected = min(criteria._entanglement_p_k(l1, l2, k) for k in range(1, 2 * n_max - 2))
+            assert direct_entanglement_threshold(2.0, 0.5, n_max) == expected
+            assert direct_entanglement_threshold(2.0, 0.5, n_max) != min(
+                expected, criteria._entanglement_p_k(l1, l2, 2 * n_max - 2))
+
+    def test_cutoff_rule(self):
+        for n_max in (1, 2.5):
+            with pytest.raises(ParameterRangeError):
+                direct_entanglement_threshold(1.0, 1.0, n_max)
+            with pytest.raises(ParameterRangeError):
+                direct_threshold_pencil(1.0, 1.0, n_max)
 
 
 def block_thresholds(l1, l2, horizon=200):

@@ -1,4 +1,4 @@
-"""Symbolic checks of the closed forms behind three checks of `validate`.
+"""Symbolic checks of the closed forms behind five checks of `validate`.
 
 `closed_form_two_qubit(params, n_max)` is the pair-index trace of the Werner
 state truncated to n_max levels per mode, and the diagonal of
@@ -14,6 +14,11 @@ off by one) fails here.
 The teleport fidelity's closed form, `fidelity_werner(p, r, s)`, is
 derived from the numeric oracle's factorised sum of Gaussian integrals,
 and the library is held to that sum at 30 digits.
+
+The threshold pencils of `validate`'s direct and mapped partners are solved
+symbolically: a pair block turns indefinite at `_entanglement_p_k`'s
+t / (t + c), and the mapped 4x4 at `mapped_entanglement_threshold`'s
+1 / (1 + 2 tanh 2r / tanh^2 2s).
 """
 
 import mpmath
@@ -22,7 +27,7 @@ import pytest
 import sympy as sp
 
 from cvwerner.criteria import reconstruct_from_cells
-from cvwerner.qubit_map import closed_form_two_qubit
+from cvwerner.qubit_map import closed_form_two_qubit, partial_transpose_qubit
 from cvwerner.states import WernerParams
 from cvwerner.teleport import fidelity_werner
 
@@ -191,3 +196,37 @@ class TestTeleportFidelity:
                 with mpmath.workdps(30):
                     reference = float(exact(*map(mpmath.mpf, point)))
                 assert abs(fidelity_werner(*point) - reference) <= 4.5e-16, point
+
+
+def pencil_threshold(a, floor):
+    """1 / (1 - nu) for the one negative eigenvalue nu of F^-1/2 A F^-1/2,
+    F = diag(floor): the p at which p A + (1 - p) F turns indefinite, as
+    ``numerics._pencil_threshold`` computes it."""
+    scale = sp.diag(*[1 / sp.sqrt(f) for f in floor])
+    negative = [nu for nu in (scale * a * scale).eigenvals() if nu.is_negative]
+    assert len(negative) == 1
+    return 1 / (1 - negative[0])
+
+
+class TestPencilThreshold:
+    """The thresholds of validate's two pencil partners in closed form."""
+
+    def test_pair_block(self):
+        # A pair block [[0, c], [c, 0]] of the NOPA partial transpose against
+        # the thermal diagonal diag(t, t): _entanglement_p_k's t / (t + c).
+        c, t = u, v
+        threshold = pencil_threshold(sp.Matrix([[0, c], [c, 0]]), (t, t))
+        assert sp.simplify(threshold - t / (t + c)) == 0
+
+    def test_mapped_four_by_four(self):
+        # closed_form_two_qubit at p = 1 (through the library's partial
+        # transpose) and the diagonal of it at p = 0 give
+        # 1 / (1 + 2 tanh 2r / tanh^2 2s), lambda1 = tanh r, lambda2 = tanh s.
+        w1, w2 = 1 / (1 + lam1 ** 2), 1 / (1 + lam2 ** 2) ** 2
+        nopa = np.zeros((4, 4), dtype=object)
+        nopa[0, 0], nopa[3, 3], nopa[0, 3], nopa[3, 0] = w1, lam1 ** 2 * w1, lam1 * w1, lam1 * w1
+        floor = (w2, lam2 ** 2 * w2, lam2 ** 2 * w2, lam2 ** 4 * w2)
+        threshold = pencil_threshold(sp.Matrix(partial_transpose_qubit(nopa).tolist()), floor)
+        closed = 1 / (1 + 2 * sp.tanh(2 * r_sym) / sp.tanh(2 * s_sym) ** 2)
+        closed = sp.expand_trig(closed).subs({sp.tanh(r_sym): lam1, sp.tanh(s_sym): lam2})
+        assert sp.simplify(threshold - closed) == 0

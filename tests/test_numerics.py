@@ -1,5 +1,5 @@
 """Tests for the two-tier eigensolver, the 1-D quadrature rule and the
-root search in p.
+threshold pencil.
 
 The eigensolver reads the 1x1 and 2x2 blocks of a matrix's nonzero
 pattern off its degree count and solves them in closed form; every index
@@ -18,17 +18,16 @@ import pytest
 from cvwerner import numerics
 from cvwerner.cli import run_validation
 from cvwerner.criteria import ppt_spectrum_bruteforce
-from cvwerner.errors import DomainTooSmallError, HermiticityError
+from cvwerner.errors import DomainTooSmallError, HermiticityError, NumericalConsistencyError
 from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import (
-    _bisect_threshold,
     _nonzero_pattern,
     _pattern_eigenvalues,
+    _pencil_threshold,
     hermitian_eigenvalues,
     integrate_line,
 )
 from cvwerner.states import WernerParams
-from cvwerner.tolerances import BISECTION_TOL_P
 
 
 def random_hermitian(dim, seed, scale=1.0):
@@ -289,65 +288,56 @@ class TestIntegrateLine:
         assert integrate_line(1.0, np.zeros_like) == 0.0
 
 
-# Plain bisection from [0, 1] to BISECTION_TOL_P takes 31 probes; the ITP
-# search may take a few more on its worst case, never more than this.
-ITP_PROBE_CAP = 35
+def pencil_min_eigenvalue(a, floor, p):
+    return np.linalg.eigvalsh(p * a + (1.0 - p) * np.diag(floor))[0]
 
 
-class ProbeCounter:
-    """Wraps a function of p, records every probe and stops a search that
-    runs past the cap, which a broken search would otherwise do for ages."""
+class TestPencilThreshold:
+    """``_pencil_threshold``: the least p at which p A + (1 - p) diag(floor)
+    turns indefinite, from one eigensolve."""
 
-    def __init__(self, f):
-        self.f = f
-        self.probes = []
+    def test_psd_a_returns_one(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.complex128)
+        assert _pencil_threshold(2, *_nonzero_pattern(a), np.array([1.0, 3.0])) == 1.0
+        assert _pencil_threshold(2, *_nonzero_pattern(np.zeros((2, 2))), np.ones(2)) == 1.0
 
-    def __call__(self, p):
-        self.probes.append(p)
-        if len(self.probes) > ITP_PROBE_CAP:
-            raise RuntimeError(f"more than {ITP_PROBE_CAP} probes")
-        return self.f(p)
+    def test_pair_block(self):
+        # [[0, c], [c, 0]] against diag(t, t) turns indefinite at t / (t + c).
+        a = np.array([[0.0, 0.3], [0.3, 0.0]], dtype=np.complex128)
+        threshold = _pencil_threshold(2, *_nonzero_pattern(a), np.array([0.2, 0.2]))
+        assert threshold == pytest.approx(0.2 / 0.5, abs=1e-16)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sign_change_on_a_dense_block(self, seed):
+        # A dense indefinite A reaches the second tier; numpy's eigvalsh of
+        # the pencil changes sign at the threshold.
+        a = random_hermitian(7, seed)
+        floor = np.random.default_rng(seed).uniform(0.1, 2.0, 7)
+        threshold = _pencil_threshold(7, *_nonzero_pattern(a), floor)
+        assert 0.0 < threshold < 1.0
+        assert pencil_min_eigenvalue(a, floor, threshold * (1.0 - 1e-9)) > 0.0
+        assert pencil_min_eigenvalue(a, floor, threshold * (1.0 + 1e-9)) < 0.0
+        assert abs(pencil_min_eigenvalue(a, floor, threshold)) <= 1e-12
 
-ROOT_IRRATIONAL = 1.0 / math.sqrt(7.0)
+    def test_zero_floor_with_a_partner_returns_zero(self):
+        # A zero diagonal with a nonzero partner is never PSD, for any p > 0.
+        a = np.array([[0.0, 0.1], [0.1, 1.0]], dtype=np.complex128)
+        assert _pencil_threshold(2, *_nonzero_pattern(a), np.array([0.0, 1.0])) == 0.0
 
-# (name, min_eig, sign change, most probes allowed): non-negative below the
-# sign change, negative above it. The step's two values are far apart in
-# size, so interpolation alone would crawl towards it from one side.
-SIGN_CHANGES = [
-    ("linear", lambda x: 0.37 - x, 0.37, 12),
-    ("concave_kink", lambda x: min(0.6 - x, 3.0 * (0.52 - x)), 0.52, 12),
-    ("convex", lambda x: math.exp(-8.0 * x) - math.exp(-8.0 * 0.61), 0.61, 16),
-    ("step_irrational", lambda x: 1.0 if x < ROOT_IRRATIONAL else -1e-3, ROOT_IRRATIONAL,
-     ITP_PROBE_CAP),
-    ("ninth_power", lambda x: (0.3 - x) ** 9, 0.3, ITP_PROBE_CAP),
-]
+    def test_zero_floor_under_a_negative_diagonal_returns_zero(self):
+        a = np.diag([-1e-3, 1.0]).astype(np.complex128)
+        assert _pencil_threshold(2, *_nonzero_pattern(a), np.array([0.0, 1.0])) == 0.0
 
+    def test_zero_floor_without_a_partner_drops_out(self):
+        # Index 0 is PSD for every p and index 2 is empty; the pair on
+        # (1, 3) decides.
+        a = np.zeros((4, 4), dtype=np.complex128)
+        a[0, 0] = 5.0
+        a[1, 3] = a[3, 1] = 0.3
+        floor = np.array([0.0, 0.2, 0.0, 0.2])
+        assert _pencil_threshold(4, *_nonzero_pattern(a), floor) == pytest.approx(0.4, abs=1e-16)
 
-class TestBisectThreshold:
-    @pytest.mark.parametrize("name, f, root, most", SIGN_CHANGES,
-                             ids=[case[0] for case in SIGN_CHANGES])
-    def test_lands_on_sign_change(self, name, f, root, most):
-        counter = ProbeCounter(f)
-        assert abs(_bisect_threshold(counter) - root) <= BISECTION_TOL_P
-        assert all(0.0 <= p <= 1.0 for p in counter.probes)
-        assert len(counter.probes) <= most
-
-    def test_no_sign_change_up_to_one(self):
-        counter = ProbeCounter(lambda x: 0.5 - 0.1 * x)
-        assert _bisect_threshold(counter) == 1.0
-        assert counter.probes == [1.0]
-        assert _bisect_threshold(lambda x: 0.0) == 1.0
-
-    def test_negative_at_zero_returns_zero(self):
-        # Negative on all of [0, 1]: every p is past the sign change, so the
-        # threshold is 0 exactly.
-        counter = ProbeCounter(lambda x: -1.0 - x)
-        assert _bisect_threshold(counter) == 0.0
-        assert counter.probes == [1.0, 0.0]
-
-    def test_zero_counts_as_below_the_sign_change(self):
-        # min_eig = 0 is not entangled: the sign change is where it first
-        # turns negative.
-        f = lambda x: 0.0 if x <= 0.4 else 0.4 - x
-        assert abs(_bisect_threshold(f) - 0.4) <= BISECTION_TOL_P
+    def test_zero_floor_under_a_positive_diagonal_with_a_partner_raises(self):
+        a = np.array([[1.0, 0.1], [0.1, 1.0]], dtype=np.complex128)
+        with pytest.raises(NumericalConsistencyError):
+            _pencil_threshold(2, *_nonzero_pattern(a), np.array([0.0, 1.0]))

@@ -9,6 +9,7 @@ import pytest
 from cvwerner import qubit_map as qm
 from cvwerner.errors import NumericalConsistencyError
 from cvwerner.fock_core import FockCutoff, TwoModeDensityMatrix
+from cvwerner.numerics import hermitian_eigenvalues
 from cvwerner.qubit_map import (
     bell_max,
     bell_max_closed_form,
@@ -17,8 +18,7 @@ from cvwerner.qubit_map import (
     correlation_tensor_closed_form,
     map_to_qubits,
     mapped_entanglement_threshold,
-    mapped_threshold_bisection,
-    min_eigenvalue_ppt,
+    mapped_threshold_pencil,
     nonlocality_threshold,
     partial_transpose_qubit,
 )
@@ -219,7 +219,19 @@ class TestMappedEntanglement:
         for r in (0.5, 1.0, 2.0):
             for s in (0.5, 1.0, 2.0):
                 closed = mapped_entanglement_threshold(r, s)
-                assert mapped_threshold_bisection(r, s) == pytest.approx(closed, abs=1e-6)
+                assert mapped_threshold_pencil(r, s) == pytest.approx(closed, abs=1e-6)
+
+    def test_pencil_equals_closed_form(self):
+        # r, s = 0 and the s whose tanh^2 2s underflows (a zero thermal
+        # floor under the coherence) or is subnormal included.
+        values = [0.0, 1e-200, 1e-160, 1e-10, 0.05, 0.3, 0.7, 1.0, 1.6, 2.5, 5.0]
+        for r in values:
+            for s in values:
+                closed = mapped_entanglement_threshold(r, s)
+                assert abs(mapped_threshold_pencil(r, s) - closed) <= 2.3e-16, (r, s)
+        assert mapped_threshold_pencil(0.0, 1.0) == 1.0
+        assert mapped_threshold_pencil(1.0, 0.0) == 0.0
+        assert mapped_threshold_pencil(1.0, 1e-200) == 0.0
 
     def test_large_squeezing_limit(self):
         assert mapped_entanglement_threshold(5.0, 5.0) == pytest.approx(1 / 3, abs=1e-3)
@@ -233,8 +245,8 @@ class TestMappedEntanglement:
         thr = mapped_entanglement_threshold(r, s)
         below = closed_form_two_qubit(WernerParams(p=thr - 1e-3, r=r, s=s))
         above = closed_form_two_qubit(WernerParams(p=thr + 1e-3, r=r, s=s))
-        assert min_eigenvalue_ppt(below) > 0.0
-        assert min_eigenvalue_ppt(above) < 0.0
+        assert hermitian_eigenvalues(partial_transpose_qubit(below)).eigenvalues[0] > 0.0
+        assert hermitian_eigenvalues(partial_transpose_qubit(above)).eigenvalues[0] < 0.0
 
     def test_partial_transpose_qubit_swaps_coherence(self):
         m = np.zeros((4, 4), dtype=np.complex128)

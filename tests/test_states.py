@@ -136,10 +136,11 @@ def test_cutoff_rule_accepts_numpy_integers():
 
 RS_FUNCTIONS = {
     "direct": criteria.direct_entanglement_threshold,
-    "enumerated": criteria.enumerated_entanglement_threshold,
+    "direct_pencil": lambda r, s: criteria.direct_threshold_pencil(r, s, 4),
     "separable": criteria.largest_separable_p,
     "squeezing": criteria.squeezing_threshold,
     "mapped": qubit_map.mapped_entanglement_threshold,
+    "mapped_pencil": qubit_map.mapped_threshold_pencil,
     "nonlocal": qubit_map.nonlocality_threshold,
     "fidelity_werner": lambda r, s: teleport.fidelity_werner(0.5, r, s),
 }

@@ -1,8 +1,9 @@
 """Self-contained numerical kernels.
 
-Two pieces: an eigensolver for complex Hermitian matrices and the one
-1-D quadrature rule, ``integrate_line``. The eigensolver works in two
-tiers on (rows, cols, values) triplets: ``hermitian_eigenvalues`` takes
+Two pieces: an eigensolver for real symmetric or complex Hermitian
+matrices and the one 1-D quadrature rule, ``integrate_line``. The
+eigensolver works in two tiers on (rows, cols, values) triplets:
+``hermitian_eigenvalues`` takes
 them from a dense matrix in one scan, which is also the library's one
 Hermiticity gate, and the brute-force partial-transpose spectrum passes
 them in directly from the state's own pattern. The first tier reads the
@@ -13,12 +14,12 @@ by one closed-form rotation. The second tier takes every index left over
 as one dense block, reduces it to real tridiagonal form by complex
 Householder reflections and solves it by Sturm-count bisection. Every
 matrix the library builds (the Fock partial transpose, the 4x4 qubit
-partial transpose, T^T T) splits into blocks of size at most 2, so none
-of them reaches the second tier. ``integrate_line`` owns the whole
-quadrature decision: from the variance of the integrand's narrowest
-Gaussian factor it sizes a uniform grid of fixed length, samples the
-integrand there, rejects it if it has not decayed at the ends, and
-applies the trapezoid rule. Multi-dimensional integrals in this library
+partial transpose, T^T T) is real and splits into blocks of size at
+most 2, so none of them reaches the second tier. ``integrate_line`` owns
+the whole quadrature decision: from the variance of the integrand's
+narrowest Gaussian factor it sizes a uniform grid of fixed length,
+samples the integrand there, rejects it if it has not decayed at the
+ends, and applies the trapezoid rule. Multi-dimensional integrals in this library
 are separable and are built from products of these 1-D integrals. Both
 pieces avoid any external linear-algebra backend so every eigenvalue and
 integral produced by this library is reproducible from first principles.
@@ -222,7 +223,8 @@ def _pattern_eigenvalues(n: int, rows: np.ndarray, cols: np.ndarray,
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> EigenResult:
-    """Eigenvalues of a dense complex Hermitian matrix, block by block.
+    """Eigenvalues of a dense real symmetric or complex Hermitian matrix,
+    block by block.
 
     One scan takes the nonzero pattern and gates it (``_nonzero_pattern``:
     finite, and Hermitian to HERMITICITY_TOL relative to the largest
@@ -297,12 +299,14 @@ def _pencil_threshold(n: int, rows: np.ndarray, cols: np.ndarray, values: np.nda
         return 0.0
     # A dropped index has no partner, so no kept entry reaches it.
     kept = ~zero[rows]
-    root = np.sqrt(floor)
     rows, cols = rows[kept], cols[kept]
-    # A ratio past the float range (a subnormal floor) is a threshold below
-    # 1e-308: it becomes inf, a pair block holding it has the eigenvalue
-    # -inf, and p is 0.0. A NaN eigenvalue is passed on as NaN.
-    with np.errstate(over="ignore"):
-        scaled = values[kept] / root[rows] / root[cols]
+    # F^-1/2 A F^-1/2 entry by entry, from the reciprocal roots; a dropped
+    # index's is inf and unread. A ratio past the float range (a subnormal
+    # floor) is a threshold below 1e-308: it becomes inf, a pair block
+    # holding it has the eigenvalue -inf, and p is 0.0. A NaN eigenvalue is
+    # passed on as NaN.
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = 1.0 / np.sqrt(floor)
+        scaled = values[kept] * scale[rows] * scale[cols]
     nu = float(_pattern_eigenvalues(n, rows, cols, scaled).eigenvalues[0])
     return 1.0 if nu >= 0.0 else 1.0 / (1.0 - nu)

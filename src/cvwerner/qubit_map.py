@@ -136,7 +136,7 @@ def closed_form_two_qubit(params: WernerParams, n_max: int | None = None) -> np.
         n_max = _check_n_max(n_max, paired=True)
         w1 *= 1.0 - l1 ** (2 * n_max)
         w2 *= (1.0 - l2 ** (2 * n_max)) ** 2
-    m = np.zeros((4, 4), dtype=np.complex128)
+    m = np.zeros((4, 4))
     m[0, 0] = w1 + w2
     m[1, 1] = m[2, 2] = l2 * l2 * w2
     m[3, 3] = l1 * l1 * w1 + l2 ** 4 * w2
@@ -192,7 +192,7 @@ def bell_max(corr_tensor: np.ndarray) -> float:
     this reduces to 2 sqrt(t11^2 + t33^2).
     """
     u = corr_tensor.T @ corr_tensor
-    eig = np.clip(hermitian_eigenvalues(u.astype(np.complex128)).eigenvalues, 0.0, None)
+    eig = np.clip(hermitian_eigenvalues(u).eigenvalues, 0.0, None)
     return 2.0 * math.sqrt(eig[-1] + eig[-2])
 
 

@@ -15,12 +15,14 @@ tail_bound and raises CutoffTooSmallError past it. The lost trace mass
 is carried on the returned state as trace_deficit.
 
 The matrix comes from one builder, which fills a single zeroed
-n_max^2 x n_max^2 buffer: the squeezed-vacuum coherences go into the
-n_max x n_max sub-block of the |m,m> rows and columns, and the thermal
-product is added onto the diagonal. No other entry is nonzero, so no
-dense temporary of the full size is made. The buffer is the state's
-construction input only: the returned state keeps its nonzero pattern,
-2 n_max^2 - n_max entries, and the buffer is dropped.
+n_max^2 x n_max^2 float64 buffer (8 n_max^4 bytes: 2.65 MB at
+n_max = 24): the squeezed-vacuum coherences go into the n_max x n_max
+sub-block of the |m,m> rows and columns, and the thermal product is
+added onto the diagonal. Every amplitude and weight is real, so the
+state is real symmetric and needs no complex buffer. No other entry is
+nonzero, so no dense temporary of the full size is made. The buffer is
+the state's construction input only: the returned state keeps its
+nonzero pattern, 2 n_max^2 - n_max entries, and the buffer is dropped.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def _thermal_deficit(lam2: float, n_max: int) -> float:
 
 
 def _werner_data(p: float, lam1: float, lam2: float, n_max: int) -> np.ndarray:
-    """Matrix of p * NOPA(lam1) + (1 - p) * thermal(lam2) x thermal(lam2).
+    """Real matrix of p * NOPA(lam1) + (1 - p) * thermal(lam2) x thermal(lam2).
 
     Only two patterns are nonzero: the squeezed-vacuum coherences
     |m,m><k,k|, which sit at flat indices m (n_max + 1), and the thermal
@@ -96,7 +98,7 @@ def _werner_data(p: float, lam1: float, lam2: float, n_max: int) -> np.ndarray:
     amps = math.sqrt(1.0 - lam1 * lam1) * lam1 ** levels
     probs = (1.0 - lam2 * lam2) * lam2 ** (2 * levels)
     d = n_max * n_max
-    data = np.zeros((d, d), dtype=np.complex128)
+    data = np.zeros((d, d))
     pairs = levels * (n_max + 1)
     data[np.ix_(pairs, pairs)] = p * np.outer(amps, amps)
     data.reshape(-1)[:: d + 1] += (1.0 - p) * np.outer(probs, probs).ravel()

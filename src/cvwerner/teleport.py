@@ -24,7 +24,7 @@ The autocorrelation of a coherent-state marginal w(x) = exp(-(x - c)^2)
 / sqrt(pi) factorises: with z = x - c + u/2,
 w(x) w(x + u) = exp(-2 z^2) exp(-u^2 / 2) / pi, so
 ax(u) = T exp(-u^2 / 2) with T the 1-D integral of exp(-2 z^2) / pi.
-T is computed once per oracle call by the same quadrature, and neither
+T is computed once per process by the same quadrature, and neither
 it nor ax depends on the centre c, so the oracle takes no input
 amplitude.
 
@@ -35,6 +35,7 @@ x = sqrt(2) Re(alpha), p = sqrt(2) Im(alpha).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,9 +104,11 @@ def fidelity_werner(p: float, r: float, s: float) -> float:
     return p * (1.0 / (1.0 + math.exp(-2.0 * r))) + (1.0 - p) / (2.0 * math.cosh(s) ** 2)
 
 
+@functools.cache
 def _input_overlap() -> float:
     """T = integral exp(-2 z^2) / pi dz, the factor of the input
-    autocorrelation ax(u) = T exp(-u^2 / 2) that does not depend on u."""
+    autocorrelation ax(u) = T exp(-u^2 / 2) that does not depend on u.
+    It is a constant, so it is integrated once per process."""
     return integrate_line(OVERLAP_VARIANCE, lambda z: np.exp(-2.0 * z * z) / math.pi)
 
 

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,22 @@ class TestTruncatedDirectThreshold:
         # coherence over it overflows: the threshold is below 1e-308.
         assert direct_threshold_pencil(2.0, s, n_max) == 0.0
         assert direct_entanglement_threshold(2.0, s, n_max) <= 1e-307
+
+    @pytest.mark.parametrize("r, s, n_max", [(1e-10, 1e-5, 24), (1e-8, 1e-4, 24),
+                                             (1e-12, 1e-6, 32)])
+    def test_underflowed_last_block_against_mpmath(self, r, s, n_max):
+        # Both weights of block K underflow to 0 in floats; p_K comes from
+        # their ratio, near q = 1, not from the k -> infinity limit (0 here).
+        with mpmath.workdps(50):
+            l1, l2 = mpmath.tanh(mpmath.mpf(r)), mpmath.tanh(mpmath.mpf(s))
+
+            def p_k(k):
+                thermal = (1 - l2 ** 2) ** 2 * l2 ** (2 * k)
+                return thermal / (thermal + (1 - l1 ** 2) * l1 ** k)
+
+            exact = float(min(p_k(1), p_k(2 * n_max - 3)))
+        value = direct_entanglement_threshold(r, s, n_max)
+        assert abs(value - exact) <= 1e-13 * exact, (value, exact)
 
     def test_truncation_bounds_the_infinite_threshold(self):
         # The truncation drops the blocks past K, so its threshold is never

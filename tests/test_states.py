@@ -267,11 +267,24 @@ class TestWernerState:
         for p in (0.0, 0.37, 1.0):
             nopa, thermal, mixture = dense_reference(p, r, s, n_max)
             rho = werner_state(WernerParams(p=p, r=r, s=s), cutoff)
-            assert same_bits(dense(rho.pattern, cutoff.dim), mixture)
+            # The state is real: the complex reference has no imaginary
+            # part, and its real part has the state's bits.
+            assert not mixture.imag.any()
+            assert same_bits(dense(rho.pattern, cutoff.dim), mixture.real)
             if p == 1.0:
                 assert same_bits(mixture, nopa)
             if p == 0.0:
                 assert same_bits(mixture, thermal)
+
+
+def test_werner_matrices_are_float64():
+    # Every matrix built from Werner data is real symmetric: amplitudes and
+    # thermal weights are real, so no complex buffer is made.
+    rho = werner_state(POINT, LOOSE)
+    assert rho.pattern[2].dtype == np.float64
+    assert criteria.reconstruct_from_cells(POINT, 6).dtype == np.float64
+    assert qubit_map.closed_form_two_qubit(POINT).dtype == np.float64
+    assert qubit_map.closed_form_two_qubit(POINT, n_max=6).dtype == np.float64
 
 
 class TestMinimalCutoff:

@@ -221,7 +221,8 @@ class TestNumericOracle:
     @pytest.mark.parametrize("p, calls", [(0.5, 5), (1.0, 3), (0.0, 3)])
     def test_one_integral_per_distinct_factor(self, monkeypatch, p, calls):
         # The overlap T, then one anti-squeezed and one squeezed integral
-        # per component.
+        # per component. T is a constant, integrated on the first call of
+        # the process only.
         counted = []
 
         def counting(variance, integrand):
@@ -229,8 +230,12 @@ class TestNumericOracle:
             return integrate_line(variance, integrand)
 
         monkeypatch.setattr(tp, "integrate_line", counting)
-        fidelity_numeric_oracle(WernerParams(p=p, r=1.0, s=0.5))
+        tp._input_overlap.cache_clear()
+        params = WernerParams(p=p, r=1.0, s=0.5)
+        first = fidelity_numeric_oracle(params)
         assert len(counted) == calls
+        assert fidelity_numeric_oracle(params) == first
+        assert len(counted) == 2 * calls - 1
 
     def test_bit_identical_to_four_integral_route(self):
         for p, r, s in seeded_oracle_points():

@@ -22,7 +22,6 @@ where the reference closed forms for the regime bounds are inconsistent.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,24 +122,19 @@ def _entanglement_limit(l1: float, l2: float) -> float:
 
 def _entanglement_p_k(l1: float, l2: float, k: int) -> float:
     """Threshold probability at which the (m, n) pair block with m+n = k
-    acquires a negative partial-transpose eigenvalue."""
+    acquires a negative partial-transpose eigenvalue, t_k / (t_k + c_k).
+
+    Where both weights underflow, their ratio is taken in logs as
+    (c_0 / t_0) q^k, q = l1 / l2^2. With l1 = 0 or an underflowed l2^2
+    that ratio is 0 or infinite, and the block takes the k -> infinity
+    limit of ``_entanglement_limit``.
+    """
     therm, nopa = _block_weights(l1, l2, k)
     total = therm + nopa
-    if total == 0.0:
+    if total != 0.0:
+        return therm / total
+    if l1 == 0.0 or l2 * l2 == 0.0:
         return _entanglement_limit(l1, l2)
-    return therm / total
-
-
-def _truncated_p_k(l1: float, l2: float, k: int) -> float:
-    """``_entanglement_p_k`` of one block of a truncation, also where both
-    its weights lie below the normal float range: their ratio is then
-    taken in logs as (c_0 / t_0) q^k, q = l1 / l2^2. With l1 = 0 or an
-    underflowed l2^2 that ratio is 0 or infinite, and ``_entanglement_p_k``
-    (which reads the k -> infinity limit where both weights vanish) is
-    exact."""
-    therm, nopa = _block_weights(l1, l2, k)
-    if therm + nopa >= sys.float_info.min or l1 == 0.0 or l2 * l2 == 0.0:
-        return _entanglement_p_k(l1, l2, k)
     t_0, c_0 = _block_weights(l1, l2, 0)
     log_ratio = math.log(c_0 / t_0) + k * math.log(l1 / (l2 * l2))
     if log_ratio > 0.0:
@@ -159,17 +153,17 @@ def direct_entanglement_threshold(r: float, s: float, n_max: int | None = None) 
     truncated to n_max levels per mode, min(p_1, p_K): the largest pair
     block m < n < n_max has K = 2 n_max - 3. K = 2 n_max - 2 is a trap:
     that k is held only by the 1x1 block |n_max - 1, n_max - 1>, which is
-    never negative. Where both weights of block K fall below the normal
-    float range, p_K is 1 / (1 + (c_0 / t_0) q^K), taken in logs
-    (``_truncated_p_k``). The float pencil ``direct_threshold_pencil``
-    lacks such underflowed blocks: at r = 1e-10, s = 1e-5, n_max = 24 it
-    reads 0.4999999994, where p_K = 0.49999999920000143.
+    never negative. Where both weights of block K underflow to 0, p_K is
+    1 / (1 + (c_0 / t_0) q^K), taken in logs (``_entanglement_p_k``).
+    The float pencil ``direct_threshold_pencil`` lacks such underflowed
+    blocks: at r = 1e-10, s = 1e-5, n_max = 24 it reads 0.4999999994,
+    where p_K = 0.49999999920000143.
     """
     _check_rs(r, s)
     l1, l2 = math.tanh(r), math.tanh(s)
     if n_max is not None:
         k = 2 * _check_n_max(n_max) - 3
-        return min(_entanglement_p_k(l1, l2, 1), _truncated_p_k(l1, l2, k))
+        return min(_entanglement_p_k(l1, l2, 1), _entanglement_p_k(l1, l2, k))
     limit = _entanglement_limit(l1, l2)
     # A zero limit is the infimum without the k = 1 block.
     return min(_entanglement_p_k(l1, l2, 1), limit) if limit else limit
@@ -186,7 +180,7 @@ def direct_threshold_pencil(r: float, s: float, n_max: int) -> float:
     # The thermal product is diagonal, so its pattern holds only diagonal entries.
     rows, _, values = werner_state(WernerParams(p=0.0, r=r, s=s), cutoff).pattern
     floor = np.zeros(cutoff.dim)
-    floor[rows] = values.real
+    floor[rows] = values
     return _pencil_threshold(cutoff.dim, *partial_transpose_A(nopa), floor)
 
 

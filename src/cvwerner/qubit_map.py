@@ -180,7 +180,7 @@ def mapped_threshold_pencil(r: float, s: float) -> float:
     partially transposed 4x4 at p = 1 against the diagonal of the 4x4 at
     p = 0 (``numerics._pencil_threshold``)."""
     nopa = partial_transpose_qubit(closed_form_two_qubit(WernerParams(p=1.0, r=r, s=s)))
-    floor = np.diagonal(closed_form_two_qubit(WernerParams(p=0.0, r=r, s=s))).real
+    floor = np.diagonal(closed_form_two_qubit(WernerParams(p=0.0, r=r, s=s)))
     return _pencil_threshold(4, *_nonzero_pattern(nopa), floor)
 
 

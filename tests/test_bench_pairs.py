@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+NO_FAILURES = (0.0, 0.0)
+PARENT = [13.0, 14.0, 13.5, 13.8, 14.2, 13.6, 13.9, 13.7, 14.1, 13.4]
+CHANGE = [8.2, 8.4, 8.1, 8.3, 8.5, 8.0, 8.6, 8.2, 8.3, 8.4]
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +27,7 @@ def test_quartiles_interpolate(bench_pairs):
 
 
 def test_clear_gain_is_claimable(bench_pairs):
-    parent = [13.0, 14.0, 13.5, 13.8, 14.2, 13.6, 13.9, 13.7, 14.1, 13.4]
-    change = [8.2, 8.4, 8.1, 8.3, 8.5, 8.0, 8.6, 8.2, 8.3, 8.4]
-    s = bench_pairs.summarize(parent, change, "lower", 0.25)
+    s = bench_pairs.summarize(PARENT, CHANGE, "lower", 0.25, NO_FAILURES)
     assert s["pairs"] == 10 and s["wins"] == 10
     assert s["parent"][1] == pytest.approx(13.75) and s["change"][1] == pytest.approx(8.3)
     assert s["ratio"] == pytest.approx(8.3 / 13.75)
@@ -34,7 +35,8 @@ def test_clear_gain_is_claimable(bench_pairs):
 
 
 def test_ties_count_for_neither_side(bench_pairs):
-    s = bench_pairs.summarize([1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 0.5, 3.0], "lower", 0.25)
+    s = bench_pairs.summarize([1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 0.5, 3.0], "lower", 0.25,
+                              NO_FAILURES)
     assert s["wins"] == 1
     assert not s["claimable"]
 
@@ -42,31 +44,45 @@ def test_ties_count_for_neither_side(bench_pairs):
 def test_eight_wins_of_ten_is_no_claim(bench_pairs):
     parent = [10.0] * 10
     change = [5.0] * 8 + [11.0, 12.0]
-    s = bench_pairs.summarize(parent, change, "lower", 0.25)
+    s = bench_pairs.summarize(parent, change, "lower", 0.25, NO_FAILURES)
     assert s["wins"] == 8 and not s["claimable"]
 
 
 def test_gain_within_parent_spread_is_no_claim(bench_pairs):
     # Every pair won, but the medians differ by less than the parent's
     # interquartile range.
-    parent = [10.0, 12.0, 14.0, 16.0, 18.0]
-    change = [9.5, 11.5, 13.5, 15.5, 17.5]
-    s = bench_pairs.summarize(parent, change, "lower", 0.25)
-    assert s["wins"] == 5 and not s["claimable"]
+    parent = [10.0, 12.0, 14.0, 16.0, 18.0] * 2
+    change = [9.5, 11.5, 13.5, 15.5, 17.5] * 2
+    s = bench_pairs.summarize(parent, change, "lower", 0.25, NO_FAILURES)
+    assert s["wins"] == 10 and not s["claimable"]
+
+
+def test_fewer_than_ten_pairs_is_no_claim(bench_pairs):
+    # Three of three pairs won far outside the parent's spread, and a single
+    # pair, whose interquartile range is 0, are still too few to claim.
+    s = bench_pairs.summarize(PARENT[:3], CHANGE[:3], "lower", 0.25, NO_FAILURES)
+    assert s["wins"] == 3 and not s["claimable"]
+    assert not bench_pairs.summarize([14.0], [8.0], "lower", 0.25, NO_FAILURES)["claimable"]
+
+
+def test_more_failed_ops_is_no_claim(bench_pairs):
+    assert bench_pairs.summarize(PARENT, CHANGE, "lower", 0.25, (1e-3, 1e-3))["claimable"]
+    s = bench_pairs.summarize(PARENT, CHANGE, "lower", 0.25, (0.0, 1e-5))
+    assert s["wins"] == 10 and not s["claimable"]
 
 
 def test_breach_follows_the_bound_and_direction(bench_pairs):
     # peak_rss_mb, bound 0.1: +6 % is inside, +12 % breaches.
-    assert not bench_pairs.summarize([46.6] * 3, [49.4] * 3, "lower", 0.1)["breach"]
-    assert bench_pairs.summarize([46.6] * 3, [52.2] * 3, "lower", 0.1)["breach"]
+    assert not bench_pairs.summarize([46.6] * 3, [49.4] * 3, "lower", 0.1, NO_FAILURES)["breach"]
+    assert bench_pairs.summarize([46.6] * 3, [52.2] * 3, "lower", 0.1, NO_FAILURES)["breach"]
     # A higher-is-better metric breaches when it falls by more than its bound.
-    higher = bench_pairs.summarize([100.0] * 3, [70.0] * 3, "higher", 0.25)
+    higher = bench_pairs.summarize([100.0] * 3, [70.0] * 3, "higher", 0.25, NO_FAILURES)
     assert higher["breach"] and higher["wins"] == 0
-    assert bench_pairs.summarize([100.0] * 3, [130.0] * 3, "higher", 0.25)["wins"] == 3
+    assert bench_pairs.summarize([100.0] * 3, [130.0] * 3, "higher", 0.25, NO_FAILURES)["wins"] == 3
 
 
 def test_rejects_unpaired_runs(bench_pairs):
     with pytest.raises(ValueError):
-        bench_pairs.summarize([1.0, 2.0], [1.0], "lower", 0.25)
+        bench_pairs.summarize([1.0, 2.0], [1.0], "lower", 0.25, NO_FAILURES)
     with pytest.raises(ValueError):
-        bench_pairs.summarize([1.0], [1.0], "faster", 0.25)
+        bench_pairs.summarize([1.0], [1.0], "faster", 0.25, NO_FAILURES)

@@ -5,18 +5,20 @@
 For each workload and each pair i, it runs the command that
 ``BENCHMARK.json`` (read from CHANGE_DIR) declares, with
 ``--workload W --seed S+i --seconds T --trace 0``, once in each checkout,
-both on the same seed. The parent runs first in even pairs and the change
-in odd ones, so a drift in the host's speed does not favour one side.
+both on the same seed; T is the file's ``run_seconds``. The parent runs
+first in even pairs and the change in odd ones, so a drift in the host's
+speed does not favour one side.
 Each run is a fresh process from the checkout's own root and writes its
 record under that checkout's ``perfbench/results/``; nothing else is
-written unless ``--out`` names a file for the raw metrics.
+written.
 
 For every end-to-end metric it prints each side's median and quartiles,
 the ratio of the medians (change over parent), the pairs the change won
 (ties count for neither), whether the change's median is worse than the
 parent's by more than the metric's bound, and whether a gain could be
-claimed: the change wins at least nine tenths of the pairs and its median
-is better by more than the distance between the parent's quartiles.
+claimed: at least ten pairs ran, the change wins at least nine tenths of
+them, its median is better by more than the distance between the parent's
+quartiles, and no larger share of its operations failed.
 Only the standard library is used.
 """
 
@@ -39,10 +41,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+def summarize(parent: list[float], change: list[float], better: str, bound: float,
+              failed: tuple[float, float]) -> dict:
     """Compare one metric over pairs: ``parent[i]`` and ``change[i]`` ran on
     the same seed. ``better`` is "lower" or "higher"; ``bound`` is the
-    relative worsening of the median that counts as a regression."""
+    relative worsening of the median that counts as a regression;
+    ``failed`` is the share of failed operations over all runs of the
+    parent and of the change."""
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonempty run lists, got {len(parent)} and {len(change)}")
     if better not in ("lower", "higher"):
@@ -59,7 +64,8 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "ratio": c_med / p_med if p_med else float("nan"),
         "wins": wins,
         "breach": -gain > bound * abs(p_med),
-        "claimable": wins >= 0.9 * len(parent) and gain > p_q3 - p_q1,
+        "claimable": (len(parent) >= 10 and wins >= 0.9 * len(parent)
+                      and gain > p_q3 - p_q1 and failed[1] <= failed[0]),
     }
 
 
@@ -72,7 +78,7 @@ def format_row(name: str, unit: str, s: dict) -> str:
             f"{'  claimable' if s['claimable'] else ''}")
 
 
-def run_once(command: list[str], root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(command: list[str], root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced run in ``root``; its last stdout line, parsed."""
     cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
@@ -90,15 +96,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable); default: every one in BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, help="write every run's result line here as JSON")
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
-    raw = {}
+    seconds = bench["run_seconds"]
     ok = True
     for workload in workloads:
         runs = {"parent": [], "change": []}
@@ -111,25 +114,24 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} pair {i + 1} {side}: "
                       + json.dumps({k: v["value"] for k, v in result["metrics"].items()}),
                       file=sys.stderr, flush=True)
-        raw[workload] = runs
         print(f"{workload} ({args.pairs} pairs, {seconds:g} s runs, seeds "
               f"{args.first_seed}-{args.first_seed + args.pairs - 1}):")
+        shares = []
         for side, results in runs.items():
             bad = [r for r in results if not r["correct"] or r["failed"]]
             ok &= not bad
             failed = sum(r["failed"] for r in results)
             attempted = sum(r["attempted"] for r in results)
+            shares.append(failed / attempted if attempted else 0.0)
             print(f"  {side}: {len(results) - len(bad)}/{len(results)} runs correct, "
                   f"{failed} of {attempted} ops failed")
         for metric in bench["end_to_end"]:
             name = metric["name"]
             summary = summarize([r["metrics"][name]["value"] for r in runs["parent"]],
                                 [r["metrics"][name]["value"] for r in runs["change"]],
-                                metric["better"], metric["bound"])
+                                metric["better"], metric["bound"], tuple(shares))
             ok &= not summary["breach"]
             print(format_row(name, metric["unit"], summary))
-    if args.out:
-        args.out.write_text(json.dumps(raw, indent=1), encoding="utf-8")
     return 0 if ok else 1
 
 

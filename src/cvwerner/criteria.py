@@ -88,8 +88,8 @@ def enumerate_ppt_spectrum(params: WernerParams, n_max: int) -> np.ndarray:
 def ppt_spectrum_bruteforce(params: WernerParams, cutoff: FockCutoff) -> np.ndarray:
     """Eigenvalues of the partially transposed truncated state, sorted.
 
-    The state is built as a dense matrix, scanned once by its construction
-    checks and kept only as its nonzero pattern; the partial transpose
+    The state is built as its nonzero pattern, gated once at
+    construction, with no dense matrix made; the partial transpose
     permutes that pattern and the eigensolver splits it into blocks.
     """
     return _ppt_spectrum(werner_state(params, cutoff))

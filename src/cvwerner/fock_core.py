@@ -2,10 +2,11 @@
 
 Basis ordering is row-major with mode A as the slow index: the composite
 state |m>_A |n>_B sits at flat index m * n_max + n. A truncated state is
-given as a dense matrix, checked once, and kept only as its
-(rows, cols, values) nonzero pattern; every reader (partial transpose,
-qubit map, moments, cell check) gathers from that pattern, and with the
-fixed index convention the partial transpose is a pure permutation of it.
+given and kept as its row-major (rows, cols, values) nonzero pattern,
+checked once; no d x d matrix of it is ever made. Every reader (partial
+transpose, qubit map, moments, cell check) gathers from that pattern, and
+with the fixed index convention the partial transpose is a pure
+permutation of it.
 
 Truncated states are never renormalized; the probability mass lost to the
 cutoff is carried as ``trace_deficit`` metadata so that eigenvalues of the
@@ -15,13 +16,13 @@ state can be compared directly against infinite-dimensional closed forms.
 from __future__ import annotations
 
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatchError, NumericalConsistencyError, ParameterRangeError
-from .numerics import _nonzero_pattern
+from .errors import NumericalConsistencyError, ParameterRangeError
+from .numerics import _check_pattern
 
 
 def _check_n_max(n_max, paired: bool = False) -> int:
@@ -62,30 +63,24 @@ class TwoModeDensityMatrix:
     """Hermitian matrix on the truncated two-mode Fock space, kept as its
     nonzero pattern.
 
-    ``data``, the dense matrix, is a construction input only: one scan
-    checks it finite and Hermitian and takes ``pattern``, its read-only
-    nonzeros ``(rows, cols, values)``, row-sorted; the diagonal and trace
-    checks read it too, and then it is dropped.
+    ``pattern`` holds the nonzeros ``(rows, cols, values)`` in row-major
+    order, and is made read-only. One gate checks it at construction:
+    ``_check_pattern`` (indices inside the dimension, no position
+    repeated, values finite and Hermitian), then no diagonal entry below
+    -POSITIVITY_TOL and a trace that agrees with 1 - ``trace_deficit``.
     """
 
     cutoff: FockCutoff
-    data: InitVar[np.ndarray]
+    pattern: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     trace_deficit: float
-    pattern: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
-    def __post_init__(self, data: np.ndarray):
-        d = self.cutoff.dim
-        if data.shape != (d, d):
-            raise DimensionMismatchError(
-                f"expected {(d, d)} matrix for n_max={self.cutoff.n_max}, got {data.shape}"
-            )
-        pattern = _nonzero_pattern(data)
-        diag = np.diagonal(data)
-        if diag.real.min() < -tol.POSITIVITY_TOL:
-            raise NumericalConsistencyError(
-                f"negative diagonal entry {diag.real.min():.3e}"
-            )
-        tr = np.trace(data).real
+    def __post_init__(self):
+        rows, cols, values = pattern = tuple(np.asarray(part) for part in self.pattern)
+        _check_pattern(self.cutoff.dim, rows, cols, values)
+        diag = values[rows == cols].real
+        if diag.size and diag.min() < -tol.POSITIVITY_TOL:
+            raise NumericalConsistencyError(f"negative diagonal entry {diag.min():.3e}")
+        tr = float(diag.sum())
         if abs(tr - (1.0 - self.trace_deficit)) > tol.TRACE_CONSISTENCY_TOL:
             raise NumericalConsistencyError(
                 f"trace {tr} inconsistent with trace_deficit {self.trace_deficit}"

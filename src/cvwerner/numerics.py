@@ -4,9 +4,11 @@ Two pieces: an eigensolver for real symmetric or complex Hermitian
 matrices and the one 1-D quadrature rule, ``integrate_line``. The
 eigensolver works in two tiers on (rows, cols, values) triplets:
 ``hermitian_eigenvalues`` takes
-them from a dense matrix in one scan, which is also the library's one
-Hermiticity gate, and the brute-force partial-transpose spectrum passes
-them in directly from the state's own pattern. The first tier reads the
+them from a dense matrix in one scan and the brute-force partial-transpose
+spectrum passes them in directly from the state's own pattern. Both
+patterns have passed the library's one gate on triplets,
+``_check_pattern``: the dense scan runs it, and so does the state's
+constructor. The first tier reads the
 1x1 and 2x2 blocks off a count of each index's off-diagonal entries: an
 index with none is a 1x1 block, its diagonal entry, and two indices
 whose only entries are each other's mirror pair are a 2x2 block, solved
@@ -37,7 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainTooSmallError, HermiticityError, NumericalConsistencyError
+from .errors import (
+    DimensionMismatchError,
+    DomainTooSmallError,
+    HermiticityError,
+    NumericalConsistencyError,
+)
 
 
 @dataclass(frozen=True)
@@ -59,29 +66,57 @@ class EigenResult:
 
 # Underscored: perfbench's tracer wraps only public names, so the time of
 # the check stays charged to the eigensolve or state construction calling it.
-def _nonzero_pattern(a: np.ndarray):
-    """Nonzero pattern ``(rows, cols, values)`` of a square matrix, gated.
+def _check_pattern(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+    """The one gate of every matrix stored or solved, on its nonzero pattern
+    ``(rows, cols, values)`` as an n x n matrix.
 
-    The one Hermiticity gate of the library. Raises HermiticityError on a
-    non-finite entry, and when the largest |a_rc - conj(a_cr)| exceeds
-    HERMITICITY_TOL times max(1, max |a|). Taken over the pattern, that
-    deviation equals the dense maximum, since an entry outside the pattern
-    and its mirror both vanish; on the diagonal it is 2 |Im a_rr|.
+    Raises DimensionMismatchError unless the three are 1-D of one length,
+    every index lies in [0, n) and the flat keys row * n + col strictly
+    increase (row-major, no position repeated); HermiticityError on a
+    non-finite value, and when the largest |a_rc - conj(a_cr)| exceeds
+    HERMITICITY_TOL times max(1, max |a|). Each entry's mirror is found by
+    its flat key, and an absent mirror is 0, so the deviation equals the
+    dense maximum; on the diagonal it is 2 |Im a_rr|.
     """
+    if not (rows.ndim == 1 and rows.shape == cols.shape == values.shape):
+        raise DimensionMismatchError(
+            f"pattern parts must be 1-D of one length, got shapes "
+            f"{rows.shape}, {cols.shape}, {values.shape}")
+    if not values.size:
+        return
+    low, high = cols.min(), cols.max()
+    if low < 0 or high >= n:
+        raise DimensionMismatchError(
+            f"pattern column {low if low < 0 else high} outside a {n} x {n} matrix")
+    keys = rows * n + cols
+    if not (keys[1:] > keys[:-1]).all():
+        raise DimensionMismatchError("pattern positions must be row-major with none repeated")
+    # With every column in range and the keys increasing, the rows lie in
+    # range exactly when the first and last keys do.
+    if keys[0] < 0 or keys[-1] >= n * n:
+        raise DimensionMismatchError(
+            f"pattern row {rows[0] if keys[0] < 0 else rows[-1]} outside a {n} x {n} matrix")
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise HermiticityError(
+            f"matrix entry ({rows[i]}, {cols[i]}) is not finite: {values[i]}")
+    mirror = cols * n + rows
+    at = np.searchsorted(keys, mirror)
+    partner = np.where(keys.take(at, mode="clip") == mirror,
+                       values.take(at, mode="clip").conj(), 0.0)
+    deviation = float(np.abs(values - partner).max())
+    if deviation > tol.HERMITICITY_TOL * max(1.0, float(np.abs(values).max())):
+        raise HermiticityError(f"matrix is not Hermitian: max deviation {deviation:.3e}")
+
+
+def _nonzero_pattern(a: np.ndarray):
+    """Nonzero pattern ``(rows, cols, values)`` of a dense square matrix,
+    row-major, passed through ``_check_pattern``."""
     # flatnonzero of the mask is several times faster than 2-D np.nonzero
     # on a sparse pattern; NaN != 0, so non-finite entries are kept.
     rows, cols = np.divmod(np.flatnonzero(a != 0), a.shape[1])
     values = a[rows, cols]
-    if not values.size:
-        return rows, cols, values
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise HermiticityError(
-            f"matrix entry ({rows[i]}, {cols[i]}) is not finite: {values[i]}")
-    deviation = float(np.abs(values - a[cols, rows].conj()).max())
-    if deviation > tol.HERMITICITY_TOL * max(1.0, float(np.abs(values).max())):
-        raise HermiticityError(f"matrix is not Hermitian: max deviation {deviation:.3e}")
+    _check_pattern(a.shape[0], rows, cols, values)
     return rows, cols, values
 
 

@@ -14,15 +14,15 @@ constructor holds the exact geometric tail it truncates to the cutoff's
 tail_bound and raises CutoffTooSmallError past it. The lost trace mass
 is carried on the returned state as trace_deficit.
 
-The matrix comes from one builder, which fills a single zeroed
-n_max^2 x n_max^2 float64 buffer (8 n_max^4 bytes: 2.65 MB at
-n_max = 24): the squeezed-vacuum coherences go into the n_max x n_max
-sub-block of the |m,m> rows and columns, and the thermal product is
-added onto the diagonal. Every amplitude and weight is real, so the
-state is real symmetric and needs no complex buffer. No other entry is
-nonzero, so no dense temporary of the full size is made. The buffer is
-the state's construction input only: the returned state keeps its
-nonzero pattern, 2 n_max^2 - n_max entries, and the buffer is dropped.
+The state is built as its nonzero pattern, and no n_max^2 x n_max^2
+matrix is made. The squeezed-vacuum coherences |m,m><k,k| sit where the
+rows and columns at flat indices m (n_max + 1) cross, and the thermal
+product is the diagonal: 2 n_max^2 - n_max entries, whose row-major
+(rows, cols, values) triplets come straight from the amplitudes and the
+thermal weights (0.2 MB at n_max = 64, where the dense matrix would take
+134 MB). Every amplitude and weight is real, so the values are float64.
+An entry that is exactly zero (a component at weight 0, or a product
+that underflows) is dropped, as a scan of the dense matrix drops it.
 """
 
 from __future__ import annotations
@@ -87,22 +87,36 @@ def _thermal_deficit(lam2: float, n_max: int) -> float:
     return x * (2.0 - x)
 
 
-def _werner_data(p: float, lam1: float, lam2: float, n_max: int) -> np.ndarray:
-    """Real matrix of p * NOPA(lam1) + (1 - p) * thermal(lam2) x thermal(lam2).
+def _werner_pattern(p: float, lam1: float, lam2: float, n_max: int):
+    """Row-major nonzeros ``(rows, cols, values)`` of
+    p * NOPA(lam1) + (1 - p) * thermal(lam2) x thermal(lam2).
 
-    Only two patterns are nonzero: the squeezed-vacuum coherences
-    |m,m><k,k|, which sit at flat indices m (n_max + 1), and the thermal
-    diagonal. Each is written into one zeroed buffer.
+    Row by row, the pattern is n_max runs: row |m,m> with its n_max
+    coherences (its thermal weight added on the diagonal), then the n_max
+    rows up to |m+1,m+1>, each holding its thermal weight alone; the last
+    run has no such rows. Each run is one row of an n_max x 2 n_max table.
     """
     levels = np.arange(n_max)
     amps = math.sqrt(1.0 - lam1 * lam1) * lam1 ** levels
     probs = (1.0 - lam2 * lam2) * lam2 ** (2 * levels)
-    d = n_max * n_max
-    data = np.zeros((d, d))
+    thermal = (1.0 - p) * np.outer(probs, probs).ravel()
+    coherences = p * np.outer(amps, amps)
     pairs = levels * (n_max + 1)
-    data[np.ix_(pairs, pairs)] = p * np.outer(amps, amps)
-    data.reshape(-1)[:: d + 1] += (1.0 - p) * np.outer(probs, probs).ravel()
-    return data
+    coherences[levels, levels] += thermal[pairs]
+    # Flat indices 1 .. d - 1 come in runs of n_max + 1: the n_max
+    # thermal-only rows after one |m,m>, then the next |m,m>, cut off here.
+    runs = (n_max - 1, n_max + 1)
+    rows = np.empty((n_max, 2 * n_max), dtype=np.intp)
+    rows[:, :n_max] = pairs[:, None]
+    rows[:-1, n_max:] = np.arange(1, n_max * n_max).reshape(runs)[:, :n_max]
+    cols = rows.copy()
+    cols[:, :n_max] = pairs
+    values = np.empty((n_max, 2 * n_max))
+    values[:, :n_max] = coherences
+    values[:-1, n_max:] = thermal[1:].reshape(runs)[:, :n_max]
+    rows, cols, values = (part.ravel()[:-n_max] for part in (rows, cols, values))
+    kept = values != 0.0
+    return rows[kept], cols[kept], values[kept]
 
 
 def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatrix:
@@ -119,6 +133,6 @@ def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatr
         raise CutoffTooSmallError(
             f"Werner tail {deficit:.3e} exceeds tail_bound {cutoff.tail_bound:.3e} "
             f"at n_max={n}")
-    data = _werner_data(p, params.lambda1, params.lambda2, n)
-    return TwoModeDensityMatrix(cutoff=cutoff, data=data, trace_deficit=deficit)
+    pattern = _werner_pattern(p, params.lambda1, params.lambda2, n)
+    return TwoModeDensityMatrix(cutoff=cutoff, pattern=pattern, trace_deficit=deficit)
 

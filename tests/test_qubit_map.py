@@ -8,7 +8,7 @@ import pytest
 
 from cvwerner import qubit_map as qm
 from cvwerner.errors import NumericalConsistencyError
-from cvwerner.fock_core import FockCutoff, TwoModeDensityMatrix
+from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import hermitian_eigenvalues
 from cvwerner.qubit_map import (
     bell_max,
@@ -23,7 +23,7 @@ from cvwerner.qubit_map import (
     partial_transpose_qubit,
 )
 from cvwerner.states import WernerParams, werner_state
-from densify import dense
+from densify import dense, state
 
 CUTOFF = FockCutoff(n_max=16, tail_bound=0.999)
 
@@ -57,9 +57,7 @@ def random_density(n_max, seed):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     data = g @ g.conj().T
     data /= np.trace(data).real
-    return TwoModeDensityMatrix(
-        cutoff=FockCutoff(n_max=n_max, tail_bound=0.5), data=data, trace_deficit=0.0
-    )
+    return state(data)
 
 
 class TestSpinOperators:

@@ -1,6 +1,7 @@
 """Tests for the Werner-family state constructors and their cutoff checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cvwerner import criteria, qubit_map, states, teleport
 from cvwerner.errors import CutoffTooSmallError, CvWernerError, ParameterRangeError
 from cvwerner.fock_core import FockCutoff
+from cvwerner.numerics import _nonzero_pattern
 from cvwerner.states import WernerParams, werner_state
 from densify import dense
 
@@ -260,17 +262,26 @@ class TestWernerState:
             werner_state(WernerParams(p=0.5, r=1.0, s=1.0),
                          FockCutoff(n_max=6, tail_bound=1e-10))
 
+    # At s = 1e-5 the thermal products of high levels underflow to 0, and
+    # at r = 1e-10 so do the coherences between them: the pattern drops
+    # those entries as the dense scan does.
     @pytest.mark.parametrize("n_max", [2, 12, 24, 32])
-    @pytest.mark.parametrize("r, s", [(0.9, 0.6), (0.0, 0.6), (0.9, 0.0)])
+    @pytest.mark.parametrize("r, s", [(0.9, 0.6), (0.0, 0.6), (0.9, 0.0),
+                                      (0.9, 1e-5), (1e-10, 1e-5)])
     def test_bit_identical_to_dense_reference(self, n_max, r, s):
         cutoff = FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15)
         for p in (0.0, 0.37, 1.0):
             nopa, thermal, mixture = dense_reference(p, r, s, n_max)
             rho = werner_state(WernerParams(p=p, r=r, s=s), cutoff)
             # The state is real: the complex reference has no imaginary
-            # part, and its real part has the state's bits.
+            # part, and its real part has the state's bits, entry for entry
+            # and as a pattern.
             assert not mixture.imag.any()
             assert same_bits(dense(rho.pattern, cutoff.dim), mixture.real)
+            reference = _nonzero_pattern(mixture.real)
+            for part, expected in zip(rho.pattern, reference):
+                assert part.dtype == expected.dtype
+                assert same_bits(part, expected)
             if p == 1.0:
                 assert same_bits(mixture, nopa)
             if p == 0.0:
@@ -282,9 +293,25 @@ def test_werner_matrices_are_float64():
     # thermal weights are real, so no complex buffer is made.
     rho = werner_state(POINT, LOOSE)
     assert rho.pattern[2].dtype == np.float64
+    assert qubit_map.map_to_qubits(rho).dtype == np.float64
     assert criteria.reconstruct_from_cells(POINT, 6).dtype == np.float64
     assert qubit_map.closed_form_two_qubit(POINT).dtype == np.float64
     assert qubit_map.closed_form_two_qubit(POINT, n_max=6).dtype == np.float64
+
+
+def test_no_dense_matrix_is_made():
+    # The state is built as its 2 n_max^2 - n_max triplets: at n_max = 64
+    # they take 0.19 MB, where a dense float64 matrix would take 134 MB.
+    cutoff = FockCutoff(n_max=64, tail_bound=1.0 - 1e-15)
+    werner_state(POINT, cutoff)
+    tracemalloc.start()
+    try:
+        rho = werner_state(POINT, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.pattern[2].size == 2 * 64 ** 2 - 64
+    assert peak < 2e6
 
 
 class TestMinimalCutoff:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria as cr
+from . import numerics as nm
 from . import qubit_map as qm
 from . import teleport as tp
 from . import tolerances as tol
@@ -70,7 +71,7 @@ def _threshold_criterion(name: str, column: str,
 
 
 def _fidelity_line(params: WernerParams) -> str:
-    # perfbench's EvalPoints.check requires this line at r != s (ROADMAP item 7).
+    # perfbench's EvalPoints.check requires this line at r != s (ROADMAP item 1(a)).
     if params.r != params.s:
         return "fidelity_w: requires r = s, skipped"
     report = tp.fidelity_report(params)
@@ -251,11 +252,14 @@ def _matrix_deviations(params: WernerParams) -> tuple[float, float, float]:
     truncated = qm.closed_form_two_qubit(params, n_max=VALIDATE_N_MAX)
     qubit = np.maximum(np.abs(rho4 - truncated).max(),
                        np.abs(rho4 - qm._map_via_moments(rho)).max())
-    # An entry of the reconstruction off the state's pattern stays as it is.
-    rows, cols, values = rho.pattern
-    cells = cr.reconstruct_from_cells(params, VALIDATE_N_MAX)
-    cells[rows, cols] -= values
-    return float(np.abs(spectrum).max()), float(qubit), float(np.abs(cells).max())
+    # Each pattern's entries against the other's at the same flat key, so an
+    # entry that one of them lacks counts at its full value.
+    (keys, values), (cell_keys, cell_values) = (
+        (rows * rho.cutoff.dim + cols, values) for rows, cols, values in
+        (rho.pattern, cr.reconstruct_from_cells(params, VALIDATE_N_MAX)))
+    cells = np.maximum(np.abs(cell_values - nm._at_keys(keys, values, cell_keys)).max(),
+                       np.abs(values - nm._at_keys(cell_keys, cell_values, keys)).max())
+    return float(np.abs(spectrum).max()), float(qubit), float(cells)
 
 
 def _ordering_deviation(params: WernerParams) -> float:

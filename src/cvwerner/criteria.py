@@ -11,7 +11,9 @@ table, ``_block_weights``; the k -> infinity regime rules live in
 (q_tilde = lambda1 / lambda2^4). The printed thresholds and the
 ``validate`` partners of the enumerated spectrum and the cell
 reconstruction all read them, so ``validate`` checks against the
-brute-force state the weights the thresholds use. The direct threshold's
+brute-force state the weights the thresholds use. The cell reconstruction
+is triplets on the state's own positions (``states._werner_layout``), so
+no d x d matrix is made. The direct threshold's
 partner, ``direct_threshold_pencil``, reads no weight: it solves the
 pencil of the truncated state's partial transpose at p = 1 against its
 diagonal at p = 0 once, for the closed form of the same truncation.
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import NumericalConsistencyError, ParameterRangeError
 from .fock_core import FockCutoff, TwoModeDensityMatrix, _check_n_max, partial_transpose_A
 from .numerics import _pattern_eigenvalues, _pencil_threshold
-from .states import WernerParams, _check_rs, werner_state
+from .states import WernerParams, _check_rs, _werner_layout, werner_state
 from .tolerances import SQUEEZING_CONSISTENCY_TOL
 
 # Criterion identifiers used in verdicts and CLI output.
@@ -196,34 +198,28 @@ def threshold_verdict(criterion: str, params: WernerParams, threshold: float) ->
                             margin=margin, method="analytic")
 
 
-def reconstruct_from_cells(params: WernerParams, n_max: int) -> np.ndarray:
+def reconstruct_from_cells(params: WernerParams, n_max: int):
     """Rebuild the Werner matrix truncated to n_max levels per mode from its
-    cell decomposition.
+    cell decomposition, as triplets on the state's layout (``_werner_layout``).
 
     The state is the sum of weights P_m on |m,m><m,m| and of 4x4 cells on
     span{|mm>, |mn>, |nm>, |nn>} over ordered pairs m != n. With k = m + n,
     the cell entries are the pair terms gamma = (1 - p) t_k and beta = p c_k
     of ``_pair_terms`` and alpha = p c_k^2 + (1 - p) b_k; P_m = alpha(m, m).
-    So diagonal entries |m,m> take the sum of alpha(m, n) over all n >= 0,
-    partners beyond the cutoff included: a geometric series over k >= m for
-    each cell weight, whose ratio is that of its values at k = 1 and k = 0.
+    So |m,n> takes gamma, |m,m><n,n| beta (half from each of two cells), and
+    |m,m> the sum of alpha(m, n) over all n >= 0, partners beyond the cutoff
+    included: a geometric series over k >= m for each cell weight, whose
+    ratio is that of its values at k = 1 and k = 0.
     """
     n_max = _check_n_max(n_max)
-    d = n_max * n_max
-    data = np.zeros((d, d))
-
-    # |m,n> sits at flat index m n_max + n, so |m,m> at m (n_max + 1).
     levels = np.arange(n_max)
-    pairs = levels * (n_max + 1)
-    m, n = np.divmod(np.arange(d), n_max)
-    data.reshape(-1)[:: d + 1] = _pair_terms(params, m + n)[0]
+    # k = m + n: on |m,m><n,n| as a table, on |m,n> (flat index m n_max + n) raveled.
+    k = np.add.outer(levels, levels)
+    beta = _pair_terms(params, k)[1]
     thermal, coherence = _block_weights(params.lambda1, params.lambda2, levels, cell=True)
-    data[pairs, pairs] = (params.p * coherence ** 2 / (1 - (coherence[1] / coherence[0]) ** 2)
-                          + (1 - params.p) * thermal / (1 - thermal[1] / thermal[0]))
-    # The cells of (m, n) and (n, m) each put half of beta on |m,m><n,n|.
-    m, n = np.triu_indices(n_max, 1)
-    data[pairs[m], pairs[n]] = data[pairs[n], pairs[m]] = _pair_terms(params, m + n)[1]
-    return data
+    beta[levels, levels] = (params.p * coherence ** 2 / (1 - (coherence[1] / coherence[0]) ** 2)
+                            + (1 - params.p) * thermal / (1 - thermal[1] / thermal[0]))
+    return _werner_layout(beta, _pair_terms(params, k.ravel())[0])
 
 
 def _positivity_limit(l1: float, l2: float) -> tuple[float, float]:

@@ -64,6 +64,12 @@ class EigenResult:
     max_residual: float
 
 
+def _at_keys(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """``values`` at the flat keys ``wanted`` (0 where absent), searched in sorted ``keys``."""
+    at = np.searchsorted(keys, wanted)
+    return np.where(keys.take(at, mode="clip") == wanted, values.take(at, mode="clip"), 0.0)
+
+
 # Underscored: perfbench's tracer wraps only public names, so the time of
 # the check stays charged to the eigensolve or state construction calling it.
 def _check_pattern(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
@@ -100,11 +106,7 @@ def _check_pattern(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarra
         i = int(np.argmin(np.isfinite(values)))
         raise HermiticityError(
             f"matrix entry ({rows[i]}, {cols[i]}) is not finite: {values[i]}")
-    mirror = cols * n + rows
-    at = np.searchsorted(keys, mirror)
-    partner = np.where(keys.take(at, mode="clip") == mirror,
-                       values.take(at, mode="clip").conj(), 0.0)
-    deviation = float(np.abs(values - partner).max())
+    deviation = float(np.abs(values - _at_keys(keys, values, cols * n + rows).conj()).max())
     if deviation > tol.HERMITICITY_TOL * max(1.0, float(np.abs(values).max())):
         raise HermiticityError(f"matrix is not Hermitian: max deviation {deviation:.3e}")
 
@@ -267,7 +269,7 @@ def hermitian_eigenvalues(a: np.ndarray) -> EigenResult:
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise HermiticityError(f"expected a square matrix, got shape {a.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return _pattern_eigenvalues(a.shape[0], *_nonzero_pattern(a))
 
 

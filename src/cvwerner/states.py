@@ -17,12 +17,13 @@ is carried on the returned state as trace_deficit.
 The state is built as its nonzero pattern, and no n_max^2 x n_max^2
 matrix is made. The squeezed-vacuum coherences |m,m><k,k| sit where the
 rows and columns at flat indices m (n_max + 1) cross, and the thermal
-product is the diagonal: 2 n_max^2 - n_max entries, whose row-major
-(rows, cols, values) triplets come straight from the amplitudes and the
-thermal weights (0.2 MB at n_max = 64, where the dense matrix would take
-134 MB). Every amplitude and weight is real, so the values are float64.
-An entry that is exactly zero (a component at weight 0, or a product
-that underflows) is dropped, as a scan of the dense matrix drops it.
+product is the diagonal: 2 n_max^2 - n_max entries (0.2 MB at n_max =
+64, where the dense matrix would take 134 MB), laid out as row-major
+(rows, cols, values) triplets by ``_werner_layout``, which the cell
+reconstruction shares. Every amplitude and weight is real, so the values
+are float64. An entry that is exactly zero (a component at weight 0, or
+a product that underflows) is dropped, as a scan of the dense matrix
+drops it.
 """
 
 from __future__ import annotations
@@ -87,33 +88,25 @@ def _thermal_deficit(lam2: float, n_max: int) -> float:
     return x * (2.0 - x)
 
 
-def _werner_pattern(p: float, lam1: float, lam2: float, n_max: int):
-    """Row-major nonzeros ``(rows, cols, values)`` of
-    p * NOPA(lam1) + (1 - p) * thermal(lam2) x thermal(lam2).
-
-    Row by row, the pattern is n_max runs: row |m,m> with its n_max
-    coherences (its thermal weight added on the diagonal), then the n_max
-    rows up to |m+1,m+1>, each holding its thermal weight alone; the last
-    run has no such rows. Each run is one row of an n_max x 2 n_max table.
+def _werner_layout(coherences: np.ndarray, diagonal: np.ndarray):
+    """Row-major nonzeros ``(rows, cols, values)`` of the n_max^2 x n_max^2
+    matrix with ``coherences[m, k]`` on |m,m><k,k| and ``diagonal[i]`` on
+    the rest of the diagonal, |m,n> at flat index i = m n_max + n: the one
+    layout of the truncated Werner matrix. Row by row it is n_max runs, each
+    one row of an n_max x 2 n_max table: row |m,m> with its n_max
+    coherences, then the n_max rows up to |m+1,m+1>, each holding its
+    diagonal entry alone (none after the last). Exact zeros are dropped.
     """
-    levels = np.arange(n_max)
-    amps = math.sqrt(1.0 - lam1 * lam1) * lam1 ** levels
-    probs = (1.0 - lam2 * lam2) * lam2 ** (2 * levels)
-    thermal = (1.0 - p) * np.outer(probs, probs).ravel()
-    coherences = p * np.outer(amps, amps)
-    pairs = levels * (n_max + 1)
-    coherences[levels, levels] += thermal[pairs]
-    # Flat indices 1 .. d - 1 come in runs of n_max + 1: the n_max
-    # thermal-only rows after one |m,m>, then the next |m,m>, cut off here.
-    runs = (n_max - 1, n_max + 1)
-    rows = np.empty((n_max, 2 * n_max), dtype=np.intp)
-    rows[:, :n_max] = pairs[:, None]
-    rows[:-1, n_max:] = np.arange(1, n_max * n_max).reshape(runs)[:, :n_max]
+    n_max = coherences.shape[0]
+    pairs = np.arange(n_max) * (n_max + 1)
+    # Run m: row |m,m> n_max times, then the n_max rows after it (past d in
+    # the last run, which is cut).
+    rows = pairs[:, None] + np.concatenate([np.zeros(n_max, np.intp), np.arange(1, n_max + 1)])
     cols = rows.copy()
     cols[:, :n_max] = pairs
     values = np.empty((n_max, 2 * n_max))
     values[:, :n_max] = coherences
-    values[:-1, n_max:] = thermal[1:].reshape(runs)[:, :n_max]
+    values[:-1, n_max:] = diagonal[1:].reshape(n_max - 1, n_max + 1)[:, :n_max]
     rows, cols, values = (part.ravel()[:-n_max] for part in (rows, cols, values))
     kept = values != 0.0
     return rows[kept], cols[kept], values[kept]
@@ -126,13 +119,20 @@ def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatr
     tails, is held to the cutoff's tail_bound, so one component alone may
     exceed it.
     """
-    n, p = cutoff.n_max, params.p
-    deficit = (p * _nopa_deficit(params.lambda1, n)
-               + (1.0 - p) * _thermal_deficit(params.lambda2, n))
+    n, p, lam1, lam2 = cutoff.n_max, params.p, params.lambda1, params.lambda2
+    deficit = p * _nopa_deficit(lam1, n) + (1.0 - p) * _thermal_deficit(lam2, n)
     if deficit > cutoff.tail_bound:
         raise CutoffTooSmallError(
             f"Werner tail {deficit:.3e} exceeds tail_bound {cutoff.tail_bound:.3e} "
             f"at n_max={n}")
-    pattern = _werner_pattern(p, params.lambda1, params.lambda2, n)
-    return TwoModeDensityMatrix(cutoff=cutoff, pattern=pattern, trace_deficit=deficit)
+    # The squeezed-vacuum coherences, each |m,m> with its thermal weight
+    # added, and the thermal weights on the rest of the diagonal.
+    levels = np.arange(n)
+    amps = math.sqrt(1.0 - lam1 * lam1) * lam1 ** levels
+    probs = (1.0 - lam2 * lam2) * lam2 ** (2 * levels)
+    thermal = (1.0 - p) * np.outer(probs, probs).ravel()
+    coherences = p * np.outer(amps, amps)
+    coherences[levels, levels] += thermal[levels * (n + 1)]
+    return TwoModeDensityMatrix(cutoff=cutoff, pattern=_werner_layout(coherences, thermal),
+                                trace_deficit=deficit)
 

@@ -172,7 +172,7 @@ def test_criterion_08_cell_decomposition_reconstruction():
     cutoff = FockCutoff(n_max=12, tail_bound=0.999)
     for params in GRID_27:
         rho = werner_state(params, cutoff)
-        rebuilt = cr.reconstruct_from_cells(params, cutoff.n_max)
+        rebuilt = dense(cr.reconstruct_from_cells(params, cutoff.n_max), cutoff.dim)
         assert np.abs(rebuilt - dense(rho.pattern, cutoff.dim)).max() < 1e-10, f"{params}"
         separable = params.p <= cr.largest_separable_p(params.r, params.s)
         entangled = params.p > cr.direct_entanglement_threshold(params.r, params.s)

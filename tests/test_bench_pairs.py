@@ -2,6 +2,7 @@
 benchmark is run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,15 @@ def test_rejects_unpaired_runs(bench_pairs):
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower", 0.25, NO_FAILURES)
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0], [1.0], "faster", 0.25, NO_FAILURES)
+
+
+def test_sample_medians_are_read_and_printed_ungated(bench_pairs, tmp_path):
+    # A stand-in for perfbench/run.py: the named line, then the result line.
+    script = ("print('named: {\"validate_pass_s\": {\"value\": 0.0061, \"unit\": \"s\"}}');"
+              "print('{\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {}}')")
+    result = bench_pairs.run_once([sys.executable, "-c", script], tmp_path, "validate_suite", 1, 34)
+    assert result["named"] == {"validate_pass_s": {"value": 0.0061, "unit": "s"}}
+    assert result["correct"] and result["metrics"] == {}
+    row = bench_pairs.format_sample_row("validate_pass_s", "s", [6.0, 6.2, 6.1], [5.0, 5.2, 5.1])
+    assert row == ("  validate_pass_s (s, not gated): parent 6.1 [6.05, 6.15]"
+                   "  change 5.1 [5.05, 5.15]  ratio 0.836")

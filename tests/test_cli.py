@@ -23,7 +23,9 @@ from cvwerner.cli import (
     run_sweep,
     run_validation,
 )
+from cvwerner.fock_core import FockCutoff
 from cvwerner.states import WernerParams
+from densify import dense
 from test_teleport import closed_form_fidelity
 
 
@@ -558,19 +560,44 @@ class TestValidate:
 
     def test_cell_fault_off_the_pattern_is_detected(self, monkeypatch):
         # |0,0><0,1| is zero in the Werner state, so it is not in its
-        # pattern; a fault there alone still fails the cell check.
+        # pattern; an extra reconstruction entry there alone still fails
+        # the cell check.
         reconstruct = cr.reconstruct_from_cells
 
         def faulty(params, n_max):
-            cells = reconstruct(params, n_max)
-            cells[0, 1] += 1e-9
-            return cells
+            rows, cols, values = reconstruct(params, n_max)
+            return np.insert(rows, 1, 0), np.insert(cols, 1, 1), np.insert(values, 1, 1e-9)
 
         monkeypatch.setattr(cr, "reconstruct_from_cells", faulty)
         results, ok = run_validation(2)
         assert not ok
         failing = [r.name for r in results if not r.passed]
         assert failing == ["cell decomposition (reconstruction)"]
+
+    def test_cell_missing_from_the_reconstruction_is_detected(self, monkeypatch):
+        # The reconstruction lacks the state's first entry, the weight on
+        # |0,0>: it counts at its full value.
+        reconstruct = cr.reconstruct_from_cells
+        monkeypatch.setattr(cr, "reconstruct_from_cells",
+                            lambda params, n_max: tuple(part[1:] for part in
+                                                        reconstruct(params, n_max)))
+        results, ok = run_validation(2)
+        assert not ok
+        failing = [r for r in results if not r.passed]
+        assert [r.name for r in failing] == ["cell decomposition (reconstruction)"]
+        assert failing[0].worst_deviation > tol.MAP_CONSISTENCY_TOL
+
+    def test_cell_deviation_is_the_dense_difference(self):
+        # At s = 1e-20 the state drops its underflowed thermal entries; the
+        # keyed comparison still gives the dense matrix difference bit for bit.
+        params = WernerParams(p=0.5, r=1.0, s=1e-20)
+        n_max = cli.VALIDATE_N_MAX
+        rho = cli.werner_state(params, FockCutoff(n_max=n_max, tail_bound=1.0 - 1e-15))
+        assert rho.pattern[0].size < 2 * n_max ** 2 - n_max
+        cells = dense(cr.reconstruct_from_cells(params, n_max), rho.cutoff.dim)
+        rows, cols, values = rho.pattern
+        cells[rows, cols] -= values
+        assert cli._matrix_deviations(params)[2] == float(np.abs(cells).max())
 
     def test_nan_deviation_fails(self, monkeypatch, capsys):
         # dev > tolerance is false for NaN; the check must still fail and

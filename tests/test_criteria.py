@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,7 +25,7 @@ from cvwerner.criteria import (
     squeezing_variance_analytic,
     squeezing_variance_direct,
 )
-from cvwerner import criteria
+from cvwerner import criteria, states
 from cvwerner.cli import CRITERIA
 from cvwerner.errors import ParameterRangeError
 from cvwerner.fock_core import FockCutoff
@@ -424,19 +425,67 @@ def reconstruct_from_cells_reference(params, n_max):
     return data
 
 
+def reconstruct_from_cells_dense(params, n_max):
+    """The d x d reconstruction that the triplets replaced: every flat index
+    takes gamma on its diagonal, then the alpha-sums and beta are written."""
+    d = n_max * n_max
+    data = np.zeros((d, d))
+    levels = np.arange(n_max)
+    pairs = levels * (n_max + 1)
+    m, n = np.divmod(np.arange(d), n_max)
+    data.reshape(-1)[:: d + 1] = criteria._pair_terms(params, m + n)[0]
+    thermal, coherence = criteria._block_weights(params.lambda1, params.lambda2, levels, cell=True)
+    data[pairs, pairs] = (params.p * coherence ** 2 / (1 - (coherence[1] / coherence[0]) ** 2)
+                          + (1 - params.p) * thermal / (1 - thermal[1] / thermal[0]))
+    m, n = np.triu_indices(n_max, 1)
+    data[pairs[m], pairs[n]] = data[pairs[n], pairs[m]] = criteria._pair_terms(params, m + n)[1]
+    return data
+
+
 class TestSeparabilityCells:
     def test_reconstruction_is_exact(self):
         params = WernerParams(p=0.5, r=1.0, s=1.0)
         rho = werner_state(params, CUTOFF)
-        rebuilt = reconstruct_from_cells(params, CUTOFF.n_max)
+        rebuilt = dense(reconstruct_from_cells(params, CUTOFF.n_max), CUTOFF.dim)
         assert np.abs(rebuilt - dense(rho.pattern, CUTOFF.dim)).max() < 1e-10
 
     @pytest.mark.parametrize("p, r, s", SEEDED_POINTS)
     def test_reconstruction_matches_scalar_loop(self, p, r, s):
         params = WernerParams(p=p, r=r, s=s)
         for n_max in (2, 7, 12):
-            rebuilt = reconstruct_from_cells(params, n_max)
+            rebuilt = dense(reconstruct_from_cells(params, n_max), n_max * n_max)
             assert np.abs(rebuilt - reconstruct_from_cells_reference(params, n_max)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n_max", [2, 3, 12, 32])
+    def test_triplets_are_the_dense_reconstruction(self, n_max):
+        # Bit for bit on the state's positions, exact zeros dropped (s = 1e-20
+        # underflows the thermal products), and nothing anywhere else.
+        edges = [(0.0, 0.7, 0.4), (1.0, 0.7, 0.4), (0.5, 0.0, 0.4), (0.5, 1.0, 1e-20),
+                 (1.0, 0.0, 1e-20)]
+        for p, r, s in SEEDED_POINTS[:12] + edges:
+            params = WernerParams(p=p, r=r, s=s)
+            rows, cols, values = reconstruct_from_cells(params, n_max)
+            layout = states._werner_layout(np.ones((n_max, n_max)), np.ones(n_max ** 2))
+            assert np.isin(rows * n_max ** 2 + cols, layout[0] * n_max ** 2 + layout[1]).all()
+            reference = reconstruct_from_cells_dense(params, n_max)
+            assert values.dtype == np.float64 and values.all()
+            assert (values.view(np.int64) == reference[rows, cols].view(np.int64)).all()
+            reference[rows, cols] = 0.0
+            assert not reference.any()
+
+    def test_no_dense_matrix_is_made(self):
+        # The reconstruction is at most 2 n_max^2 - n_max triplets: at
+        # n_max = 64 a dense float64 matrix would take 134 MB.
+        params = WernerParams(p=0.5, r=1.0, s=1.0)
+        reconstruct_from_cells(params, 64)
+        tracemalloc.start()
+        try:
+            rows = reconstruct_from_cells(params, 64)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.size == 2 * 64 ** 2 - 64
+        assert peak < 2e6
 
     def test_cell_weights_sum_to_one(self):
         params = WernerParams(p=0.4, r=0.9, s=1.1)

@@ -30,6 +30,7 @@ from cvwerner.criteria import reconstruct_from_cells
 from cvwerner.qubit_map import closed_form_two_qubit, partial_transpose_qubit
 from cvwerner.states import WernerParams
 from cvwerner.teleport import fidelity_werner
+from densify import dense
 
 lam, lam1, lam2, p = sp.symbols("lambda lambda1 lambda2 p", positive=True)
 h, k, m = sp.symbols("h k m", integer=True, nonnegative=True)
@@ -129,8 +130,8 @@ class TestCellDiagonal:
         levels = np.arange(n_max)
         for p_, r, s in zip(rng.uniform(0, 1, 7), rng.uniform(0.05, 2, 7), rng.uniform(0.05, 2, 7)):
             params = WernerParams(p=p_, r=r, s=s)
-            diagonal = reconstruct_from_cells(params, n_max)[levels * (n_max + 1),
-                                                             levels * (n_max + 1)]
+            diagonal = dense(reconstruct_from_cells(params, n_max), n_max * n_max)[
+                levels * (n_max + 1), levels * (n_max + 1)]
             w, l1, l2 = (sp.Rational(x) for x in (params.p, params.lambda1, params.lambda2))
             exact = np.array([float(w * (1 - l1 ** 2) * l1 ** (2 * a)
                                     + (1 - w) * ((1 - l2 ** 2) * l2 ** (2 * a)) ** 2)

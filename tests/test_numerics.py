@@ -11,6 +11,7 @@ never calls it.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,12 @@ import pytest
 from cvwerner import numerics
 from cvwerner.cli import run_validation
 from cvwerner.criteria import ppt_spectrum_bruteforce
-from cvwerner.errors import DomainTooSmallError, HermiticityError, NumericalConsistencyError
+from cvwerner.errors import (
+    DimensionMismatchError,
+    DomainTooSmallError,
+    HermiticityError,
+    NumericalConsistencyError,
+)
 from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import (
     _nonzero_pattern,
@@ -121,8 +127,10 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(a)
 
     def test_rejects_non_square(self):
-        with pytest.raises(HermiticityError):
-            hermitian_eigenvalues(np.ones((2, 3)))
+        # A shape fault is typed as the pattern gate types it.
+        for shape in [(2, 3), (4,), (2, 2, 2)]:
+            with pytest.raises(DimensionMismatchError, match=re.escape(str(shape))):
+                hermitian_eigenvalues(np.ones(shape))
 
     def test_zero_matrix(self):
         result = hermitian_eigenvalues(np.zeros((4, 4)))

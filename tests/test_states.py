@@ -294,7 +294,7 @@ def test_werner_matrices_are_float64():
     rho = werner_state(POINT, LOOSE)
     assert rho.pattern[2].dtype == np.float64
     assert qubit_map.map_to_qubits(rho).dtype == np.float64
-    assert criteria.reconstruct_from_cells(POINT, 6).dtype == np.float64
+    assert criteria.reconstruct_from_cells(POINT, 6)[2].dtype == np.float64
     assert qubit_map.closed_form_two_qubit(POINT).dtype == np.float64
     assert qubit_map.closed_form_two_qubit(POINT, n_max=6).dtype == np.float64
 

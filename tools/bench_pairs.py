@@ -19,6 +19,10 @@ parent's by more than the metric's bound, and whether a gain could be
 claimed: at least ten pairs ran, the change wins at least nine tenths of
 them, its median is better by more than the distance between the parent's
 quartiles, and no larger share of its operations failed.
+Below them come ungated rows for the per-op sample medians that a run
+prints on its ``named:`` line (SAMPLE_METRICS): each side's median and
+quartiles and their ratio, with no bound and no claim, so that the median
+op time can be read next to the p90-based ``wall_s``.
 Only the standard library is used.
 """
 
@@ -30,6 +34,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SAMPLE_METRICS = ("validate_pass_s", "spectrum_p50_ms", "eval_p50_ms")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -69,24 +75,38 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def _side(q: tuple[float, float, float]) -> str:
+    return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
 def format_row(name: str, unit: str, s: dict) -> str:
-    def side(q):
-        return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
-    return (f"  {name} ({unit}): parent {side(s['parent'])}  change {side(s['change'])}"
+    return (f"  {name} ({unit}): parent {_side(s['parent'])}  change {_side(s['change'])}"
             f"  ratio {s['ratio']:.3f}  wins {s['wins']}/{s['pairs']}"
             f"  {'BREACH' if s['breach'] else 'within bound'}"
             f"{'  claimable' if s['claimable'] else ''}")
 
 
+def format_sample_row(name: str, unit: str, parent: list[float], change: list[float]) -> str:
+    """The ungated row of a ``named:`` sample metric over the pairs."""
+    p, c = quartiles(parent), quartiles(change)
+    ratio = c[1] / p[1] if p[1] else float("nan")
+    return (f"  {name} ({unit}, not gated): parent {_side(p)}  change {_side(c)}"
+            f"  ratio {ratio:.3f}")
+
+
 def run_once(command: list[str], root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced run in ``root``; its last stdout line, parsed."""
+    """One untraced run in ``root``: its last stdout line, parsed, with the
+    metrics of its ``named:`` line (none if it printed none) under "named"."""
     cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} printed nothing (exit {proc.returncode})")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    named = [line.removeprefix("named: ") for line in lines if line.startswith("named: ")]
+    result["named"] = json.loads(named[-1]) if named else {}
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,6 +152,11 @@ def main(argv: list[str] | None = None) -> int:
                                 metric["better"], metric["bound"], tuple(shares))
             ok &= not summary["breach"]
             print(format_row(name, metric["unit"], summary))
+        for name in SAMPLE_METRICS:
+            if all(name in r["named"] for r in runs["parent"] + runs["change"]):
+                print(format_sample_row(name, runs["change"][0]["named"][name]["unit"],
+                                        [r["named"][name]["value"] for r in runs["parent"]],
+                                        [r["named"][name]["value"] for r in runs["change"]]))
     return 0 if ok else 1
 
 

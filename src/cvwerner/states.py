@@ -132,7 +132,8 @@ def werner_state(params: WernerParams, cutoff: FockCutoff) -> TwoModeDensityMatr
     probs = (1.0 - lam2 * lam2) * lam2 ** (2 * levels)
     thermal = (1.0 - p) * np.outer(probs, probs).ravel()
     coherences = p * np.outer(amps, amps)
-    coherences[levels, levels] += thermal[levels * (n + 1)]
+    # |m,m> sits at flat index m (n + 1) of both.
+    coherences.ravel()[:: n + 1] += thermal[:: n + 1]
     return TwoModeDensityMatrix(cutoff=cutoff, pattern=_werner_layout(coherences, thermal),
                                 trace_deficit=deficit)
 

@@ -6,6 +6,8 @@ fidelity, with every closed-form criterion cross-checked against
 brute-force matrix computation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .criteria import (
     CriterionVerdict,
     direct_entanglement_threshold,
@@ -41,5 +43,7 @@ from .teleport import (
     fidelity_werner,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The re-exported objects; the submodules bound by these imports stay out.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -303,8 +303,7 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
          tol.PENCIL_THRESHOLD_TOL),
         # The banded variance against the closed form of the same truncation.
         ("squeezing variance (closed form vs matrix)", grid3,
-         [abs(cr.squeezing_variance_direct(w)
-              - cr._truncated_squeezing_variance(w, cr.SQUEEZING_CHECK_LEVELS)) for w in grid3],
+         [cr._squeezing_check(w)[0] for w in grid3],
          tol.SQUEEZING_CONSISTENCY_TOL),
         ("cell decomposition (reconstruction)", grid3, cells, tol.MAP_CONSISTENCY_TOL),
     ]

@@ -6,11 +6,12 @@ spectrum is available in closed form. Every closed-form verdict here is
 cross-checkable against brute-force computation on the truncated matrix.
 
 The weights of those blocks and of the separability cells live in one
-table, ``_block_weights``; the k -> infinity regime rules live in
-``_entanglement_limit`` (q = lambda1 / lambda2^2) and ``_positivity_limit``
-(q_tilde = lambda1 / lambda2^4). The printed thresholds and the
+table, ``_block_weights``; the k -> infinity regime rule lives in one
+function, ``_limit``, which the pair blocks (q = lambda1 / lambda2^2) and
+the cells (q_tilde = lambda1 / lambda2^4) both call. The separable bound
+is built on the direct threshold. The printed thresholds and the
 ``validate`` partners of the enumerated spectrum and the cell
-reconstruction all read them, so ``validate`` checks against the
+reconstruction all read the table, so ``validate`` checks against the
 brute-force state the weights the thresholds use. The cell reconstruction
 is triplets on the state's own positions (``states._werner_layout``), so
 no d x d matrix is made. The direct threshold's
@@ -103,23 +104,23 @@ def _ppt_spectrum(rho: TwoModeDensityMatrix) -> np.ndarray:
     return _pattern_eigenvalues(rho.cutoff.dim, *partial_transpose_A(rho)).eigenvalues
 
 
-def _entanglement_limit(l1: float, l2: float) -> float:
-    """k -> infinity limit of the pair-block thresholds.
-
-    The NOPA/thermal weight ratio of block k goes as q^k, q = l1 / l2^2:
-    the limit is 0 for q > 1 (also where l2^2 underflows, so q is
-    infinite), (1 - l1) / 2 for q = 1 and 1 for q < 1 or l1 = 0.
-    """
+def _limit(l1: float, l2_power: float, at_one) -> float:
+    """k -> infinity limit of block bounds whose NOPA/thermal weight ratio
+    goes as q^k, q = l1 / l2_power: 1 for q < 1 or l1 = 0, ``at_one()`` for
+    q = 1, 0 for q > 1 or an underflowed l2_power (q infinite)."""
     if l1 == 0.0:
         return 1.0
-    if l2 * l2 == 0.0:
+    if l2_power == 0.0:
         return 0.0
-    q = l1 / (l2 * l2)
+    q = l1 / l2_power
     if q > 1.0:
         return 0.0
-    if q == 1.0:
-        return (1.0 - l1) / 2.0
-    return 1.0
+    return at_one() if q == 1.0 else 1.0
+
+
+def _entanglement_limit(l1: float, l2: float) -> float:
+    """``_limit`` of the pair-block thresholds: q = l1 / l2^2, (1 - l1) / 2 at q = 1."""
+    return _limit(l1, l2 * l2, lambda: (1.0 - l1) / 2.0)
 
 
 def _entanglement_p_k(l1: float, l2: float, k: int) -> float:
@@ -163,12 +164,9 @@ def direct_entanglement_threshold(r: float, s: float, n_max: int | None = None) 
     """
     _check_rs(r, s)
     l1, l2 = math.tanh(r), math.tanh(s)
-    if n_max is not None:
-        k = 2 * _check_n_max(n_max) - 3
-        return min(_entanglement_p_k(l1, l2, 1), _entanglement_p_k(l1, l2, k))
-    limit = _entanglement_limit(l1, l2)
-    # A zero limit is the infimum without the k = 1 block.
-    return min(_entanglement_p_k(l1, l2, 1), limit) if limit else limit
+    last = (_entanglement_limit(l1, l2) if n_max is None
+            else _entanglement_p_k(l1, l2, 2 * _check_n_max(n_max) - 3))
+    return min(_entanglement_p_k(l1, l2, 1), last)
 
 
 def direct_threshold_pencil(r: float, s: float, n_max: int) -> float:
@@ -222,22 +220,13 @@ def reconstruct_from_cells(params: WernerParams, n_max: int):
     return _werner_layout(beta, _pair_terms(params, k.ravel())[0])
 
 
-def _positivity_limit(l1: float, l2: float) -> tuple[float, float]:
-    """k -> infinity limit of the cell positivity bounds, with the ratio
-    q_tilde = l1 / l2^4 that governs it: 0 for q_tilde > 1 (also where
-    l2^4 underflows, so q_tilde is infinite), 1 / (1 + c_0 / b_0) for
-    q_tilde = 1 and 1 for q_tilde < 1."""
-    if l1 == 0.0:
-        return 1.0, 0.0  # no coherence: every cell is positive
-    if l2 ** 4 == 0.0:
-        return 0.0, math.inf
-    q_tilde = l1 / l2 ** 4
-    if q_tilde > 1.0:
-        return 0.0, q_tilde
-    if q_tilde == 1.0:
+def _positivity_limit(l1: float, l2: float) -> float:
+    """``_limit`` of the cell positivity bounds: q_tilde = l1 / l2^4,
+    1 / (1 + c_0 / b_0) at q_tilde = 1."""
+    def at_one():
         therm, nopa = _block_weights(l1, l2, 0, cell=True)
-        return 1.0 / (1.0 + nopa / therm), q_tilde
-    return 1.0, q_tilde
+        return 1.0 / (1.0 + nopa / therm)
+    return _limit(l1, l2 ** 4, at_one)
 
 
 def _positivity_p_k(l1: float, l2: float, k: int) -> float:
@@ -246,7 +235,7 @@ def _positivity_p_k(l1: float, l2: float, k: int) -> float:
     if therm == 0.0:
         # Underflow of the thermal cell weight: a live NOPA weight dominates,
         # and where both underflow the k -> infinity limit decides.
-        return 0.0 if nopa > 0.0 else _positivity_limit(l1, l2)[0]
+        return 0.0 if nopa > 0.0 else _positivity_limit(l1, l2)
     # alpha >= beta  <=>  p * nopa * (1 - nopa) <= (1 - p) * therm
     return 1.0 / (1.0 + nopa * (1.0 - nopa) / therm)
 
@@ -255,31 +244,32 @@ def largest_separable_p(r: float, s: float) -> float:
     """Largest p for which the cell decomposition certifies separability.
 
     The bound is the infimum over k = m+n >= 1 of the per-cell PPT bound
-    (gamma >= beta) and positivity bound (alpha >= beta), closed with the
-    k -> infinity limits of ``_entanglement_limit`` (q = lambda1 / lambda2^2)
-    and ``_positivity_limit`` (q_tilde = lambda1 / lambda2^4). Both infima
-    are closed forms. The PPT bound is the direct threshold's, least at
-    k = 1 when q < 1. The positivity bound is least where
+    (gamma >= beta) and positivity bound (alpha >= beta). The PPT bound is
+    the pair blocks' negativity threshold, so its infimum is
+    ``direct_entanglement_threshold``. The positivity bounds are closed
+    with their k -> infinity limit, ``_positivity_limit``: the one regime
+    rule ``_limit`` that also closes the pair blocks, here with
+    q_tilde = lambda1 / lambda2^4. The positivity bound is least where
     f(k) = q_tilde^k - c (q_tilde lambda1)^k, c = c_0 = 1 - lambda1^2, is
     greatest; for q_tilde < 1, f rises to its one stationary point
     k* = ln(ln q_tilde / (c ln(q_tilde lambda1))) / ln lambda1
     and falls after it, so over k >= 1 the least bound lies at k = 1,
     floor(k*) or ceil(k*).
     """
-    _check_rs(r, s)
+    direct = direct_entanglement_threshold(r, s)
     l1, l2 = math.tanh(r), math.tanh(s)
-    if l1 == 0.0:
-        return 1.0  # diagonal mixture of products for every p
-    positive, q_tilde = _positivity_limit(l1, l2)
-    limit = min(_entanglement_limit(l1, l2), positive)
-    if limit == 0.0:
-        return 0.0
+    bound = min(direct, _positivity_limit(l1, l2))
+    # A zero bound covers an underflowed l2^4; at l1 = 0 no cell has
+    # coherence, and the bound is 1.
+    if bound == 0.0 or l1 == 0.0:
+        return bound
     ks = {1}
+    q_tilde = l1 / l2 ** 4
     if q_tilde < 1.0:
         log_qt, log_l1 = math.log(q_tilde), math.log(l1)
         k_star = math.log(log_qt / (_block_weights(l1, l2, 0)[1] * (log_qt + log_l1))) / log_l1
         ks.update(k for k in (math.floor(k_star), math.ceil(k_star)) if k >= 1)
-    return min(limit, _entanglement_p_k(l1, l2, 1), *(_positivity_p_k(l1, l2, k) for k in ks))
+    return min(bound, *(_positivity_p_k(l1, l2, k) for k in ks))
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +378,22 @@ def _truncated_squeezing_variance(params: WernerParams, n: int) -> float:
     return params.p * var_nopa + (1.0 - params.p) * var_thermal
 
 
+def _squeezing_check(params: WernerParams) -> tuple[float, float, float]:
+    """|banded - closed form| at SQUEEZING_CHECK_LEVELS, then the two variances;
+    ``squeezing_criterion`` and ``validate`` hold it to SQUEEZING_CONSISTENCY_TOL."""
+    banded = squeezing_variance_direct(params)
+    truncated = _truncated_squeezing_variance(params, SQUEEZING_CHECK_LEVELS)
+    return abs(banded - truncated), banded, truncated
+
+
 def squeezing_criterion(params: WernerParams) -> CriterionVerdict:
     """Squeezing verdict from the closed-form variance; the banded variance
     is checked against the closed form of the same truncation."""
-    direct = squeezing_variance_direct(params)
-    truncated = _truncated_squeezing_variance(params, SQUEEZING_CHECK_LEVELS)
-    if abs(direct - truncated) > SQUEEZING_CONSISTENCY_TOL:
+    deviation, banded, truncated = _squeezing_check(params)
+    if deviation > SQUEEZING_CONSISTENCY_TOL:
         raise NumericalConsistencyError(
             f"squeezing variance mismatch at {SQUEEZING_CHECK_LEVELS} levels: "
-            f"banded {direct} vs closed form {truncated}")
+            f"banded {banded} vs closed form {truncated}")
     variance = squeezing_variance_analytic(params)
     return CriterionVerdict(
         criterion=SQUEEZED,

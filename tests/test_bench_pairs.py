@@ -2,6 +2,7 @@
 benchmark is run."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -99,3 +100,24 @@ def test_sample_medians_are_read_and_printed_ungated(bench_pairs, tmp_path):
     row = bench_pairs.format_sample_row("validate_pass_s", "s", [6.0, 6.2, 6.1], [5.0, 5.2, 5.1])
     assert row == ("  validate_pass_s (s, not gated): parent 6.1 [6.05, 6.15]"
                    "  change 5.1 [5.05, 5.15]  ratio 0.836")
+
+
+def test_ops_attempted_row_is_printed_ungated(bench_pairs, tmp_path, capsys):
+    # A stand-in benchmark whose runs attempt the ops count stored in their
+    # checkout: the last row of the summary gives each side's count.
+    script = ("import json, pathlib; print(json.dumps({'correct': True, 'failed': 0,"
+              " 'attempted': int(pathlib.Path('ops').read_text()),"
+              " 'metrics': {'wall_s': {'value': 1.0}}}))")
+    bench = {"command": [sys.executable, "-c", script], "run_seconds": 1,
+             "workloads": [{"name": "stand_in"}],
+             "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    roots = {}
+    for side, ops in (("parent", 110), ("change", 220)):
+        roots[side] = tmp_path / side
+        roots[side].mkdir()
+        (roots[side] / "ops").write_text(str(ops))
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(bench))
+    assert bench_pairs.main([str(roots["parent"]), str(roots["change"]), "--pairs", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1] == ("  attempted (ops per run, not gated): parent 110 [110, 110]"
+                        "  change 220 [220, 220]  ratio 2.000")

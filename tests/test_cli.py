@@ -439,6 +439,27 @@ class TestRemovedFlags:
         assert f"unrecognized option '{flag[0]}'" in capsys.readouterr().err
 
 
+class TestParserErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "axis1=r[0.1,2]", "axis2=s[0.1,2,3]", "fixed=0.5", "outputs=p_min_squeezed"],
+         "bad axis spec 'r[0.1,2]'"),
+        (["eval", "p0.5", "r=1", "s=1"], "expected key=value token, got 'p0.5'"),
+    ], ids=["axis", "token"])
+    def test_malformed_token_exits_2_and_names_it(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
+    def test_help_ahead_of_the_subcommand_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["-h", "eval", "p=0.5", "r=1", "s=1"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cvwerner")
+
+
 def corrupted_closed_form(fault, where=lambda params: True):
     """closed_form_two_qubit with ``fault`` moved from |00><00| to |01><01|
     at the points ``where`` accepts."""

@@ -371,6 +371,24 @@ class TestClosedFormThresholds:
                 if k_star < 199:
                     assert closed == reference, (r, s)
 
+    def test_separable_bound_at_q_tilde_one(self):
+        # At this float point tanh r == tanh(s)^4, so q_tilde = 1 and the
+        # positivity bounds fall with k to their limit 1 / (1 + c_0 / b_0),
+        # which lies below the k = 1 cell and the pair bound. (Exactly,
+        # q_tilde is 1 + 3e-17: the test pins the q_tilde = 1 branch.)
+        r, s = 0.007201859757866571, 0.3
+        assert math.tanh(r) == math.tanh(s) ** 4
+        with mpmath.workdps(50):
+            l1, l2 = mpmath.tanh(mpmath.mpf(r)), mpmath.tanh(mpmath.mpf(s))
+            assert abs(l1 / l2 ** 4 - 1) < 1e-16
+            c_0, b_0 = 1 - l1 ** 2, (1 - l2 ** 2) ** 2 * (1 - l2 ** 4)
+            limit = 1 / (1 + c_0 / b_0)
+            c_1, b_1 = c_0 * l1, b_0 * l2 ** 4
+            cell_1 = 1 / (1 + c_1 * (1 - c_1) / b_1)
+            pair_1 = 1 / (1 + c_1 / ((1 - l2 ** 2) ** 2 * l2 ** 2))
+            assert limit < cell_1 - 1e-3 and limit < pair_1
+        assert largest_separable_p(r, s) == pytest.approx(float(limit), rel=1e-14)
+
 
 class TestGapInterval:
     """The p interval (direct, mapped], entangled yet PPT after mapping."""

@@ -261,6 +261,11 @@ class TestNonlocality:
     def test_no_violation_without_squeezing(self):
         assert nonlocality_threshold(0.0, 1.0) == 1.0
 
+    def test_vacuum_thermal_part_violates_at_every_p(self):
+        # s = 0: the thermal component is the vacuum, so any p > 0 is nonlocal.
+        for r in (1e-300, 1e-8, 0.5, 19.0):
+            assert nonlocality_threshold(r, 0.0) == 0.0
+
     def test_bell_straddles_two_at_threshold(self):
         for r in (1.0, 2.0):
             for s in (1.0, 2.0):

@@ -22,7 +22,10 @@ quartiles, and no larger share of its operations failed.
 Below them come ungated rows for the per-op sample medians that a run
 prints on its ``named:`` line (SAMPLE_METRICS): each side's median and
 quartiles and their ratio, with no bound and no claim, so that the median
-op time can be read next to the p90-based ``wall_s``.
+op time can be read next to the p90-based ``wall_s``. A last ungated row
+gives the ops each run attempted, because a run that completes more ops
+in its fixed time keeps more latencies and so reads a higher
+``peak_rss_mb``.
 Only the standard library is used.
 """
 
@@ -157,6 +160,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(format_sample_row(name, runs["change"][0]["named"][name]["unit"],
                                         [r["named"][name]["value"] for r in runs["parent"]],
                                         [r["named"][name]["value"] for r in runs["change"]]))
+        print(format_sample_row("attempted", "ops per run",
+                                [r["attempted"] for r in runs["parent"]],
+                                [r["attempted"] for r in runs["change"]]))
     return 0 if ok else 1
 
 

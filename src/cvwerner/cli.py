@@ -231,7 +231,8 @@ class CheckResult:
                 f" tol={self.tolerance:.1e} slack={self.tolerance - self.worst_deviation:.3e}")
 
 
-def _check(name: str, points: list[WernerParams], deviations, tolerance: float) -> CheckResult:
+def _check(name: str, points: list[WernerParams], deviations,
+           tolerance: float = tol.CROSS_CHECK_TOL) -> CheckResult:
     """The check passes only if every deviation is <= tolerance, so a NaN
     fails; a NaN is reported as the worst deviation."""
     devs = np.array(deviations, dtype=np.float64)
@@ -285,27 +286,23 @@ def run_validation(grid_density: int) -> tuple[list[CheckResult], bool]:
     spectrum, qubit, cells = zip(*map(_matrix_deviations, grid3))
 
     checks = [
-        ("ppt_spectrum (analytic vs brute force)", grid3, spectrum, tol.PPT_SPECTRUM_TOL),
-        ("qubit_map consistency (pair trace vs moments vs closed form)", grid3, qubit,
-         tol.MAP_CONSISTENCY_TOL),
+        ("ppt_spectrum (analytic vs brute force)", grid3, spectrum),
+        ("qubit_map consistency (pair trace vs moments vs closed form)", grid3, qubit),
         ("teleport fidelity (closed form vs numeric)", grid3,
-         [tp.fidelity_report(w).method_agreement for w in grid3],
-         tol.FIDELITY_AGREEMENT_TOL),
+         [tp.fidelity_report(w).method_agreement for w in grid3]),
         ("threshold ordering (separable <= direct <= mapped <= nonlocal)", grid_rs,
          [_ordering_deviation(w) for w in grid_rs], 0.0),
         ("mapped threshold (closed form vs pencil)", grid_rs,
          [abs(qm.mapped_entanglement_threshold(w.r, w.s) - qm.mapped_threshold_pencil(w.r, w.s))
-          for w in grid_rs], tol.PENCIL_THRESHOLD_TOL),
+          for w in grid_rs]),
         # The truncation's closed form against the pencil of the same truncation.
         ("direct threshold (closed form vs pencil)", grid_rs,
          [abs(cr.direct_entanglement_threshold(w.r, w.s, VALIDATE_N_MAX)
-              - cr.direct_threshold_pencil(w.r, w.s, VALIDATE_N_MAX)) for w in grid_rs],
-         tol.PENCIL_THRESHOLD_TOL),
+              - cr.direct_threshold_pencil(w.r, w.s, VALIDATE_N_MAX)) for w in grid_rs]),
         # The banded variance against the closed form of the same truncation.
         ("squeezing variance (closed form vs matrix)", grid3,
-         [cr._squeezing_check(w)[0] for w in grid3],
-         tol.SQUEEZING_CONSISTENCY_TOL),
-        ("cell decomposition (reconstruction)", grid3, cells, tol.MAP_CONSISTENCY_TOL),
+         [cr._squeezing_check(w)[0] for w in grid3]),
+        ("cell decomposition (reconstruction)", grid3, cells),
     ]
     results = [_check(*check) for check in checks]
     return results, all(result.passed for result in results)

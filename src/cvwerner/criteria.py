@@ -33,7 +33,7 @@ from .errors import NumericalConsistencyError, ParameterRangeError
 from .fock_core import FockCutoff, TwoModeDensityMatrix, _check_n_max, partial_transpose_A
 from .numerics import _pattern_eigenvalues, _pencil_threshold
 from .states import WernerParams, _check_rs, _werner_layout, werner_state
-from .tolerances import SQUEEZING_CONSISTENCY_TOL
+from .tolerances import CROSS_CHECK_TOL
 
 # Criterion identifiers used in verdicts and CLI output.
 ENTANGLED_PPT_DIRECT = "entangled_ppt_direct"
@@ -211,13 +211,13 @@ def reconstruct_from_cells(params: WernerParams, n_max: int):
     """
     n_max = _check_n_max(n_max)
     levels = np.arange(n_max)
-    # k = m + n: on |m,m><n,n| as a table, on |m,n> (flat index m n_max + n) raveled.
+    # k = m + n as a table: beta on |m,m><n,n|, gamma raveled on |m,n> (flat index m n_max + n).
     k = np.add.outer(levels, levels)
-    beta = _pair_terms(params, k)[1]
+    gamma, beta = _pair_terms(params, k)
     thermal, coherence = _block_weights(params.lambda1, params.lambda2, levels, cell=True)
     beta[levels, levels] = (params.p * coherence ** 2 / (1 - (coherence[1] / coherence[0]) ** 2)
                             + (1 - params.p) * thermal / (1 - thermal[1] / thermal[0]))
-    return _werner_layout(beta, _pair_terms(params, k.ravel())[0])
+    return _werner_layout(beta, gamma.ravel())
 
 
 def _positivity_limit(l1: float, l2: float) -> float:
@@ -380,7 +380,7 @@ def _truncated_squeezing_variance(params: WernerParams, n: int) -> float:
 
 def _squeezing_check(params: WernerParams) -> tuple[float, float, float]:
     """|banded - closed form| at SQUEEZING_CHECK_LEVELS, then the two variances;
-    ``squeezing_criterion`` and ``validate`` hold it to SQUEEZING_CONSISTENCY_TOL."""
+    ``squeezing_criterion`` and ``validate`` hold it to CROSS_CHECK_TOL."""
     banded = squeezing_variance_direct(params)
     truncated = _truncated_squeezing_variance(params, SQUEEZING_CHECK_LEVELS)
     return abs(banded - truncated), banded, truncated
@@ -390,7 +390,7 @@ def squeezing_criterion(params: WernerParams) -> CriterionVerdict:
     """Squeezing verdict from the closed-form variance; the banded variance
     is checked against the closed form of the same truncation."""
     deviation, banded, truncated = _squeezing_check(params)
-    if deviation > SQUEEZING_CONSISTENCY_TOL:
+    if deviation > CROSS_CHECK_TOL:
         raise NumericalConsistencyError(
             f"squeezing variance mismatch at {SQUEEZING_CHECK_LEVELS} levels: "
             f"banded {banded} vs closed form {truncated}")

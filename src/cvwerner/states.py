@@ -37,6 +37,12 @@ from .errors import CutoffTooSmallError, ParameterRangeError
 from .fock_core import FockCutoff, TwoModeDensityMatrix
 
 
+def _check_p(p: float) -> None:
+    """Raise ParameterRangeError, naming p, unless 0 <= p <= 1 (so NaN fails)."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterRangeError(f"p must lie in [0, 1], got {p}")
+
+
 def _check_rs(r: float, s: float = 0.0) -> None:
     """Raise ParameterRangeError unless r and s are finite, >= 0 and below
     the point where tanh rounds to 1; every public function of r or s
@@ -65,8 +71,7 @@ class WernerParams:
     s: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterRangeError(f"p must lie in [0, 1], got {self.p}")
+        _check_p(self.p)
         _check_rs(self.r, self.s)
 
     @property

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterRangeError
 from .numerics import integrate_line
-from .states import WernerParams, _check_rs
+from .states import WernerParams, _check_p, _check_rs
 
 # Variance of the input autocorrelation exp(-u^2 / 2) / sqrt(2 pi) of a
 # coherent state in either quadrature.
@@ -98,8 +97,7 @@ def fidelity_werner(p: float, r: float, s: float) -> float:
     channel's fidelity weighted by p, plus 1/d for the thermal product,
     whose effective dimension is d = 2 cosh^2 s.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterRangeError("p must lie in [0, 1]")
+    _check_p(p)
     _check_rs(r, s)
     return p * (1.0 / (1.0 + math.exp(-2.0 * r))) + (1.0 - p) / (2.0 * math.cosh(s) ** 2)
 

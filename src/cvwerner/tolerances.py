@@ -8,26 +8,21 @@ where a tolerance can be tightened or relaxed.
 # max(1, largest entry).
 HERMITICITY_TOL = 1e-12
 
-# Agreement between closed-form criteria and brute-force matrix computation.
-ORACLE_TOL = 1e-9
-
-# Agreement of the enumerated partial-transpose spectrum with the brute-force
-# one in ``cvwerner validate``. Both read the same rounded block weights, and
-# the worst deviation on the validate 3 grid is 5.6e-17; a relative fault of
-# 1e-11 in the thermal pair weights t_k moves it to 5e-12, which ORACLE_TOL
-# misses.
-PPT_SPECTRUM_TOL = 1e-12
-
-# Agreement of the closed-form coherent-state fidelity with the numeric
-# quadrature oracle; both agree to rounding (~1e-15) on the accepted range.
-FIDELITY_AGREEMENT_TOL = 1e-12
+# Agreement of every closed form with its brute-force partner on the same
+# truncation: each ``cvwerner validate`` line but the exact ordering one,
+# and the banded squeezing variance in ``squeezing_criterion``. Both sides
+# read the same rounded weights, so each deviation is rounding. Worst over
+# validate 2-6: PPT spectrum 1.1e-16, qubit map 8.9e-16, fidelity oracle
+# 6.7e-16, mapped and direct pencil thresholds 1.7e-16 and 2.8e-17,
+# squeezing variance 7.1e-15, cell reconstruction 2.2e-16. The squeezing
+# check's worst over p in [0, 1], r, s in [0, 19] is 8.5e-14 (near s = 2.5,
+# where the thermal part peaks at ~38); the pencils' is 2.2e-16 on r, s in
+# [0.05, 5] at n_max 4, 12 and 24. A relative fault of 1e-11 in any block
+# weight (c_k, t_k, b_k) fails the cell line.
+CROSS_CHECK_TOL = 1e-12
 
 # Maximum admissible imaginary part of Tr(rho O) for Hermitian O.
 TRACE_IMAG_TOL = 1e-10
-
-# Entrywise agreement between independent constructions of the mapped
-# two-qubit state.
-MAP_CONSISTENCY_TOL = 1e-10
 
 # Allowed negative excursion of density-matrix diagonals and eigenvalues.
 POSITIVITY_TOL = 1e-10
@@ -41,15 +36,3 @@ DEFAULT_TAIL_BOUND = 1e-10
 # Integrand magnitude at the grid boundary must fall below this fraction
 # of its peak for a quadrature domain to be accepted.
 BOUNDARY_MASS_RATIO = 1e-8
-
-# Agreement of the banded squeezing variance with the closed form of the
-# same truncation, which both compute from the same rounded 1 - tanh^2
-# factors. The worst deviation over p in [0, 1], r, s in [0, 19] at 64
-# levels is 8.5e-14 (near s = 2.5, where the thermal part peaks at ~38).
-SQUEEZING_CONSISTENCY_TOL = 1e-12
-
-# Agreement of the mapped and the truncated direct threshold with one
-# eigensolve of their pencils (numerics._pencil_threshold), in ``cvwerner
-# validate``. The worst deviation over validate 2-6 is 1.7e-16, and 2.2e-16
-# on a grid of r, s in [0.05, 5] at n_max 4, 12 and 24.
-PENCIL_THRESHOLD_TOL = 1e-12

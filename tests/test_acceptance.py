@@ -58,14 +58,14 @@ def test_criterion_01_ppt_spectrum_oracle_equivalence():
 def test_criterion_02_two_qubit_map_consistency():
     """The pair-index trace, the pseudo-spin moment route and the closed-form
     4x4 of the truncated state agree pairwise entrywise to
-    MAP_CONSISTENCY_TOL on the 27-point grid."""
+    CROSS_CHECK_TOL on the 27-point grid."""
     for params in GRID_27:
         rho = werner_state(params, MAP_CUTOFF)
         traced = qm.map_to_qubits(rho)
         via_moments = qm._map_via_moments(rho)
         closed = qm.closed_form_two_qubit(params, n_max=MAP_CUTOFF.n_max)
         for a, b in ((traced, via_moments), (traced, closed), (via_moments, closed)):
-            assert np.abs(a - b).max() < tol.MAP_CONSISTENCY_TOL, f"at {params}"
+            assert np.abs(a - b).max() < tol.CROSS_CHECK_TOL, f"at {params}"
 
 
 def test_criterion_03_mapped_entanglement_threshold():

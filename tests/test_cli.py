@@ -173,7 +173,7 @@ class TestRunSweep:
             params = WernerParams(p=0.5, r=r, s=s)
             value = cli.COLUMNS["fidelity_w"].value(params)
             assert abs(value - closed_form_fidelity(0.5, r, s)) <= 1e-15
-            assert abs(value - tp.fidelity_numeric_oracle(params)) <= tol.FIDELITY_AGREEMENT_TOL
+            assert abs(value - tp.fidelity_numeric_oracle(params)) <= tol.CROSS_CHECK_TOL
             assert row.split(",")[2] == f"{value:.12g}"
 
     def test_repeated_key_exits_2_and_names_it(self, capsys):
@@ -460,14 +460,17 @@ class TestParserErrors:
         assert capsys.readouterr().out.startswith("usage: cvwerner")
 
 
-def corrupted_closed_form(fault, where=lambda params: True):
-    """closed_form_two_qubit with ``fault`` moved from |00><00| to |01><01|
+def corrupted_closed_form(fault, where=lambda params: True, coherence=False):
+    """closed_form_two_qubit with ``fault`` moved from |00><00| to |01><01|,
+    or with its coherence |00><11| scaled by 1 + ``fault`` if ``coherence``,
     at the points ``where`` accepts."""
     closed_form = qm.closed_form_two_qubit
 
     def corrupted(params, n_max=None):
         m = closed_form(params, n_max=n_max).copy()
-        if where(params):
+        if where(params) and coherence:
+            m[0, 3] = m[3, 0] = m[0, 3] * (1 + fault)
+        elif where(params):
             m[0, 0] += fault
             m[1, 1] -= fault
         return m
@@ -519,6 +522,19 @@ class TestValidate:
         assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)",
                            "mapped threshold (closed form vs pencil)"]
 
+    def test_small_coherence_fault_is_detected(self, monkeypatch):
+        # A 1e-11 relative fault in the closed form's coherence moves it by
+        # a few 1e-12, past CROSS_CHECK_TOL on the qubit-map line; the
+        # mapped threshold's pencil reads the same closed form, so that
+        # line fails too.
+        monkeypatch.setattr(qm, "closed_form_two_qubit",
+                            corrupted_closed_form(1e-11, coherence=True))
+        results, ok = run_validation(2)
+        assert not ok
+        failing = [r.name for r in results if not r.passed]
+        assert failing == ["qubit_map consistency (pair trace vs moments vs closed form)",
+                           "mapped threshold (closed form vs pencil)"]
+
     def test_moment_route_fault_is_detected(self, monkeypatch):
         # The pseudo-spin moment route is the qubit-map check's second
         # partner: a 1e-9 error in it alone fails that check.
@@ -561,18 +577,20 @@ class TestValidate:
     def test_block_weight_fault_is_detected(self, monkeypatch, capsys, weight):
         # The cell reconstruction compares the weight table's NOPA coherence
         # c_k, thermal pair weight t_k and thermal cell weight b_k with the
-        # brute-force state, so a 1e-9 relative fault in any one of them
-        # fails the cell check and the command.
-        monkeypatch.setattr(cr, "_block_weights", faulty_block_weights(weight, 1e-9))
-        assert main(["validate", "2"]) == 1
-        failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
-                   if ": FAIL worst_deviation" in line]
-        assert "cell decomposition (reconstruction)" in failing
+        # brute-force state, so a 1e-9 or 1e-11 relative fault in any one of
+        # them fails the cell check and the command. Both faulty tables wrap
+        # the clean one.
+        faulty = {fault: faulty_block_weights(weight, fault) for fault in (1e-9, 1e-11)}
+        for fault, table in faulty.items():
+            monkeypatch.setattr(cr, "_block_weights", table)
+            assert main(["validate", "2"]) == 1
+            failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                       if ": FAIL worst_deviation" in line]
+            assert "cell decomposition (reconstruction)" in failing, fault
 
     def test_small_thermal_pair_weight_fault_is_detected(self, monkeypatch, capsys):
         # A 1e-10 relative fault in t_k moves the enumerated spectrum by
-        # ~5e-11, below ORACLE_TOL; the spectrum check's own tolerance,
-        # PPT_SPECTRUM_TOL, catches it.
+        # ~5e-11, which CROSS_CHECK_TOL catches.
         monkeypatch.setattr(cr, "_block_weights", faulty_block_weights("t", 1e-10))
         assert main(["validate", "2"]) == 1
         failing = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
@@ -606,7 +624,7 @@ class TestValidate:
         assert not ok
         failing = [r for r in results if not r.passed]
         assert [r.name for r in failing] == ["cell decomposition (reconstruction)"]
-        assert failing[0].worst_deviation > tol.MAP_CONSISTENCY_TOL
+        assert failing[0].worst_deviation > tol.CROSS_CHECK_TOL
 
     def test_cell_deviation_is_the_dense_difference(self):
         # At s = 1e-20 the state drops its underflowed thermal entries; the
@@ -660,16 +678,17 @@ class TestValidate:
             run_validation(1)
 
     def test_check_lines_report_their_tolerance_and_slack(self):
+        # Every line holds a closed form to its partner at CROSS_CHECK_TOL,
+        # but the ordering line, which is exact.
         tolerances = {
-            "ppt_spectrum (analytic vs brute force)": tol.PPT_SPECTRUM_TOL,
-            "qubit_map consistency (pair trace vs moments vs closed form)":
-                tol.MAP_CONSISTENCY_TOL,
-            "teleport fidelity (closed form vs numeric)": tol.FIDELITY_AGREEMENT_TOL,
+            "ppt_spectrum (analytic vs brute force)": tol.CROSS_CHECK_TOL,
+            "qubit_map consistency (pair trace vs moments vs closed form)": tol.CROSS_CHECK_TOL,
+            "teleport fidelity (closed form vs numeric)": tol.CROSS_CHECK_TOL,
             "threshold ordering (separable <= direct <= mapped <= nonlocal)": 0.0,
-            "mapped threshold (closed form vs pencil)": tol.PENCIL_THRESHOLD_TOL,
-            "direct threshold (closed form vs pencil)": tol.PENCIL_THRESHOLD_TOL,
-            "squeezing variance (closed form vs matrix)": tol.SQUEEZING_CONSISTENCY_TOL,
-            "cell decomposition (reconstruction)": tol.MAP_CONSISTENCY_TOL,
+            "mapped threshold (closed form vs pencil)": tol.CROSS_CHECK_TOL,
+            "direct threshold (closed form vs pencil)": tol.CROSS_CHECK_TOL,
+            "squeezing variance (closed form vs matrix)": tol.CROSS_CHECK_TOL,
+            "cell decomposition (reconstruction)": tol.CROSS_CHECK_TOL,
         }
         results, _ = run_validation(2)
         assert [r.name for r in results] == list(tolerances)

@@ -32,7 +32,7 @@ from cvwerner.fock_core import FockCutoff
 from cvwerner.numerics import hermitian_eigenvalues
 from cvwerner.qubit_map import mapped_entanglement_threshold
 from cvwerner.states import WernerParams, werner_state
-from cvwerner.tolerances import ORACLE_TOL, SQUEEZING_CONSISTENCY_TOL
+from cvwerner.tolerances import CROSS_CHECK_TOL
 from densify import dense
 
 CUTOFF = FockCutoff(n_max=10, tail_bound=0.999)
@@ -102,7 +102,7 @@ class TestPptSpectrum:
         brute = ppt_spectrum_bruteforce(params, FockCutoff(n_max=32, tail_bound=0.999))
         analytic = enumerate_ppt_spectrum(params, 32)
         assert brute.size == analytic.size == 32 * 32
-        assert np.abs(brute - analytic).max() < ORACLE_TOL
+        assert np.abs(brute - analytic).max() < CROSS_CHECK_TOL
 
     def test_matches_numpy_oracle(self):
         params = WernerParams(p=0.7, r=0.8, s=1.2)
@@ -726,4 +726,4 @@ class TestTruncatedSqueezing:
         params = WernerParams(p=p, r=r, s=s)
         squeezing_criterion(params)
         assert abs(squeezing_variance_direct(params) - criteria._truncated_squeezing_variance(
-            params, SQUEEZING_CHECK_LEVELS)) <= SQUEEZING_CONSISTENCY_TOL
+            params, SQUEEZING_CHECK_LEVELS)) <= CROSS_CHECK_TOL

@@ -1,6 +1,9 @@
-"""The package namespace: what ``from cvwerner import *`` binds."""
+"""The package namespace, what ``from cvwerner import *`` binds, and the
+tolerances its sources read."""
 
+import ast
 import types
+from pathlib import Path
 
 import cvwerner
 
@@ -24,3 +27,16 @@ def test_all_lists_the_public_objects_and_no_module():
         assert not isinstance(getattr(cvwerner, name), types.ModuleType), name
     assert cvwerner.__all__ == PUBLIC
 
+
+def test_every_tolerance_is_read_by_the_library():
+    # A tolerance that only tests read guards nothing in the program.
+    sources = Path(cvwerner.__file__).parent
+    tolerances = ast.parse((sources / "tolerances.py").read_text())
+    defined = {target.id for node in tolerances.body if isinstance(node, ast.Assign)
+               for target in node.targets}
+    read = {node.attr if isinstance(node, ast.Attribute) else node.id
+            for path in sources.glob("*.py") if path.name != "tolerances.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Load)}
+    assert defined, "no tolerance found"
+    assert sorted(defined - read) == []

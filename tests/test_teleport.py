@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cvwerner.errors import ParameterRangeError
 from cvwerner.numerics import GRID_POINTS, WIDTH_SIGMAS, integrate_line
 from cvwerner.states import WernerParams
 from cvwerner import teleport as tp
@@ -44,8 +45,10 @@ class TestClosedForms:
             fidelity_werner(1.0, -0.5, 0.0)
         with pytest.raises(ValueError):
             fidelity_werner(0.5, 1.0, -0.5)
-        with pytest.raises(ValueError):
-            fidelity_werner(1.2, 1.0, 1.0)
+        # The p rule and message of WernerParams, which name the value.
+        for p in (1.2, 1.5, math.nan):
+            with pytest.raises(ParameterRangeError, match=rf"p must lie in \[0, 1\], got {p}$"):
+                fidelity_werner(p, 1.0, 1.0)
 
 
 class TestWignerChannel:
@@ -254,4 +257,4 @@ class TestNumericOracle:
             report = fidelity_report(params)
             assert abs(report.fidelity_closed_form - closed_form_fidelity(p, r, s)) <= 1e-15
             assert report.fidelity_numeric == fidelity_numeric_oracle(params)
-            assert report.method_agreement <= tol.FIDELITY_AGREEMENT_TOL
+            assert report.method_agreement <= tol.CROSS_CHECK_TOL
